@@ -295,7 +295,6 @@ def inject_fault(state: PipelineState):
         for e in table.raw_entries():
             if e.is_terminal:
                 e.bmp_value = e.bmp_value + "?corrupt"
-        table.invalidate()
 
 
 def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,

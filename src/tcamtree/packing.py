@@ -9,6 +9,7 @@ super-tables so that fragmentation is amortized over whole block sets.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -16,7 +17,7 @@ from typing import Iterable, Optional
 from ._util import ceil_div, ceil_log2
 from .errors import TagOverflow
 from .tiler import SRAM, TCAM, GrainSpec, TcamTree, TreeTable, blocks_for_table
-from .trie import expanded_size
+from .trie import covered_ranges, expanded_size
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, int]:
                 continue
             table.kind = SRAM
             table.sram_key_len = target
-            table.invalidate()
             total_rows += sram_rows_for_table(table)
     return tree, total_rows
 
@@ -91,21 +91,15 @@ def sram_rows_for_table(table: TreeTable) -> int:
     """Exact-match rows a converted table occupies: the expanded terminal keys
     plus any stub keys the expansion does not already cover.  Uses the live
     expansion width, matching the lookup path."""
-    terminals = table.terminal_prefixes()
-    target = table.max_local_length()
-    rows = expanded_size(terminals, target)
-    intervals = sorted(
-        (
-            (int(bits, 2) << (target - length)) if bits else 0,
-            ((int(bits, 2) + 1) << (target - length)) if bits else (1 << target),
-        )
-        for bits, length, _ in terminals
-    )
+    ranges = covered_ranges(table.terminal_prefixes(), table.max_local_length())
+    starts = [lo for lo, _ in ranges]
+    rows = sum(hi - lo for lo, hi in ranges)
     for e in table.raw_entries():
         if e.child is None:
             continue
         key = int(e.key_bits, 2)
-        if not any(lo <= key < hi for lo, hi in intervals):
+        i = bisect_right(starts, key) - 1
+        if i < 0 or key >= ranges[i][1]:
             rows += 1
     return rows
 

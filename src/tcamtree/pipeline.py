@@ -460,15 +460,13 @@ class PipelineState:
         found = self._find_terminal(prefix.bits)
         if found is None:
             raise NotFound(f"prefix {prefix} not present")
-        before = {id(t) for t in self.tree.all_tables()}
-        tree_delete(self.tree, prefix.bits)
+        collected = tree_delete(self.tree, prefix.bits)
         if self.supertables is None:
             return
-        gone = before - {id(t) for t in self.tree.all_tables()}
-        for tid in gone:
-            st = self._st_of.pop(tid, None)
+        for table in collected:
+            st = self._st_of.pop(id(table), None)
             if st is not None:
-                st.members = [(tag, t) for tag, t in st.members if id(t) != tid]
+                st.members = [(tag, t) for tag, t in st.members if t is not table]
                 if not st.members:
                     # blocks stay allocated until a replan; membership just empties
                     self.supertables.remove(st)

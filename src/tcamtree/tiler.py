@@ -5,14 +5,21 @@ that ends inside a level becomes a terminal entry padded with trailing
 don't-cares; a prefix that crosses the level boundary is represented by a
 fully-specified stub entry that carries a pointer to a child table and
 inherits the value of the stub key's best match among the table's own
-terminal entries.  Entries are matched in descending order of specified bits,
-so a first-match lookup returns the longest local match.
+terminal entries.
+
+Keys are unique within a table and prefix-shaped, so at most one entry of
+each specified length matches a segment, and the longest such entry is the
+first match of a priority-ordered ternary scan.  TCAM and SRAM tables
+therefore share one lookup: probe the entry dict once per specified length
+present, longest first (per-length hashing, as in Waldvogel et al. and
+Srinivasan & Varghese).  The index is kept current by the writes that add or
+remove a row, so searches are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 from ._util import ceil_div, ceil_log2
@@ -126,28 +133,32 @@ class TableEntry:
         # The flag a parent row exposes so the next stage knows which lookup to run.
         return None if self.child is None else self.child.kind
 
-    def matches(self, segment: str) -> bool:
-        n = self.specified_len
-        return segment[:n] == self.key_bits[:n]
-
     def __repr__(self):
         mark = "T" if self.is_terminal else "s"
         return f"<{self.key_bits} {mark} {self.bmp_value} child={self.child is not None}>"
 
 
 class TreeTable:
-    """One node of the tree: an ordered ternary table over `stride_width` bits."""
+    """One node of the tree: a ternary table over `stride_width` bits.
+
+    The lookup index is `_entries` plus `_lengths`, the distinct specified
+    lengths present, longest first; `put` and `remove` keep it current.
+    """
+
+    __slots__ = ("level_index", "stride_width", "start_bit", "kind", "sram_key_len",
+                 "_entries", "_next_seq", "_lengths")
 
     def __init__(self, level_index: int, stride_width: int, start_bit: int):
         self.level_index = level_index
         self.stride_width = stride_width
         self.start_bit = start_bit
         self.kind = TCAM
+        # The as-converted SRAM key width, kept for accounting; lookups and
+        # row counts follow the live rows.
         self.sram_key_len: Optional[int] = None
         self._entries: dict[str, TableEntry] = {}
         self._next_seq = 0
-        self._ordered: Optional[list[TableEntry]] = None
-        self._sram_index = None
+        self._lengths: tuple[int, ...] = ()
 
     # -- structure ---------------------------------------------------------
 
@@ -155,9 +166,36 @@ class TreeTable:
         self._next_seq += 1
         return self._next_seq
 
-    def invalidate(self):
-        self._ordered = None
-        self._sram_index = None
+    def put(self, entry: TableEntry):
+        """Store `entry` under its key, replacing any row there."""
+        self._entries[entry.key_bits] = entry
+        length = entry.specified_len
+        if length not in self._lengths:
+            self._lengths = tuple(sorted(self._lengths + (length,), reverse=True))
+
+    def remove(self, key_bits: str):
+        length = self._entries.pop(key_bits).specified_len
+        # A row's specified length never changes, so a length leaves the
+        # index only with its last row.
+        if next(self.rows_under("", length), None) is None:
+            self._lengths = tuple(l for l in self._lengths if l != length)
+
+    def rows_under(self, bits: str, length: int):
+        """Rows of specified length `length` whose keys start with `bits`:
+        probes each candidate key, or scans the table when it holds fewer
+        rows than there are candidates."""
+        free = length - len(bits)
+        pad = "*" * (self.stride_width - length)
+        entries = self._entries
+        if (1 << free) <= len(entries):
+            for tail in product("01", repeat=free):
+                e = entries.get(bits + "".join(tail) + pad)
+                if e is not None:
+                    yield e
+        else:
+            for e in entries.values():
+                if e.key_bits.startswith(bits) and e.specified_len == length:
+                    yield e
 
     def get(self, key_bits: str) -> Optional[TableEntry]:
         return self._entries.get(key_bits)
@@ -168,11 +206,7 @@ class TreeTable:
 
     def entries(self) -> list[TableEntry]:
         """Entries in match priority order: descending specified bits, then creation."""
-        if self._ordered is None:
-            self._ordered = sorted(
-                self._entries.values(), key=lambda e: (-e.specified_len, e.seq)
-            )
-        return self._ordered
+        return sorted(self._entries.values(), key=lambda e: (-e.specified_len, e.seq))
 
     def raw_entries(self):
         return self._entries.values()
@@ -203,74 +237,34 @@ class TreeTable:
             return self.stride_width
         return max((e.bmp_local_len for e in self._entries.values() if e.is_terminal), default=0)
 
-    def local_lpm(self, key: str, exclude: Optional[TableEntry] = None):
-        """Longest terminal entry matching `key`; (None, None) when nothing does."""
-        best_val, best_len = None, None
-        for e in self._entries.values():
-            if not e.is_terminal or e is exclude:
-                continue
-            l = e.bmp_local_len
-            if (best_len is None or l > best_len) and l <= len(key):
-                if key[:l] == e.key_bits[:l]:
-                    best_val, best_len = e.bmp_value, l
-        return best_val, best_len
+    def local_lpm(self, key: str):
+        """Longest terminal entry matching the first len(key) bits of a
+        segment: (value, local length), or (None, None) when nothing does."""
+        s = self.stride_width
+        for l in self._lengths:
+            if l <= len(key):
+                e = self._entries.get(key[:l] + "*" * (s - l))
+                if e is not None and e.is_terminal:
+                    return e.bmp_value, l
+        return None, None
 
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, segment: str):
-        """(hit, value, value_local_len, child) for one stride segment."""
-        if self.kind == SRAM:
-            return self._sram_lookup(segment)
-        for e in self.entries():
-            if e.matches(segment):
+        """(hit, value, value_local_len, child) for one stride segment.
+
+        The first hit, longest length first, is the longest local match.  Both
+        kinds answer alike: an SRAM table's exact-match rows expand its
+        terminals, and a stub's inherited value is the longest terminal
+        matching its key, which is what the expansion stores there.
+        """
+        s = self.stride_width
+        entries = self._entries
+        for l in self._lengths:
+            e = entries.get(segment[:l] + "*" * (s - l))
+            if e is not None:
                 return True, e.bmp_value, e.bmp_local_len, e.child
         return False, None, None, None
-
-    def _sram_index_build(self):
-        by_len: dict[int, dict[str, str]] = {}
-        stubs: dict[str, TableEntry] = {}
-        for e in self._entries.values():
-            if e.is_terminal:
-                by_len.setdefault(e.bmp_local_len, {})[e.key_bits[: e.bmp_local_len]] = e.bmp_value
-            if e.child is not None:
-                stubs[e.key_bits] = e
-        # The live key width follows the contents: updates that add a longer
-        # entry widen the expansion (sram_key_len keeps the as-converted width
-        # for accounting only).
-        self._sram_index = (sorted(by_len.items(), reverse=True), stubs, self.max_local_length())
-
-    def _sram_lookup(self, segment: str):
-        # Exact match over keys expanded to the local maximum length, evaluated
-        # without materializing the expansion: longest terminal match plus stub probe.
-        if self._sram_index is None:
-            self._sram_index_build()
-        by_len, stubs, m = self._sram_index
-        key = segment[:m]
-        value = None
-        local_len = None
-        for length, table in by_len:
-            hop = table.get(key[:length])
-            if hop is not None:
-                value, local_len = hop, length
-                break
-        stub = stubs.get(segment) if m == self.stride_width else None
-        if value is None and stub is None:
-            return False, None, None, None
-        return True, value, local_len, (stub.child if stub is not None else None)
-
-    def expanded_entries(self) -> dict[str, tuple[Optional[str], Optional["TreeTable"]]]:
-        """Materialized exact-match rows (value, child) at max_local_length bits."""
-        from .trie import expand_prefixes
-
-        m = self.max_local_length()
-        rows: dict[str, tuple[Optional[str], Optional[TreeTable]]] = {}
-        for key, value in expand_prefixes(self.terminal_prefixes(), m).items():
-            rows[key] = (value, None)
-        for e in self._entries.values():
-            if e.child is not None:
-                value = rows.get(e.key_bits, (None, None))[0]
-                rows[e.key_bits] = (value, e.child)
-        return rows
 
     def __repr__(self):
         return (
@@ -363,7 +357,7 @@ def tree_insert(tree: TcamTree, bits: str, value: str):
     """Insert one prefix, creating stub/child chains as needed.
 
     Safe under arbitrary insertion order: a new terminal refreshes the
-    inherited values of matching stubs, and a new stub inherits from the
+    inherited values of the stubs under it, and a new stub inherits from the
     terminals already present.
     """
     if len(bits) > tree.coverage:
@@ -386,17 +380,13 @@ def tree_insert(tree: TcamTree, bits: str, value: str):
                 entry.bmp_value = value
                 entry.bmp_local_len = len(rem)
             else:
-                entry = TableEntry(key, value, len(rem), True, None, table.next_seq())
-                table._entries[key] = entry
-            for other in table._entries.values():
-                if other.is_terminal or other.child is None:
-                    continue
-                if other.key_bits[: len(rem)] == rem and (
+                table.put(TableEntry(key, value, len(rem), True, None, table.next_seq()))
+            for other in table.rows_under(rem, s):
+                if not other.is_terminal and (
                     other.bmp_local_len is None or other.bmp_local_len < len(rem)
                 ):
                     other.bmp_value = value
                     other.bmp_local_len = len(rem)
-            table.invalidate()
             return
         stub_key = rem[:s]
         entry = table.get(stub_key)
@@ -406,18 +396,19 @@ def tree_insert(tree: TcamTree, bits: str, value: str):
             entry = TableEntry(
                 stub_key, inherited_value, inherited_len, False, child, table.next_seq()
             )
-            table._entries[stub_key] = entry
-            table.invalidate()
+            table.put(entry)
         elif entry.child is None:
             entry.child = tree.new_table(level + 1)
-            table.invalidate()
         table = entry.child
         consumed += s
         level += 1
 
 
-def tree_delete(tree: TcamTree, bits: str):
-    """Remove one prefix; empty child tables and their stubs are collected."""
+def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
+    """Remove one prefix; empty child tables and their stubs are collected.
+
+    Returns the collected tables, deepest first.
+    """
     path: list[tuple[TreeTable, TableEntry]] = []
     table = tree.root
     consumed = 0
@@ -431,16 +422,14 @@ def tree_delete(tree: TcamTree, bits: str):
                 raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
             if entry.child is not None:
                 entry.is_terminal = False
-                entry.bmp_value, entry.bmp_local_len = table.local_lpm(
-                    entry.key_bits, exclude=entry
-                )
             else:
-                del table._entries[key]
-            for other in table._entries.values():
-                if other.is_terminal or other.child is None:
-                    continue
-                other.bmp_value, other.bmp_local_len = table.local_lpm(other.key_bits)
-            table.invalidate()
+                table.remove(key)
+            # Only stubs under the prefix that inherited from it change, and
+            # all of them fall back to the next shorter terminal above it.
+            value, length = table.local_lpm(rem[:-1]) if rem else (None, None)
+            for other in table.rows_under(rem, s):
+                if not other.is_terminal and other.bmp_local_len == len(rem):
+                    other.bmp_value, other.bmp_local_len = value, length
             break
         entry = table.get(rem[:s])
         if entry is None or entry.child is None:
@@ -449,14 +438,16 @@ def tree_delete(tree: TcamTree, bits: str):
         table = entry.child
         consumed += s
     # lazy upward collection of emptied tables
+    collected = []
     while table.entry_count == 0 and path:
         parent, entry = path.pop()
         tree.drop_table(table)
+        collected.append(table)
         entry.child = None
         if not entry.is_terminal:
-            del parent._entries[entry.key_bits]
-        parent.invalidate()
+            parent.remove(entry.key_bits)
         table = parent
+    return collected
 
 
 def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:

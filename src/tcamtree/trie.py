@@ -158,12 +158,11 @@ def expand_prefixes(
     return out
 
 
-def expanded_size(entries: Iterable[tuple[str, int, str]], target_length: int) -> int:
-    """Distinct-key count of expand_prefixes without enumerating keys.
-
-    Each entry covers a contiguous key range, so the answer is the size of an
-    interval union; this stays cheap even when the expansion itself would not.
-    """
+def covered_ranges(
+    entries: Iterable[tuple[str, int, str]], target_length: int
+) -> list[tuple[int, int]]:
+    """Disjoint ascending [lo, hi) key ranges that expand_prefixes covers,
+    computed without enumerating keys."""
     intervals = []
     for bits, length, _ in entries:
         if length > target_length:
@@ -173,13 +172,16 @@ def expanded_size(entries: Iterable[tuple[str, int, str]], target_length: int) -
         base = int(bits, 2) << (target_length - length) if bits else 0
         intervals.append((base, base + (1 << (target_length - length))))
     intervals.sort()
-    total = 0
-    end = None
+    merged: list[tuple[int, int]] = []
     for lo, hi in intervals:
-        if end is None or lo > end:
-            total += hi - lo
-            end = hi
-        elif hi > end:
-            total += hi - end
-            end = hi
-    return total
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def expanded_size(entries: Iterable[tuple[str, int, str]], target_length: int) -> int:
+    """Distinct-key count of expand_prefixes: the size of an interval union,
+    which stays cheap even when the expansion itself would not."""
+    return sum(hi - lo for lo, hi in covered_ranges(entries, target_length))

@@ -42,6 +42,26 @@ def linear_scan_lookup(db: PrefixDatabase, address: str) -> str:
     return best
 
 
+def ordered_scan_lookup(ordered_entries, segment: str):
+    """Reference for TreeTable.lookup: the first row, in the priority order of
+    `TreeTable.entries()`, whose specified bits match the segment."""
+    for e in ordered_entries:
+        n = e.specified_len
+        if segment[:n] == e.key_bits[:n]:
+            return True, e.bmp_value, e.bmp_local_len, e.child
+    return False, None, None, None
+
+
+def scan_local_lpm(table, key: str):
+    """Reference for a stub's inherited value: the longest of the table's
+    terminal rows matching `key`, found by scanning every row."""
+    best_val, best_len = None, None
+    for bits, length, value in table.terminal_prefixes():
+        if (best_len is None or length > best_len) and key.startswith(bits):
+            best_val, best_len = value, length
+    return best_val, best_len
+
+
 # -- random inputs -------------------------------------------------------------
 
 

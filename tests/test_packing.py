@@ -31,8 +31,7 @@ def synthetic_level(sizes, stride, level_index=1):
         t = tree.new_table(1)
         for i in range(n):
             key = format(i, f"0{stride}b")
-            t._entries[key] = TableEntry(key, f"v{i}", stride, True, None, t.next_seq())
-        t.invalidate()
+            t.put(TableEntry(key, f"v{i}", stride, True, None, t.next_seq()))
     return tree, tree.levels[1]
 
 

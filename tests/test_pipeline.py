@@ -50,17 +50,15 @@ def synthetic_supertables(level_blocks):
             for i in range(blocks * grain.depth):
                 key = format(i % 256, "08b")
                 if table.get(key) is None:
-                    table._entries[key] = TableEntry(key, f"v{i}", 8, True, None, table.next_seq())
-            table.invalidate()
+                    table.put(TableEntry(key, f"v{i}", 8, True, None, table.next_seq()))
             tables_here.append(table)
             supers.append(SuperTable(level, 0, [(0, table)], grain))
         if prev_tables:
             # chain a dependency: first table of the previous level points here
             parent = prev_tables[0]
             for t in tables_here:
-                key = format(len(parent._entries) % 256, "08b")
-                parent._entries[key] = TableEntry(key, None, None, False, t, parent.next_seq())
-            parent.invalidate()
+                key = format(parent.entry_count % 256, "08b")
+                parent.put(TableEntry(key, None, None, False, t, parent.next_seq()))
         prev_tables = tables_here
     return supers
 

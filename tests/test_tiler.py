@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tcamtree import (
     GrainSpec,
+    HybridizationConfig,
     Prefix,
     PrefixDatabase,
     StrideList,
@@ -14,13 +15,21 @@ from tcamtree import (
     build_unibit_trie,
     choose_strides,
     compute_lean_levels,
+    hybridize,
     oracle_lookup,
 )
 from tcamtree.errors import BudgetZero, DuplicatePrefix, PrefixExceedsCoverage
 from tcamtree.pipeline import search
-from tcamtree.tiler import StrideSearchConfig, tree_insert
+from tcamtree.tiler import StrideSearchConfig, TreeTable, tree_delete, tree_insert
 
-from tests.helpers import all_addresses, random_database, random_strides, table1_db
+from tests.helpers import (
+    all_addresses,
+    ordered_scan_lookup,
+    random_database,
+    random_strides,
+    scan_local_lpm,
+    table1_db,
+)
 
 
 def entry_view(table):
@@ -124,6 +133,112 @@ class TestBuildTree:
                 assert stubs == lean.nonleaf(boundary)
         for address in all_addresses(width):
             assert search(tree, address) == oracle_lookup(db, address)
+
+
+class CountingDict(dict):
+    """A table's row dict that counts the rows a lookup or an update reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+
+def check_index(tree, rng):
+    """Every table's lookup equals the ordered ternary scan (on every segment
+    up to 8 bits, else on sampled ones), and every stub's inherited value
+    equals a from-scratch longest local match."""
+    for table in tree.all_tables():
+        ordered = table.entries()
+        s = table.stride_width
+        if s <= 8:
+            segments = [format(v, f"0{s}b") for v in range(1 << s)]
+        else:
+            segments = [format(rng.getrandbits(s), f"0{s}b") for _ in range(128)]
+            segments += [e.key_bits.replace("*", pad) for e in ordered for pad in "01"]
+        for segment in segments:
+            assert table.lookup(segment) == ordered_scan_lookup(ordered, segment), (
+                table, segment,
+            )
+        for e in ordered:
+            if not e.is_terminal:
+                assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, e.key_bits)
+
+
+class TestProbeIndex:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_index_equals_ordered_scan_under_updates(self, seed, hybrid):
+        rng = random.Random(seed)
+        width = rng.randint(2, 10)
+        db = random_database(rng, width, max_entries=30)
+        tree = build_tree(db, random_strides(rng, width))
+        if hybrid:
+            hybridize(tree, HybridizationConfig(factor=rng.choice([1.5, 3, 8])))
+        live = {p.bits: p for p in db.entries}
+        check_index(tree, rng)
+        for _ in range(30):
+            if live and rng.random() < 0.5:
+                tree_delete(tree, live.pop(rng.choice(sorted(live))).bits)
+            else:
+                length = rng.randint(0, width)
+                bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
+                if bits in live:
+                    continue
+                live[bits] = Prefix(bits, length, f"h{rng.randint(0, 9)}")
+                tree_insert(tree, bits, live[bits].next_hop)
+            check_index(tree, rng)
+        final = PrefixDatabase(width, list(live.values()))
+        for address in all_addresses(width):
+            assert search(tree, address) == oracle_lookup(final, address)
+
+    def test_root_delete_reads_only_the_prefix_range(self, monkeypatch):
+        rng = random.Random(3)
+        heads = rng.sample(range(1 << 12), 1200)
+        entries = [Prefix(format(h, "012b") + "0110", 16, f"h{h}") for h in heads]
+        entries += [Prefix("10", 2, "outer"), Prefix("101010", 6, "cover")]
+        tree = build_tree(PrefixDatabase(16, entries), StrideList.parse("12-4"))
+        root = tree.root
+        assert root.stub_count() >= 1000
+        before = {e.key_bits: (e.bmp_value, e.bmp_local_len) for e in root.raw_entries()}
+        inherited = {k for k, (_, length) in before.items() if length == 6 and "*" not in k}
+        assert inherited
+        calls = []
+        local_lpm = TreeTable.local_lpm
+        monkeypatch.setattr(
+            TreeTable, "local_lpm", lambda t, key: calls.append(key) or local_lpm(t, key)
+        )
+        root._entries = CountingDict(root._entries)
+        tree_delete(tree, "101010")
+        reads = root._entries.reads
+        after = {e.key_bits: (e.bmp_value, e.bmp_local_len) for e in root.raw_entries()}
+        # One fallback match for all inheriting stubs; reads cover the walk,
+        # that match, the 2**6 keys under the prefix and the 2**6 keys of its
+        # length (is it still indexed?), never the 1,200 rows.
+        assert len(calls) == 1
+        assert reads <= 2 + 12 + 2 * 2**6
+        changed = {k for k, v in after.items() if v != before[k]}
+        assert changed == inherited
+        assert all(after[k] == ("outer", 2) for k in changed)
+
+    def test_lookup_probes_once_per_distinct_length(self):
+        rng = random.Random(5)
+        db = random_database(rng, 12, max_entries=300)
+        tree = build_tree(db, StrideList.parse("6-6"))
+        for p in db.entries[::2]:
+            tree_delete(tree, p.bits)
+        for table in tree.all_tables():
+            lengths = {e.specified_len for e in table.raw_entries()}
+            table._entries = CountingDict(table._entries)
+            for v in range(1 << 6):
+                table._entries.reads = 0
+                table.lookup(format(v, "06b"))
+                assert table._entries.reads <= len(lengths)
 
 
 class TestBlocksForTable:

@@ -86,7 +86,6 @@ def test_vector_catches_a_planted_fault():
     for e in state.tree.root.raw_entries():
         if e.is_terminal:
             e.bmp_value = "WRONG"
-    state.tree.root.invalidate()
     count, _ = full_space_mismatches(db_entry_tuples(db), state)
     assert count > 0
 
