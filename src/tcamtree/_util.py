@@ -13,8 +13,8 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def decimal_str(value, places: int = 4) -> str:
-    """Render a rational as a decimal string, rounded to `places` and trimmed.
+def fixed_decimal_str(value, places: int = 3) -> str:
+    """Render a rational with a fixed number of decimal places.
 
     Deterministic (round-half-even), so reports built from it are byte-stable.
     """
@@ -23,17 +23,12 @@ def decimal_str(value, places: int = 4) -> str:
     q = round(value * scale)
     sign = "-" if q < 0 else ""
     whole, frac = divmod(abs(q), scale)
-    if frac:
-        digits = f"{frac:0{places}d}".rstrip("0")
-        return f"{sign}{whole}.{digits}"
-    return f"{sign}{whole}"
-
-
-def fixed_decimal_str(value, places: int = 3) -> str:
-    """Render a rational with a fixed number of decimal places."""
-    value = Fraction(value)
-    scale = 10 ** places
-    q = round(value * scale)
-    sign = "-" if q < 0 else ""
-    whole, frac = divmod(abs(q), scale)
     return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def parse_wxd(text: str) -> tuple[int, int]:
+    """A `WxD` geometry (width x depth), as given on the command line."""
+    w, x, d = text.lower().partition("x")
+    if not (x and w.isdigit() and d.isdigit()):
+        raise ValueError(f"expected a WxD geometry such as 44x512, got {text!r}")
+    return int(w), int(d)

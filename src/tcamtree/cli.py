@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bounds as bounds_model
-from ._util import ceil_log2, fixed_decimal_str
+from ._util import ceil_log2, fixed_decimal_str, parse_wxd
 from .errors import EmptyDatabase, MalformedLine, PlannerError
 from .packing import (
     HybridizationConfig,
@@ -62,7 +62,6 @@ class PlanConfig:
         if not self.hybridize:
             return None
         return HybridizationConfig(
-            enabled=True,
             factor=self.factor,
             sram_spec=self.sram_page,
             tag_bits=self.effective_tag_bits,
@@ -398,23 +397,29 @@ def _load_profile(path: Optional[str]) -> PipelineProfile:
         return PipelineProfile()
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return PipelineProfile(
-        stage_count=raw["stage_count"],
-        tcam_blocks_per_stage=raw["tcam_blocks_per_stage"],
-        sram_pages_per_stage=raw["sram_pages_per_stage"],
-    )
+    keys = ("stage_count", "tcam_blocks_per_stage", "sram_pages_per_stage")
+    if not isinstance(raw, dict):
+        raise ValueError(f"profile {path}: expected a JSON object with keys {', '.join(keys)}")
+    for key in keys:
+        if key not in raw:
+            raise ValueError(f"profile {path}: missing key {key}")
+        if type(raw[key]) is not int:
+            raise ValueError(f"profile {path}: {key} must be an integer, got {raw[key]!r}")
+    return PipelineProfile(**{key: raw[key] for key in keys})
 
 
 def _plan_config(args) -> PlanConfig:
+    if args.tag_bits is not None and args.tag_bits < 0:
+        raise ValueError(f"--tag-bits must be >= 0, got {args.tag_bits}")
     return PlanConfig(
         db_path=args.db,
         address_width=args.width,
         strides=StrideList.parse(args.strides),
-        grain=GrainSpec.parse(args.grain),
+        grain=GrainSpec(*parse_wxd(args.grain)),
         tag_bits=args.tag_bits,
         hybridize=args.hybridize,
         factor=Fraction(str(args.factor)),
-        sram_page=SramPageSpec.parse(args.sram_page),
+        sram_page=SramPageSpec(*parse_wxd(args.sram_page)),
         profile=_load_profile(args.profile),
         coverage=Fraction(str(args.coverage)),
         overflow_capacity=args.overflow_capacity,
@@ -484,6 +489,11 @@ def main(argv=None) -> int:
                 raise EmptyDatabase("analyze needs a non-empty database")
             root = build_unibit_trie(db)
             max_level = args.max_level if args.max_level is not None else db.address_width
+            if not 1 <= max_level <= db.address_width:
+                raise ValueError(
+                    f"--max-level must be between 1 and the address width {db.address_width},"
+                    f" got {max_level}"
+                )
             lean = compute_lean_levels(root, len(db), max_depth=max_level)
             _write_output(lean.to_csv(1, max_level), args.out)
             return 0
@@ -516,7 +526,7 @@ def main(argv=None) -> int:
                 StrideList.parse(args.strides),
                 widths,
                 args.depth_rule,
-                GrainSpec.parse(args.grain),
+                GrainSpec(*parse_wxd(args.grain)),
                 Fraction(str(args.coverage)),
             )
             _write_output(render_sweep_csv(rows), args.out)

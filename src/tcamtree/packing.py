@@ -27,18 +27,12 @@ class SramPageSpec:
     page_width: int = 128
     page_depth: int = 1024
 
-    @classmethod
-    def parse(cls, text: str) -> "SramPageSpec":
-        w, _, d = text.lower().partition("x")
-        return cls(int(w), int(d))
-
     def __str__(self):
         return f"{self.page_width}x{self.page_depth}"
 
 
 @dataclass(frozen=True)
 class HybridizationConfig:
-    enabled: bool = True
     factor: Fraction = Fraction(3)          # expansion budget: expanded <= factor * rows
     sram_spec: SramPageSpec = SramPageSpec()
     value_bits: int = 16                    # assumed result width per row; not published
@@ -66,8 +60,6 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, int]:
     tables saves nothing.  Parent rows expose the child's kind via
     TableEntry.child_kind so a walk knows which lookup the next stage runs.
     """
-    if not cfg.enabled:
-        return tree, 0
     total_rows = 0
     for tables in tree.levels:
         for table in tables:
@@ -184,15 +176,12 @@ def tag_and_pack(
     tree: TcamTree,
     grain: GrainSpec,
     tag_bits: Optional[int] = None,
-    max_group_entries: Optional[int] = None,
-    allow_multiple_groups: bool = True,
 ) -> list[SuperTable]:
     """Group each level's TCAM tables into super-tables.
 
     Tables are taken largest-first (pairing large with small bounds the size of
-    any one group) and a group closes at 2**tag_bits members, or earlier when
-    an optional per-group entry cap would be exceeded.  The root stays alone
-    and untagged; SRAM tables are never tagged.
+    any one group) and a group closes at 2**tag_bits members.  The root stays
+    alone and untagged; SRAM tables are never tagged.
     """
     if tag_bits is None:
         tag_bits = grain.default_tag_bits
@@ -205,26 +194,15 @@ def tag_and_pack(
             for t in tcams:
                 result.append(SuperTable(0, 0, [(0, t)], grain))
             continue
-        if not allow_multiple_groups and len(tcams) > (1 << tag_bits):
-            raise TagOverflow(
-                f"level {level_index} has {len(tcams)} tables for {tag_bits} tag bits"
-            )
         ordered = sorted(
             enumerate(tcams), key=lambda it: (-it[1].entry_count, it[0])
         )
         group: list[TreeTable] = []
-        group_entries = 0
         for _, t in ordered:
-            closes = len(group) >= (1 << tag_bits) or (
-                max_group_entries is not None
-                and group
-                and group_entries + t.entry_count > max_group_entries
-            )
-            if closes:
+            if len(group) >= (1 << tag_bits):
                 _emit_group(level_index, group, tag_bits, grain, result)
-                group, group_entries = [], 0
+                group = []
             group.append(t)
-            group_entries += t.entry_count
         if group:
             _emit_group(level_index, group, tag_bits, grain, result)
     return result

@@ -19,7 +19,6 @@ from ._util import ceil_div
 from .errors import (
     CapacityExceeded,
     DuplicatePrefix,
-    NotFound,
     OverflowFull,
     StageDepthExceeded,
 )
@@ -41,6 +40,7 @@ from .tiler import (
     build_tree,
     tree_delete,
     tree_insert,
+    walk,
 )
 
 
@@ -57,6 +57,8 @@ class PipelineProfile:
     def __post_init__(self):
         if self.stage_count < 1:
             raise ValueError("stage_count must be >= 1")
+        if self.tcam_blocks_per_stage < 0 or self.sram_pages_per_stage < 0:
+            raise ValueError("per-stage block and page capacities must be >= 0")
 
     @property
     def total_tcam_blocks(self) -> int:
@@ -95,7 +97,7 @@ class PipelinePlan:
         self.profile = profile
         self.placements: list[list[Span]] = []
         self.sram_spans: dict[int, list[Span]] = {}
-        self.extra_spans: dict[int, list[Span]] = {}   # growth during updates, by id(st)
+        self.extra_spans: dict[SuperTable, list[Span]] = {}   # growth during updates
         self._tcam_next = [0] * (profile.stage_count + 1)   # index 0 unused
         self._sram_next = [0] * (profile.stage_count + 1)
         self.level_min_stage: dict[int, int] = {}
@@ -234,15 +236,15 @@ def map_to_pipeline(
             plan.note_level_use(level, spans)
         floor = plan.level_max_stage[level] + 1
     # Parent/child edges between placed super-tables, for the dependency invariant.
-    st_of: dict[int, int] = {}
+    st_of: dict[TreeTable, int] = {}
     for i, st in enumerate(supertables):
         for _, t in st.members:
-            st_of[id(t)] = i
+            st_of[t] = i
     for i, st in enumerate(supertables):
         for _, t in st.members:
             for e in t.raw_entries():
-                if e.child is not None and id(e.child) in st_of:
-                    plan.edges.append((i, st_of[id(e.child)]))
+                if e.child in st_of:
+                    plan.edges.append((i, st_of[e.child]))
     plan.validate_dependencies(supertables)
     return plan
 
@@ -285,6 +287,15 @@ class OverflowBuffer:
         return best, best_len
 
 
+def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowBuffer:
+    """An overflow buffer holding the entries longer than the stride coverage."""
+    overflow = OverflowBuffer(capacity)
+    for p in db.entries:
+        if p.length > coverage:
+            overflow.add(p)
+    return overflow
+
+
 def tree_lookup(tree: TcamTree, address: str) -> tuple[Optional[str], int]:
     """Walk the table tree; returns (value, matched prefix length) or (None, -1)."""
     table: Optional[TreeTable] = tree.root
@@ -322,11 +333,11 @@ class PipelineState:
         self.supertables = supertables
         self.plan = plan
         self.sram_rows = 0
-        self._st_of: dict[int, SuperTable] = {}
+        self._st_of: dict[TreeTable, SuperTable] = {}
         if supertables is not None:
             for st in supertables:
                 for _, t in st.members:
-                    self._st_of[id(t)] = st
+                    self._st_of[t] = st
 
     # -- construction --------------------------------------------------------
 
@@ -335,13 +346,8 @@ class PipelineState:
         cls, db: PrefixDatabase, strides: StrideList, overflow_capacity: int = 512
     ) -> "PipelineState":
         """Unpacked tree plus overflow; updates are not capacity-constrained."""
-        coverage = strides.coverage
-        tree = build_tree(db.restricted(coverage), strides)
-        overflow = OverflowBuffer(overflow_capacity)
-        for p in db.entries:
-            if p.length > coverage:
-                overflow.add(p)
-        return cls(tree, overflow)
+        tree = build_tree(db.restricted(strides.coverage), strides)
+        return cls(tree, _long_entries(db, strides.coverage, overflow_capacity))
 
     @classmethod
     def planned(
@@ -356,11 +362,10 @@ class PipelineState:
         overflow_capacity: int = 512,
     ) -> "PipelineState":
         """Full build: tree, optional hybridization, packing, optional placement."""
-        coverage = strides.coverage
         tag = grain.default_tag_bits if tag_bits is None else tag_bits
-        tree = build_tree(db.restricted(coverage), strides)
+        tree = build_tree(db.restricted(strides.coverage), strides)
         sram_rows = 0
-        if hybrid is not None and hybrid.enabled:
+        if hybrid is not None:
             tree, sram_rows = hybridize(tree, hybrid)
         supertables = tag_and_pack(tree, grain, tag)
         plan = None
@@ -374,15 +379,12 @@ class PipelineState:
             plan = map_to_pipeline(supertables, pools, profile)
         state = cls(
             tree,
-            OverflowBuffer(overflow_capacity),
+            _long_entries(db, strides.coverage, overflow_capacity),
             grain=grain,
             tag_bits=tag,
             supertables=supertables,
             plan=plan,
         )
-        for p in db.entries:
-            if p.length > coverage:
-                state.overflow.add(p)
         state.sram_rows = sram_rows
         return state
 
@@ -410,61 +412,35 @@ class PipelineState:
         return value if value is not None else DEFAULT_NEXT_HOP
 
     def contains(self, bits: str) -> bool:
-        return self._find_terminal(bits) is not None or self.overflow.contains(bits)
-
-    def _find_terminal(self, bits: str):
-        table = self.tree.root
-        consumed = 0
-        while True:
-            s = table.stride_width
-            rem = bits[consumed:]
-            if len(rem) <= s:
-                e = table.get(rem + "*" * (s - len(rem)))
-                if e is not None and e.is_terminal and e.bmp_local_len == len(rem):
-                    return table, e
-                return None
-            e = table.get(rem[:s])
-            if e is None or e.child is None:
-                return None
-            table = e.child
-            consumed += s
+        _, table, rest = walk(self.tree, bits)
+        row = table.get(rest.ljust(table.stride_width, "*"))
+        return (row is not None and row.is_terminal) or self.overflow.contains(bits)
 
     # -- updates -----------------------------------------------------------------
 
     def insert(self, prefix: Prefix):
-        """Add one prefix, spilling to the overflow buffer when capacity is short."""
-        if self.contains(prefix.bits):
+        """Add one prefix: insert it into the tree and place the rows it added,
+        or roll back and spill it to the overflow buffer."""
+        if self.overflow.contains(prefix.bits):
             raise DuplicatePrefix(f"prefix {prefix} already present")
         if prefix.length > self.coverage:
             self.overflow.add(prefix)
             return
-        if self.plan is None and self.supertables is None:
-            tree_insert(self.tree, prefix.bits, prefix.next_hop)
+        grown = tree_insert(self.tree, prefix.bits, prefix.next_hop)
+        if self.supertables is None or self._place(grown):
             return
-        increments = self._plan_increments(prefix.bits)
-        undo: list = []
-        joins: dict[int, SuperTable] = {}
-        if not self._reserve(increments, undo, joins):
-            for action in reversed(undo):
-                action()
-            self.overflow.add(prefix)
-            return
-        level_sizes = [len(tables) for tables in self.tree.levels]
-        tree_insert(self.tree, prefix.bits, prefix.next_hop)
-        self._commit_new_tables(level_sizes, joins)
+        tree_delete(self.tree, prefix.bits)
+        self.overflow.add(prefix)
 
     def delete(self, prefix: Prefix):
         """Remove one prefix from the tree or the overflow buffer."""
         if self.overflow.remove(prefix.bits):
             return
-        found = self._find_terminal(prefix.bits)
-        if found is None:
-            raise NotFound(f"prefix {prefix} not present")
         collected = tree_delete(self.tree, prefix.bits)
         if self.supertables is None:
             return
         for table in collected:
-            st = self._st_of.pop(id(table), None)
+            st = self._st_of.pop(table, None)
             if st is not None:
                 st.members = [(tag, t) for tag, t in st.members if t is not table]
                 if not st.members:
@@ -473,80 +449,72 @@ class PipelineState:
 
     # -- capacity bookkeeping ------------------------------------------------------
 
-    def _terminal_level(self, bits: str) -> int:
-        for level, boundary in enumerate(self.tree.stride_list.boundaries):
-            if len(bits) <= boundary:
-                return level
-        raise AssertionError("prefix beyond coverage reached _terminal_level")
+    def _place(self, grown: list[TreeTable]) -> bool:
+        """Make room for the rows an insert added, shallowest table first.
 
-    def _plan_increments(self, bits: str):
-        """(kind, payload) actions an insert will need, without mutating the tree."""
-        table = self.tree.root
-        consumed = 0
-        level = 0
-        final_level = self._terminal_level(bits)
-        while True:
-            s = table.stride_width
-            rem = bits[consumed:]
-            if len(rem) <= s:
-                if table.get(rem + "*" * (s - len(rem))) is None:
-                    return [("entry", table)]
-                return []   # merges into an existing stub row
-            e = table.get(rem[:s])
-            if e is None:
-                new_tables = [("table", lvl) for lvl in range(level + 1, final_level + 1)]
-                return [("entry", table)] + new_tables
-            if e.child is None:
-                return [("table", lvl) for lvl in range(level + 1, final_level + 1)]
-            table = e.child
-            consumed += s
-            level += 1
-
-    def _reserve(self, increments, undo, joins) -> bool:
-        if self.plan is None:
-            # Packed but unplaced states grow without stage constraints.
+        A packed table's super-table grows a block row at a time; a new table
+        joins the last super-table of its level that has a free tag, growing
+        it if needed, or else opens a super-table of its own.  Memberships
+        change only once every block row is placed; if one cannot be, the
+        rows taken so far are given back, the stage bounds restored, and
+        False returned.  Without a stage map rows are counted, never refused.
+        """
+        plan = self.plan
+        if plan is not None:
+            bounds = dict(plan.level_min_stage), dict(plan.level_max_stage)
+        rows: list[tuple[SuperTable, list[Span]]] = []   # one per block row added
+        joins: list[tuple[SuperTable, TreeTable]] = []
+        opened: list[SuperTable] = []
+        for table in grown:
+            if table.kind == SRAM:
+                continue
+            st = self._st_of.get(table)
+            if st is not None:
+                if not self._grow(st, st.total_entries, rows):
+                    break
+                continue
+            host = self._host_for_level(table.level_index)
+            if host is not None and self._grow(host, host.total_entries + table.entry_count, rows):
+                joins.append((host, table))
+                continue
+            st = SuperTable(table.level_index, self.tag_bits, [(0, table)], self.grain)
+            st.allocated_rows = 0   # its first block row is placed like any other
+            if not self._grow(st, st.total_entries, rows):
+                break
+            opened.append(st)
+        else:
+            if plan is not None:
+                for st, spans in rows:
+                    plan.extra_spans.setdefault(st, []).extend(spans)
+            for st in opened:
+                self.supertables.append(st)
+                self._st_of[st.members[0][1]] = st
+            for host, table in joins:
+                next_tag = max(tag for tag, _ in host.members) + 1
+                host.members.append((next_tag, table))
+                self._st_of[table] = host
             return True
-        for i, (kind, payload) in enumerate(increments):
-            if kind == "entry":
-                st = self._st_of.get(id(payload))
-                if payload.kind == SRAM or st is None:
-                    continue
-                if not self._fit_entries(st, 1, undo):
-                    return False
-            else:
-                host = self._host_for_level(payload)
-                if host is not None and self._fit_entries(host, 1, undo):
-                    joins[i] = host
-                    continue
-                if not self._reserve_new_supertable(payload, undo, joins, i):
-                    return False
-        return True
+        for st, spans in reversed(rows):
+            st.allocated_rows -= 1
+            for span in reversed(spans):
+                plan._give_back(span, sram=False)
+        plan.level_min_stage, plan.level_max_stage = bounds
+        return False
 
-    def _fit_entries(self, st: SuperTable, extra: int, undo) -> bool:
-        pending = getattr(st, "_pending", 0)
-        while st.total_entries + pending + extra > st.entry_capacity:
-            spans = self.plan.place(
-                st.horizontal_blocks, *self.plan.window(st.level_index), sram=False
-            )
-            if spans is None:
-                return False
+    def _grow(self, st: SuperTable, entries: int, rows: list) -> bool:
+        """Add block rows to `st` until it holds `entries` rows, noting each in
+        `rows`; False when the stage map has no room for the next one."""
+        while st.entry_capacity < entries:
+            spans: list[Span] = []
+            if self.plan is not None:
+                spans = self.plan.place(
+                    st.horizontal_blocks, *self.plan.window(st.level_index), sram=False
+                )
+                if spans is None:
+                    return False
+                self.plan.note_level_use(st.level_index, spans)
             st.allocated_rows += 1
-            self.plan.extra_spans.setdefault(id(st), []).extend(spans)
-            self.plan.note_level_use(st.level_index, spans)
-
-            def revert(st=st, spans=spans):
-                st.allocated_rows -= 1
-                for span in reversed(spans):
-                    self.plan._give_back(span, sram=False)
-                    self.plan.extra_spans[id(st)].remove(span)
-
-            undo.append(revert)
-        st._pending = pending + extra
-
-        def clear(st=st, extra=extra):
-            st._pending = getattr(st, "_pending", 0) - extra
-
-        undo.append(clear)
+            rows.append((st, spans))
         return True
 
     def _host_for_level(self, level: int) -> Optional[SuperTable]:
@@ -556,58 +524,6 @@ class PipelineState:
             if st.level_index == level and len(st.members) < (1 << st.tag_bits)
         ]
         return candidates[-1] if candidates else None
-
-    def _reserve_new_supertable(self, level: int, undo, joins, key) -> bool:
-        width = self.tag_bits + self.tree.stride_list[level]
-        blocks = ceil_div(width, self.grain.width)
-        spans = self.plan.place(blocks, *self.plan.window(level), sram=False)
-        if spans is None:
-            return False
-        self.plan.note_level_use(level, spans)
-        joins[key] = ("new", level, spans)
-
-        def revert(spans=spans):
-            for span in reversed(spans):
-                self.plan._give_back(span, sram=False)
-
-        undo.append(revert)
-        return True
-
-    def _commit_new_tables(self, level_sizes, joins):
-        for st in self.supertables:
-            if hasattr(st, "_pending"):
-                st._pending = 0
-        new_by_level: dict[int, list[TreeTable]] = {}
-        for level, tables in enumerate(self.tree.levels):
-            if len(tables) > level_sizes[level]:
-                new_by_level[level] = tables[level_sizes[level] :]
-        for _, target in sorted(joins.items()):
-            if isinstance(target, SuperTable):
-                level = target.level_index
-                table = new_by_level[level].pop(0)
-                next_tag = max((tag for tag, _ in target.members), default=-1) + 1
-                target.members.append((next_tag, table))
-                self._st_of[id(table)] = target
-            else:
-                _, level, spans = target
-                table = new_by_level[level].pop(0)
-                st = SuperTable(level, self.tag_bits, [(0, table)], self.grain)
-                self.supertables.append(st)
-                self._st_of[id(table)] = st
-                if self.plan is not None:
-                    self.plan.extra_spans[id(st)] = list(spans)
-        # States that are packed but unplaced get no reservations: absorb here.
-        for level, leftovers in new_by_level.items():
-            for table in leftovers:
-                host = self._host_for_level(level)
-                if host is not None:
-                    next_tag = max((tag for tag, _ in host.members), default=-1) + 1
-                    host.members.append((next_tag, table))
-                    self._st_of[id(table)] = host
-                else:
-                    st = SuperTable(level, self.tag_bits or 0, [(0, table)], self.grain)
-                    self.supertables.append(st)
-                    self._st_of[id(table)] = st
 
 
 def search(target: Union[TcamTree, PipelineState], address: str) -> str:

@@ -50,11 +50,6 @@ class GrainSpec:
     def default_tag_bits(self) -> int:
         return ceil_log2(self.depth)
 
-    @classmethod
-    def parse(cls, text: str) -> "GrainSpec":
-        w, _, d = text.lower().partition("x")
-        return cls(int(w), int(d))
-
     def __str__(self):
         return f"{self.width}x{self.depth}"
 
@@ -353,55 +348,72 @@ class TcamTree:
 # -- construction and edits -------------------------------------------------
 
 
-def tree_insert(tree: TcamTree, bits: str, value: str):
+def walk(tree: TcamTree, bits: str):
+    """Follow a prefix down the strides: (path, table, rest).
+
+    The walk stops at the table where the prefix ends (`rest`, the bits left
+    there, fits its stride) or at the first missing stub row or child (`rest`
+    is longer).  `path` holds the (table, stub row) pairs passed through.
+    """
+    path: list[tuple[TreeTable, TableEntry]] = []
+    table = tree.root
+    while len(bits) > table.stride_width:
+        s = table.stride_width
+        entry = table.get(bits[:s])
+        if entry is None or entry.child is None:
+            break
+        path.append((table, entry))
+        table, bits = entry.child, bits[s:]
+    return path, table, bits
+
+
+def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
     """Insert one prefix, creating stub/child chains as needed.
 
-    Safe under arbitrary insertion order: a new terminal refreshes the
-    inherited values of the stubs under it, and a new stub inherits from the
-    terminals already present.
+    Returns the tables that gained a row, shallowest first.  Safe under
+    arbitrary insertion order: a new terminal refreshes the inherited values
+    of the stubs under it, and a new stub inherits from the terminals already
+    present.
     """
     if len(bits) > tree.coverage:
         raise PrefixExceedsCoverage(
             f"prefix of length {len(bits)} exceeds coverage {tree.coverage}"
         )
-    table = tree.root
-    consumed = 0
-    level = 0
-    while True:
+    _, table, rest = walk(tree, bits)
+    grown = []
+    while len(rest) > table.stride_width:
         s = table.stride_width
-        rem = bits[consumed:]
-        if len(rem) <= s:
-            key = rem + "*" * (s - len(rem))
-            entry = table.get(key)
-            if entry is not None and entry.is_terminal:
-                raise DuplicatePrefix(f"prefix {bits}/{len(bits)} already present")
-            if entry is not None:
-                entry.is_terminal = True
-                entry.bmp_value = value
-                entry.bmp_local_len = len(rem)
-            else:
-                table.put(TableEntry(key, value, len(rem), True, None, table.next_seq()))
-            for other in table.rows_under(rem, s):
-                if not other.is_terminal and (
-                    other.bmp_local_len is None or other.bmp_local_len < len(rem)
-                ):
-                    other.bmp_value = value
-                    other.bmp_local_len = len(rem)
-            return
-        stub_key = rem[:s]
+        stub_key = rest[:s]
+        child = tree.new_table(table.level_index + 1)
         entry = table.get(stub_key)
         if entry is None:
             inherited_value, inherited_len = table.local_lpm(stub_key)
-            child = tree.new_table(level + 1)
-            entry = TableEntry(
+            table.put(TableEntry(
                 stub_key, inherited_value, inherited_len, False, child, table.next_seq()
-            )
-            table.put(entry)
-        elif entry.child is None:
-            entry.child = tree.new_table(level + 1)
-        table = entry.child
-        consumed += s
-        level += 1
+            ))
+            grown.append(table)
+        else:
+            entry.child = child
+        table, rest = child, rest[s:]
+    s = table.stride_width
+    key = rest.ljust(s, "*")
+    entry = table.get(key)
+    if entry is not None and entry.is_terminal:
+        raise DuplicatePrefix(f"prefix {bits}/{len(bits)} already present")
+    if entry is not None:
+        entry.is_terminal = True
+        entry.bmp_value = value
+        entry.bmp_local_len = len(rest)
+    else:
+        table.put(TableEntry(key, value, len(rest), True, None, table.next_seq()))
+        grown.append(table)
+    for other in table.rows_under(rest, s):
+        if not other.is_terminal and (
+            other.bmp_local_len is None or other.bmp_local_len < len(rest)
+        ):
+            other.bmp_value = value
+            other.bmp_local_len = len(rest)
+    return grown
 
 
 def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
@@ -409,34 +421,22 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
 
     Returns the collected tables, deepest first.
     """
-    path: list[tuple[TreeTable, TableEntry]] = []
-    table = tree.root
-    consumed = 0
-    while True:
-        s = table.stride_width
-        rem = bits[consumed:]
-        if len(rem) <= s:
-            key = rem + "*" * (s - len(rem))
-            entry = table.get(key)
-            if entry is None or not entry.is_terminal or entry.bmp_local_len != len(rem):
-                raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
-            if entry.child is not None:
-                entry.is_terminal = False
-            else:
-                table.remove(key)
-            # Only stubs under the prefix that inherited from it change, and
-            # all of them fall back to the next shorter terminal above it.
-            value, length = table.local_lpm(rem[:-1]) if rem else (None, None)
-            for other in table.rows_under(rem, s):
-                if not other.is_terminal and other.bmp_local_len == len(rem):
-                    other.bmp_value, other.bmp_local_len = value, length
-            break
-        entry = table.get(rem[:s])
-        if entry is None or entry.child is None:
-            raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
-        path.append((table, entry))
-        table = entry.child
-        consumed += s
+    path, table, rest = walk(tree, bits)
+    s = table.stride_width
+    key = rest.ljust(s, "*")
+    entry = table.get(key)
+    if entry is None or not entry.is_terminal:
+        raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
+    if entry.child is not None:
+        entry.is_terminal = False
+    else:
+        table.remove(key)
+    # Only stubs under the prefix that inherited from it change, and all of
+    # them fall back to the next shorter terminal above it.
+    value, length = table.local_lpm(rest[:-1]) if rest else (None, None)
+    for other in table.rows_under(rest, s):
+        if not other.is_terminal and other.bmp_local_len == len(rest):
+            other.bmp_value, other.bmp_local_len = value, length
     # lazy upward collection of emptied tables
     collected = []
     while table.entry_count == 0 and path:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ._util import fixed_decimal_str
 from .errors import DuplicatePrefix, EmptyDatabase, LevelOutOfRange, TargetTooShort
 from .prefixdb import DEFAULT_NEXT_HOP, PrefixDatabase
 
@@ -93,14 +94,16 @@ class LeanLevelTable:
         return self.row(depth).b
 
     def to_csv(self, min_level: int = 1, max_level: Optional[int] = None) -> str:
-        from ._util import decimal_str
-
         if max_level is None:
             max_level = self.max_depth
         lines = ["level,b_percent,worst_overhead_percent"]
         for depth in range(min_level, max_level + 1):
             r = self.row(depth)
-            lines.append(f"{depth},{decimal_str(r.b)},{decimal_str(r.worst_overhead)}")
+            # four places, trailing zeros and a trailing dot trimmed
+            b, worst = (
+                fixed_decimal_str(v, 4).rstrip("0").rstrip(".") for v in (r.b, r.worst_overhead)
+            )
+            lines.append(f"{depth},{b},{worst}")
         return "".join(line + "\n" for line in lines)
 
 

@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from tcamtree.cli import main
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data" / "table1.txt"
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -32,6 +36,13 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--db", str(DATA), "--width", "6", "--max-level", "3")
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    def test_max_level_beyond_width_fails(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "--db", str(DATA), "--width", "6", "--max-level", "10"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --max-level") and err.count("\n") == 1
 
     def test_missing_file_and_bad_strides_fail_cleanly(self, capsys):
         code, _, err = run(capsys, "analyze", "--db", "/nonexistent/db.txt", "--width", "6")
@@ -115,6 +126,79 @@ class TestPlan:
         report = json.loads(out)
         assert report["pipeline"]["stage_count"] == 2
         assert report["notes"] == []
+
+
+class TestBadInput:
+    """Each bad input ends with exit 2 and one line on stderr."""
+
+    def plan_error(self, capsys, *extra):
+        code, out, err = run(
+            capsys, "plan", "--db", str(DATA), "--width", "6", "--strides", "3-3", *extra
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def profile(self, tmp_path, **fields):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(fields))
+        return str(path)
+
+    def test_profile_missing_key(self, tmp_path, capsys):
+        path = self.profile(tmp_path, stage_count=2, tcam_blocks_per_stage=4)
+        assert "sram_pages_per_stage" in self.plan_error(capsys, "--profile", path)
+
+    def test_profile_non_integer_key(self, tmp_path, capsys):
+        path = self.profile(
+            tmp_path, stage_count=2, tcam_blocks_per_stage="4", sram_pages_per_stage=4
+        )
+        assert "tcam_blocks_per_stage" in self.plan_error(capsys, "--profile", path)
+
+    def test_profile_negative_capacity(self, tmp_path, capsys):
+        path = self.profile(
+            tmp_path, stage_count=2, tcam_blocks_per_stage=-4, sram_pages_per_stage=4
+        )
+        assert ">= 0" in self.plan_error(capsys, "--profile", path)
+
+    def test_negative_tag_bits(self, capsys):
+        assert "--tag-bits" in self.plan_error(capsys, "--tag-bits", "-1")
+
+    def test_malformed_grain(self, capsys):
+        assert "WxD" in self.plan_error(capsys, "--grain", "44")
+
+
+class TestGolden:
+    """`plan` output, byte for byte, against reports committed from an earlier
+    version; paths are relative to the repository root, as in the reports."""
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("table1-3-3.json", "tests/data/table1.txt 6 --strides 3-3"),
+            ("table1-2-2-2-hybridize.json", "tests/data/table1.txt 6 --strides 2-2-2 --hybridize"),
+            (
+                "table1-3-3-2-stages.json",
+                "tests/data/table1.txt 6 --strides 3-3 --profile tests/data/profile-2-stages.json",
+            ),
+            (
+                "synthetic-ipv4-500-16-4-4-8-hybridize.json",
+                "tests/data/synthetic-ipv4-500.txt 32 --strides 16-4-4-8"
+                " --hybridize --factor 3 --tag-bits 14",
+            ),
+            (
+                "synthetic-ipv4-500-16-4-4-8-32x16.json",
+                "tests/data/synthetic-ipv4-500.txt 32 --strides 16-4-4-8"
+                " --grain 32x16 --tag-bits 4",
+            ),
+        ],
+    )
+    def test_plan_matches_golden(self, golden, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        db, width, *flags = argv.split()
+        out = tmp_path / golden
+        code, _, _ = run(capsys, "plan", "--db", db, "--width", width, *flags, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 class TestVerify:

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,6 @@ from tcamtree import (
     resource_totals,
     tag_and_pack,
 )
-from tcamtree.errors import TagOverflow
 from tcamtree.packing import pre_tag_blocks, sram_rows_for_table
 from tcamtree.pipeline import search
 from tcamtree.tiler import SRAM, TCAM, TcamTree, TableEntry
@@ -68,11 +66,6 @@ class TestHybridize:
         # 10 tag + 3 key + 16 value > 20: nothing converts
         assert rows == 0 and all(t.kind == TCAM for t in tree.all_tables())
 
-    def test_disabled_config_is_identity(self):
-        tree = build_tree(table1_db(), StrideList.parse("3-3"))
-        tree, rows = hybridize(tree, HybridizationConfig(enabled=False))
-        assert rows == 0 and all(t.kind == TCAM for t in tree.all_tables())
-
     def test_parent_rows_expose_child_kind(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         tree, _ = hybridize(tree, HybridizationConfig(factor=3))
@@ -120,20 +113,6 @@ class TestTagAndPack:
         for sup in supers:
             tags = [tag for tag, _ in sup.members]
             assert len(set(tags)) == len(tags) <= 2 ** sup.tag_bits
-
-    def test_single_group_mode_overflows(self):
-        tree, _ = synthetic_level([1] * 5, stride=4)
-        with pytest.raises(TagOverflow):
-            tag_and_pack(tree, GrainSpec(8, 16), 2, allow_multiple_groups=False)
-
-    def test_entry_cap_splits_groups(self):
-        tree, _ = synthetic_level([10, 10, 10], stride=4)
-        supers = [
-            st
-            for st in tag_and_pack(tree, GrainSpec(8, 16), 4, max_group_entries=20)
-            if st.level_index == 1
-        ]
-        assert [s.total_entries for s in supers] == [20, 10]
 
     def test_root_is_never_tagged(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))

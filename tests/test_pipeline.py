@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcamtree import (
     GrainSpec,
+    HybridizationConfig,
     Prefix,
     PrefixDatabase,
     StrideList,
@@ -23,7 +25,7 @@ from tcamtree.errors import (
     StageDepthExceeded,
 )
 from tcamtree.pipeline import OverflowBuffer, PipelineProfile, PipelineState
-from tcamtree.tiler import TableEntry, TcamTree
+from tcamtree.tiler import TCAM, TableEntry, TcamTree
 
 from tests.helpers import (
     all_addresses,
@@ -194,6 +196,29 @@ class TestInsert:
         assert state.overflow.contains("111111")
         assert state.search("11111111") == "new"
 
+    def test_spilled_insert_restores_stage_bounds(self):
+        # The root grows a block row into stage 2, then the new level-1 table
+        # finds no stage after it: the insert spills and leaves the plan as it was.
+        db = PrefixDatabase(8, [Prefix("0000", 4, "a"), Prefix("0001", 4, "b")])
+        profile = PipelineProfile(stage_count=2, tcam_blocks_per_stage=1, sram_pages_per_stage=1)
+        state = PipelineState.planned(
+            db, StrideList.parse("4-4"), grain=GrainSpec(8, 2), tag_bits=1, profile=profile
+        )
+        before = state.tree.structure()
+        state.insert(Prefix("11110000", 8, "c"))
+        assert state.overflow.contains("11110000")
+        assert state.tree.structure() == before
+        assert state.plan._tcam_next == [0, 1, 0]
+        assert state.plan.level_max_stage == {0: 1}
+        assert state.plan.stages_used() == 1
+        assert state.plan.window(1) == (2, 2)
+        assert [st.allocated_rows for st in state.supertables] == [1]
+        # stage 2 is still free for a level-1 table that needs no new root row
+        state.insert(Prefix("00001111", 8, "d"))
+        assert not state.overflow.contains("00001111")
+        assert state.plan.level_min_stage[1] == state.plan.stages_used() == 2
+        assert state.search("11110000") == "c" and state.search("00001111") == "d"
+
     def test_overflow_full_raises(self):
         db = PrefixDatabase(6, [Prefix("1", 1, "A")])
         state = PipelineState.from_database(db, StrideList.parse("3"), overflow_capacity=1)
@@ -302,3 +327,113 @@ def test_interleaved_updates_stay_oracle_equal(seed):
         current = PrefixDatabase(width, list(shadow.values()))
         for address in all_addresses(width):
             assert state.search(address) == oracle_lookup(current, address)
+
+
+# -- bookkeeping under updates on planned states ---------------------------------
+
+UPDATE_EVENTS = ("grew", "joined", "opened", "spilled", "collected")
+
+
+def audit(state, planned_supertables):
+    """Recount the packing and stage bookkeeping from scratch and compare it
+    with the incremental state.  `planned_supertables` is the super-table list
+    as mapped, which `plan.placements` is indexed by."""
+    plan = state.plan
+    owners = Counter(t for st_ in state.supertables for _, t in st_.members)
+    live = [t for t in state.tree.all_tables() if t.kind == TCAM]
+    assert len(owners) == len(live) and all(owners[t] == 1 for t in live)
+    assert state._st_of == {t: st_ for st_ in state.supertables for _, t in st_.members}
+    for st_ in state.supertables:
+        assert st_.entry_capacity >= st_.total_entries
+        tags = [tag for tag, _ in st_.members]
+        assert len(set(tags)) == len(tags)
+    index = {st_: i for i, st_ in enumerate(planned_supertables)}
+    for st_ in state.supertables:
+        spans = plan.extra_spans.get(st_, [])
+        if st_ in index:
+            spans = spans + plan.placements[index[st_]]
+        assert sum(s.count for s in spans) == st_.allocated_blocks
+    by_level = [(sup.level_index, spans)
+                for sup, spans in zip(planned_supertables, plan.placements)]
+    by_level += [(st_.level_index, spans) for st_, spans in plan.extra_spans.items()]
+    assert sum(s.count for _, spans in by_level for s in spans) == sum(plan._tcam_next)
+    by_level += list(plan.sram_spans.items())
+    low, high = {}, {}
+    for level, spans in by_level:
+        for s in spans:
+            low[level] = min(low.get(level, s.stage), s.stage)
+            high[level] = max(high.get(level, s.stage), s.stage)
+    assert plan.level_min_stage == low and plan.level_max_stage == high
+
+
+def interleave_and_audit(seed) -> Counter:
+    """Random inserts and deletes on a small planned state, audited after
+    every step; returns how often each of UPDATE_EVENTS happened."""
+    rng = random.Random(seed)
+    width = rng.randint(6, 9)
+    cuts = sorted(rng.sample(range(1, width), rng.randint(1, 2)))
+    strides = StrideList(tuple(b - a for a, b in zip([0] + cuts, cuts + [width])))
+    # a table confined to the root leaves the deeper levels' stages open, so a
+    # spill can follow a block row placed for a shallower table
+    db = random_database(rng, width, max_entries=8, max_length=rng.choice([strides[0], width]))
+    profile = PipelineProfile(
+        stage_count=len(strides) + rng.randint(0, 1),
+        tcam_blocks_per_stage=rng.randint(1, 2),
+        sram_pages_per_stage=2,
+    )
+    try:
+        state = PipelineState.planned(
+            db, strides, grain=GrainSpec(rng.choice([6, 8]), rng.choice([2, 4])),
+            tag_bits=rng.choice([1, 2]), profile=profile,
+            hybrid=HybridizationConfig(factor=3) if rng.random() < 0.3 else None,
+            overflow_capacity=1000,
+        )
+    except (CapacityExceeded, StageDepthExceeded):
+        assume(False)
+    planned_supertables = list(state.supertables)
+    shadow = {p.bits: p for p in db.entries}
+    events = Counter()
+    for _ in range(60):
+        supertables = list(state.supertables)
+        members = [len(st_.members) for st_ in supertables]
+        rows = [st_.allocated_rows for st_ in supertables]
+        tables = len(state.tree.all_tables())
+        if shadow and rng.random() < 0.35:
+            state.delete(shadow.pop(rng.choice(sorted(shadow))))
+            events["collected"] += len(state.tree.all_tables()) < tables
+        else:
+            # full-width prefixes open a chain of new tables, one per level
+            length = rng.choice([rng.randint(0, width), width])
+            bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
+            if bits in shadow:
+                continue
+            before = state.tree.structure()
+            shadow[bits] = Prefix(bits, length, f"h{rng.randint(0, 9)}")
+            state.insert(shadow[bits])
+            if state.overflow.contains(bits):
+                events["spilled"] += 1
+                assert state.tree.structure() == before
+            events["opened"] += len(state.supertables) > len(supertables)
+            events["joined"] += any(
+                len(st_.members) > n for st_, n in zip(supertables, members)
+            )
+            events["grew"] += any(
+                st_.allocated_rows > n for st_, n in zip(supertables, rows)
+            )
+        audit(state, planned_supertables)
+        entries = [(p.bits, p.length, p.next_hop) for p in shadow.values()]
+        count, samples = full_space_mismatches(entries, state)
+        assert count == 0, samples
+    return events
+
+
+def test_update_bookkeeping_matches_a_recount():
+    seen = Counter()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, database=None)
+    def check(seed):
+        seen.update(interleave_and_audit(seed))
+
+    check()
+    assert all(seen[event] > 0 for event in UPDATE_EVENTS), seen
