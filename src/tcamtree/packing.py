@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from ._util import ceil_div, ceil_log2
@@ -50,8 +51,9 @@ class HybridizationConfig:
         return ceil_log2(self.sram_spec.page_depth)
 
 
-def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, int]:
-    """Re-mark eligible tables as SRAM, in place; returns (tree, pooled row count).
+def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, list[int]]:
+    """Re-mark eligible tables as SRAM, in place; returns (tree, pooled rows
+    per level).
 
     Runs before tagging.  A table qualifies when the expansion of its own
     terminal entries to the local maximum length is at most factor times its
@@ -60,8 +62,8 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, int]:
     tables saves nothing.  Parent rows expose the child's kind via
     TableEntry.child_kind so a walk knows which lookup the next stage runs.
     """
-    total_rows = 0
-    for tables in tree.levels:
+    level_rows = [0] * len(tree.levels)
+    for level_index, tables in enumerate(tree.levels):
         for table in tables:
             terminals = table.terminal_prefixes()
             if not terminals:
@@ -75,8 +77,8 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, int]:
                 continue
             table.kind = SRAM
             table.sram_key_len = target
-            total_rows += sram_rows_for_table(table)
-    return tree, total_rows
+            level_rows[level_index] += sram_rows_for_table(table)
+    return tree, level_rows
 
 
 def sram_rows_for_table(table: TreeTable) -> int:
@@ -97,30 +99,45 @@ def sram_rows_for_table(table: TreeTable) -> int:
 
 
 class SuperTable:
-    """Same-level tables packed onto one block set, told apart by a tag prefix."""
+    """Same-level tables packed onto one block set, told apart by a tag prefix.
+
+    `members` maps each table to its tag.  `total_entries` is kept by the
+    updates that change a member's rows, and the free tags below `_next_tag`
+    sit in the heap `_free_tags`, so neither is recounted over the members.
+    """
 
     def __init__(self, level_index: int, tag_bits: int, members, grain: GrainSpec):
         self.level_index = level_index
         self.tag_bits = tag_bits
-        self.members: list[tuple[int, TreeTable]] = list(members)
+        self.members: dict[TreeTable, int] = {t: tag for tag, t in members}
         self.grain = grain
         if len(self.members) > (1 << tag_bits):
             raise TagOverflow(
                 f"{len(self.members)} members cannot be told apart by {tag_bits} tag bits"
             )
-        tags = [tag for tag, _ in self.members]
-        if len(set(tags)) != len(tags):
+        tags = set(self.members.values())
+        if len(tags) != len(self.members):
             raise ValueError("tags within a super-table must be unique")
+        self._next_tag = max(tags) + 1
+        self._free_tags = [tag for tag in range(self._next_tag) if tag not in tags]
+        # Same-level tables share one stride width.
+        self.effective_width = tag_bits + max(t.stride_width for t in self.members)
+        self.total_entries = sum(t.entry_count for t in self.members)
         # Entry capacity as mapped; updates may extend it a block row at a time.
         self.allocated_rows = ceil_div(self.total_entries, grain.depth)
 
-    @property
-    def effective_width(self) -> int:
-        return self.tag_bits + max(t.stride_width for _, t in self.members)
+    def add(self, table: TreeTable):
+        """Admit `table` under the lowest free tag; the caller counts its rows."""
+        if self._free_tags:
+            tag = heappop(self._free_tags)
+        else:
+            tag = self._next_tag
+            self._next_tag += 1
+        self.members[table] = tag
 
-    @property
-    def total_entries(self) -> int:
-        return sum(t.entry_count for _, t in self.members)
+    def discard(self, table: TreeTable):
+        """Let a member go and free its tag."""
+        heappush(self._free_tags, self.members.pop(table))
 
     @property
     def block_count(self) -> int:
@@ -143,10 +160,7 @@ class SuperTable:
         return self.entry_capacity - self.total_entries
 
     def member_for(self, table: TreeTable) -> Optional[int]:
-        for tag, t in self.members:
-            if t is table:
-                return tag
-        return None
+        return self.members.get(table)
 
     def __repr__(self):
         return (
@@ -249,7 +263,7 @@ def resource_totals(
     pre = sum(
         blocks_for_table(t.stride_width, t.entry_count, grain)
         for st in supertables
-        for _, t in st.members
+        for t in st.members
     )
     pages = ceil_div(sram_entry_total, sram_spec.page_depth)
     if post == 0:

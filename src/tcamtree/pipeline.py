@@ -27,7 +27,7 @@ from .packing import (
     SramPageSpec,
     SuperTable,
     hybridize,
-    sram_rows_for_table,
+    sram_rows_for_table,  # noqa: F401 -- perfbench/tracer.py times it through this module
     tag_and_pack,
 )
 from .prefixdb import DEFAULT_NEXT_HOP, Prefix, PrefixDatabase
@@ -238,10 +238,10 @@ def map_to_pipeline(
     # Parent/child edges between placed super-tables, for the dependency invariant.
     st_of: dict[TreeTable, int] = {}
     for i, st in enumerate(supertables):
-        for _, t in st.members:
+        for t in st.members:
             st_of[t] = i
     for i, st in enumerate(supertables):
-        for _, t in st.members:
+        for t in st.members:
             for e in t.raw_entries():
                 if e.child in st_of:
                     plan.edges.append((i, st_of[e.child]))
@@ -336,7 +336,7 @@ class PipelineState:
         self._st_of: dict[TreeTable, SuperTable] = {}
         if supertables is not None:
             for st in supertables:
-                for _, t in st.members:
+                for t in st.members:
                     self._st_of[t] = st
 
     # -- construction --------------------------------------------------------
@@ -364,18 +364,18 @@ class PipelineState:
         """Full build: tree, optional hybridization, packing, optional placement."""
         tag = grain.default_tag_bits if tag_bits is None else tag_bits
         tree = build_tree(db.restricted(strides.coverage), strides)
-        sram_rows = 0
+        level_rows: list[int] = []
         if hybrid is not None:
-            tree, sram_rows = hybridize(tree, hybrid)
+            tree, level_rows = hybridize(tree, hybrid)
         supertables = tag_and_pack(tree, grain, tag)
         plan = None
         if profile is not None:
             page_depth = (hybrid.sram_spec.page_depth if hybrid else SramPageSpec().page_depth)
-            pools: dict[int, int] = {}
-            for level_index, tables in enumerate(tree.levels):
-                rows = sum(sram_rows_for_table(t) for t in tables if t.kind == SRAM)
-                if rows:
-                    pools[level_index] = ceil_div(rows, page_depth)
+            pools = {
+                level_index: ceil_div(rows, page_depth)
+                for level_index, rows in enumerate(level_rows)
+                if rows
+            }
             plan = map_to_pipeline(supertables, pools, profile)
         state = cls(
             tree,
@@ -385,7 +385,7 @@ class PipelineState:
             supertables=supertables,
             plan=plan,
         )
-        state.sram_rows = sram_rows
+        state.sram_rows = sum(level_rows)
         return state
 
     # -- lookup ----------------------------------------------------------------
@@ -436,15 +436,20 @@ class PipelineState:
         """Remove one prefix from the tree or the overflow buffer."""
         if self.overflow.remove(prefix.bits):
             return
-        collected = tree_delete(self.tree, prefix.bits)
+        shrunk = tree_delete(self.tree, prefix.bits)
         if self.supertables is None:
             return
-        for table in collected:
-            st = self._st_of.pop(table, None)
-            if st is not None:
-                st.members = [(tag, t) for tag, t in st.members if t is not table]
+        for table in shrunk:
+            st = self._st_of.get(table)
+            if st is None:
+                continue
+            st.total_entries -= 1
+            if table.entry_count == 0 and table is not self.tree.root:
+                # collected: it leaves its super-table, whose blocks stay
+                # allocated until a replan
+                del self._st_of[table]
+                st.discard(table)
                 if not st.members:
-                    # blocks stay allocated until a replan; membership just empties
                     self.supertables.remove(st)
 
     # -- capacity bookkeeping ------------------------------------------------------
@@ -452,17 +457,20 @@ class PipelineState:
     def _place(self, grown: list[TreeTable]) -> bool:
         """Make room for the rows an insert added, shallowest table first.
 
-        A packed table's super-table grows a block row at a time; a new table
+        Each table in `grown` gained one row, and no two share a level.  A
+        packed table's super-table grows a block row at a time; a new table
         joins the last super-table of its level that has a free tag, growing
         it if needed, or else opens a super-table of its own.  Memberships
-        change only once every block row is placed; if one cannot be, the
-        rows taken so far are given back, the stage bounds restored, and
-        False returned.  Without a stage map rows are counted, never refused.
+        and entry counts change only once every block row is placed; if one
+        cannot be, the rows taken so far are given back, the stage bounds
+        restored, and False returned.  Without a stage map rows are counted,
+        never refused.
         """
         plan = self.plan
         if plan is not None:
             bounds = dict(plan.level_min_stage), dict(plan.level_max_stage)
         rows: list[tuple[SuperTable, list[Span]]] = []   # one per block row added
+        gained: list[SuperTable] = []
         joins: list[tuple[SuperTable, TreeTable]] = []
         opened: list[SuperTable] = []
         for table in grown:
@@ -470,11 +478,12 @@ class PipelineState:
                 continue
             st = self._st_of.get(table)
             if st is not None:
-                if not self._grow(st, st.total_entries, rows):
+                if not self._grow(st, st.total_entries + 1, rows):
                     break
+                gained.append(st)
                 continue
             host = self._host_for_level(table.level_index)
-            if host is not None and self._grow(host, host.total_entries + table.entry_count, rows):
+            if host is not None and self._grow(host, host.total_entries + 1, rows):
                 joins.append((host, table))
                 continue
             st = SuperTable(table.level_index, self.tag_bits, [(0, table)], self.grain)
@@ -486,12 +495,15 @@ class PipelineState:
             if plan is not None:
                 for st, spans in rows:
                     plan.extra_spans.setdefault(st, []).extend(spans)
+            for st in gained:
+                st.total_entries += 1
             for st in opened:
                 self.supertables.append(st)
-                self._st_of[st.members[0][1]] = st
+                (table,) = st.members
+                self._st_of[table] = st
             for host, table in joins:
-                next_tag = max(tag for tag, _ in host.members) + 1
-                host.members.append((next_tag, table))
+                host.add(table)
+                host.total_entries += 1
                 self._st_of[table] = host
             return True
         for st, spans in reversed(rows):

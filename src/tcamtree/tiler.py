@@ -138,10 +138,15 @@ class TreeTable:
 
     The lookup index is `_entries` plus `_lengths`, the distinct specified
     lengths present, longest first; `put` and `remove` keep it current.
+    A `remove` checks whether a length lost its last row by probing that
+    length's keys.  Once the probes would outnumber the rows left (and some
+    are left), the table counts its rows per specified length in `_counts`
+    and keeps the counts from then on; tables that only grow never pay for
+    them.
     """
 
     __slots__ = ("level_index", "stride_width", "start_bit", "kind", "sram_key_len",
-                 "_entries", "_next_seq", "_lengths")
+                 "_entries", "_next_seq", "_lengths", "_counts")
 
     def __init__(self, level_index: int, stride_width: int, start_bit: int):
         self.level_index = level_index
@@ -154,6 +159,7 @@ class TreeTable:
         self._entries: dict[str, TableEntry] = {}
         self._next_seq = 0
         self._lengths: tuple[int, ...] = ()
+        self._counts: Optional[dict[int, int]] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -163,16 +169,33 @@ class TreeTable:
 
     def put(self, entry: TableEntry):
         """Store `entry` under its key, replacing any row there."""
-        self._entries[entry.key_bits] = entry
         length = entry.specified_len
+        if self._counts is not None and entry.key_bits not in self._entries:
+            self._counts[length] = self._counts.get(length, 0) + 1
+        self._entries[entry.key_bits] = entry
         if length not in self._lengths:
             self._lengths = tuple(sorted(self._lengths + (length,), reverse=True))
 
     def remove(self, key_bits: str):
-        length = self._entries.pop(key_bits).specified_len
+        entries = self._entries
+        length = entries[key_bits].specified_len
+        if self._counts is None and 1 < len(entries) <= (1 << length):
+            self._counts = counts = {}
+            for e in entries.values():
+                l = e.specified_len
+                counts[l] = counts.get(l, 0) + 1
+        del entries[key_bits]
+        counts = self._counts
+        if counts is None:
+            last = next(self.rows_under("", length), None) is None
+        else:
+            counts[length] -= 1
+            last = not counts[length]
+            if last:
+                del counts[length]
         # A row's specified length never changes, so a length leaves the
         # index only with its last row.
-        if next(self.rows_under("", length), None) is None:
+        if last:
             self._lengths = tuple(l for l in self._lengths if l != length)
 
     def rows_under(self, bits: str, length: int):
@@ -269,12 +292,16 @@ class TreeTable:
 
 
 class TcamTree:
-    """The built tree: root table, per-level table lists, entry accounting."""
+    """The built tree: root table, per-level tables, entry accounting.
+
+    Each level is an insertion-ordered dict used as a set, so iterating it
+    gives the tables in creation order and dropping one is O(1).
+    """
 
     def __init__(self, stride_list: StrideList, address_width: int):
         self.stride_list = stride_list
         self.address_width = address_width
-        self.levels: list[list[TreeTable]] = [[] for _ in stride_list.strides]
+        self.levels: list[dict[TreeTable, None]] = [{} for _ in stride_list.strides]
         self.root = self.new_table(0)
 
     def new_table(self, level_index: int) -> TreeTable:
@@ -283,11 +310,11 @@ class TcamTree:
             self.stride_list[level_index],
             self.stride_list.start_bit(level_index),
         )
-        self.levels[level_index].append(t)
+        self.levels[level_index][t] = None
         return t
 
     def drop_table(self, table: TreeTable):
-        self.levels[table.level_index].remove(table)
+        del self.levels[table.level_index][table]
 
     def all_tables(self) -> list[TreeTable]:
         return [t for level in self.levels for t in level]
@@ -419,7 +446,8 @@ def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
 def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
     """Remove one prefix; empty child tables and their stubs are collected.
 
-    Returns the collected tables, deepest first.
+    Returns the tables that lost a row, deepest first.  Those left without
+    rows, other than the root, are the collected ones.
     """
     path, table, rest = walk(tree, bits)
     s = table.stride_width
@@ -427,10 +455,12 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
     entry = table.get(key)
     if entry is None or not entry.is_terminal:
         raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
+    shrunk = []
     if entry.child is not None:
         entry.is_terminal = False
     else:
         table.remove(key)
+        shrunk.append(table)
     # Only stubs under the prefix that inherited from it change, and all of
     # them fall back to the next shorter terminal above it.
     value, length = table.local_lpm(rest[:-1]) if rest else (None, None)
@@ -438,16 +468,15 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
         if not other.is_terminal and other.bmp_local_len == len(rest):
             other.bmp_value, other.bmp_local_len = value, length
     # lazy upward collection of emptied tables
-    collected = []
     while table.entry_count == 0 and path:
         parent, entry = path.pop()
         tree.drop_table(table)
-        collected.append(table)
         entry.child = None
         if not entry.is_terminal:
             parent.remove(entry.key_bits)
+            shrunk.append(parent)
         table = parent
-    return collected
+    return shrunk
 
 
 def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:

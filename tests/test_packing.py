@@ -41,14 +41,14 @@ class TestHybridize:
         tree, rows = hybridize(tree, HybridizationConfig(factor=3))
         assert child.kind == SRAM
         # child expands to 8 exact keys; the root (4 keys incl. the stub) converts too
-        assert rows == 12
+        assert rows == [4, 8]
 
     def test_factor_1_5_keeps_child_ternary(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         (child,) = tree.levels[1]
         tree, rows = hybridize(tree, HybridizationConfig(factor=1.5))
         assert child.kind == TCAM
-        assert rows == 0
+        assert sum(rows) == 0
 
     def test_pointer_only_table_stays_tcam(self):
         from tcamtree import Prefix, PrefixDatabase
@@ -57,14 +57,15 @@ class TestHybridize:
         tree = build_tree(db, StrideList.parse("2-2"))
         tree, _ = hybridize(tree, HybridizationConfig(factor=8))
         assert tree.root.kind == TCAM  # only a stub lives in the root
-        assert tree.levels[1][0].kind == SRAM
+        (child,) = tree.levels[1]
+        assert child.kind == SRAM
 
     def test_page_width_feasibility_gate(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         narrow = HybridizationConfig(factor=8, sram_spec=SramPageSpec(page_width=20, page_depth=1024))
         tree, rows = hybridize(tree, narrow)
         # 10 tag + 3 key + 16 value > 20: nothing converts
-        assert rows == 0 and all(t.kind == TCAM for t in tree.all_tables())
+        assert sum(rows) == 0 and all(t.kind == TCAM for t in tree.all_tables())
 
     def test_parent_rows_expose_child_kind(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
@@ -84,9 +85,10 @@ class TestHybridize:
         plain_blocks = pre_tag_blocks(plain, grain)
         hybrid, rows = hybridize(build_tree(db, strides), HybridizationConfig(factor=factor))
         assert pre_tag_blocks(hybrid, grain) <= plain_blocks
-        assert rows == sum(
-            sram_rows_for_table(t) for t in hybrid.all_tables() if t.kind == SRAM
-        )
+        assert rows == [
+            sum(sram_rows_for_table(t) for t in tables if t.kind == SRAM)
+            for tables in hybrid.levels
+        ]
         for address in all_addresses(width):
             assert search(hybrid, address) == oracle_lookup(db, address)
 
@@ -111,7 +113,7 @@ class TestTagAndPack:
         supers = [st for st in tag_and_pack(tree, GrainSpec(8, 16), 2) if st.level_index == 1]
         assert [len(s.members) for s in supers] == [4, 1]
         for sup in supers:
-            tags = [tag for tag, _ in sup.members]
+            tags = list(sup.members.values())
             assert len(set(tags)) == len(tags) <= 2 ** sup.tag_bits
 
     def test_root_is_never_tagged(self):
@@ -128,10 +130,10 @@ class TestTagAndPack:
     def test_members_recoverable_by_tag(self):
         tree, tables = synthetic_level([7, 3, 5], stride=6)
         (sup,) = [st for st in tag_and_pack(tree, GrainSpec(16, 8), 4) if st.level_index == 1]
-        for tag, table in sup.members:
+        for table, tag in sup.members.items():
             assert sup.member_for(table) == tag
         # largest-first grouping
-        assert [t.entry_count for _, t in sup.members] == [7, 5, 3]
+        assert [t.entry_count for t in sup.members] == [7, 5, 3]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -25,7 +25,7 @@ from tcamtree.errors import (
     StageDepthExceeded,
 )
 from tcamtree.pipeline import OverflowBuffer, PipelineProfile, PipelineState
-from tcamtree.tiler import TCAM, TableEntry, TcamTree
+from tcamtree.tiler import TCAM, TableEntry, TcamTree, TreeTable
 
 from tests.helpers import (
     all_addresses,
@@ -219,6 +219,19 @@ class TestInsert:
         assert state.plan.level_min_stage[1] == state.plan.stages_used() == 2
         assert state.search("11110000") == "c" and state.search("00001111") == "d"
 
+    def test_join_takes_the_lowest_free_tag(self):
+        # the collected table's tag 0 is free again; the 1-bit tag has no 2
+        db = PrefixDatabase(4, [Prefix("0000", 4, "a"), Prefix("0100", 4, "b")])
+        profile = PipelineProfile(stage_count=4, tcam_blocks_per_stage=4, sram_pages_per_stage=4)
+        state = PipelineState.planned(
+            db, StrideList.parse("2-2"), grain=GrainSpec(8, 2), tag_bits=1, profile=profile
+        )
+        state.delete(Prefix("0000", 4, "a"))
+        state.insert(Prefix("1000", 4, "c"))
+        (level1,) = [st_ for st_ in state.supertables if st_.level_index == 1]
+        assert sorted(level1.member_for(t) for t in state.tree.levels[1]) == [0, 1]
+        assert state.search("1000") == "c" and state.search("0100") == "b"
+
     def test_overflow_full_raises(self):
         db = PrefixDatabase(6, [Prefix("1", 1, "A")])
         state = PipelineState.from_database(db, StrideList.parse("3"), overflow_capacity=1)
@@ -334,19 +347,47 @@ def test_interleaved_updates_stay_oracle_equal(seed):
 UPDATE_EVENTS = ("grew", "joined", "opened", "spilled", "collected")
 
 
+def audit_tree(tree, levels_before):
+    """`tree.levels` holds exactly the tables reachable from the root, the
+    survivors of `levels_before` first and in their order; each table's
+    length index (and per-length counts, once kept) equals a recount."""
+    reachable = [set() for _ in tree.levels]
+    stack = [tree.root]
+    while stack:
+        table = stack.pop()
+        reachable[table.level_index].add(table)
+        stack.extend(e.child for e in table.raw_entries() if e.child is not None)
+    for level, before, tables in zip(tree.levels, levels_before, reachable):
+        assert len(level) == len(tables) and set(level) == tables
+        kept = [t for t in before if t in level]
+        assert list(level)[: len(kept)] == kept
+    for table in tree.all_tables():
+        lengths = Counter(e.specified_len for e in table.raw_entries())
+        assert table._lengths == tuple(sorted(lengths, reverse=True))
+        if table._counts is not None:
+            assert dict(table._counts) == dict(lengths)
+
+
 def audit(state, planned_supertables):
     """Recount the packing and stage bookkeeping from scratch and compare it
     with the incremental state.  `planned_supertables` is the super-table list
     as mapped, which `plan.placements` is indexed by."""
     plan = state.plan
-    owners = Counter(t for st_ in state.supertables for _, t in st_.members)
+    owners = Counter(t for st_ in state.supertables for t in st_.members)
     live = [t for t in state.tree.all_tables() if t.kind == TCAM]
     assert len(owners) == len(live) and all(owners[t] == 1 for t in live)
-    assert state._st_of == {t: st_ for st_ in state.supertables for _, t in st_.members}
+    assert state._st_of == {t: st_ for st_ in state.supertables for t in st_.members}
     for st_ in state.supertables:
+        assert st_.total_entries == sum(t.entry_count for t in st_.members)
         assert st_.entry_capacity >= st_.total_entries
-        tags = [tag for tag, _ in st_.members]
+        tags = list(st_.members.values())
         assert len(set(tags)) == len(tags)
+        assert all(0 <= tag < 2**st_.tag_bits for tag in tags)
+        # the free tags are the unused ones below the next fresh tag, as a heap
+        heap = st_._free_tags
+        assert sorted(heap) == sorted(set(range(st_._next_tag)) - set(tags))
+        assert max(tags) < st_._next_tag
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
     index = {st_: i for i, st_ in enumerate(planned_supertables)}
     for st_ in state.supertables:
         spans = plan.extra_spans.get(st_, [])
@@ -394,6 +435,7 @@ def interleave_and_audit(seed) -> Counter:
     shadow = {p.bits: p for p in db.entries}
     events = Counter()
     for _ in range(60):
+        levels = [list(level) for level in state.tree.levels]
         supertables = list(state.supertables)
         members = [len(st_.members) for st_ in supertables]
         rows = [st_.allocated_rows for st_ in supertables]
@@ -421,6 +463,7 @@ def interleave_and_audit(seed) -> Counter:
                 st_.allocated_rows > n for st_, n in zip(supertables, rows)
             )
         audit(state, planned_supertables)
+        audit_tree(state.tree, levels)
         entries = [(p.bits, p.length, p.next_hop) for p in shadow.values()]
         count, samples = full_space_mismatches(entries, state)
         assert count == 0, samples
@@ -437,3 +480,29 @@ def test_update_bookkeeping_matches_a_recount():
 
     check()
     assert all(seen[event] > 0 for event in UPDATE_EVENTS), seen
+
+
+@pytest.mark.parametrize("tag_bits", [2, 4])
+def test_updates_read_no_member_counts(tag_bits, monkeypatch):
+    # A level-1 super-table with 2**tag_bits one-row members: an insert into
+    # one member and the delete that collects another read a fixed number of
+    # row counts, whatever the member count.
+    members = 1 << tag_bits
+    db = PrefixDatabase(8, [Prefix(format(i, "04b") + "0000", 8, f"h{i}") for i in range(members)])
+    state = PipelineState.planned(
+        db, StrideList.parse("4-4"), grain=GrainSpec(8, 64), tag_bits=tag_bits,
+        profile=PipelineProfile(),
+    )
+    (level1,) = [st_ for st_ in state.supertables if st_.level_index == 1]
+    assert len(level1.members) == members
+    reads = []
+    entry_count = TreeTable.entry_count.fget
+    monkeypatch.setattr(
+        TreeTable, "entry_count", property(lambda t: reads.append(t) or entry_count(t))
+    )
+    state.insert(Prefix("00001111", 8, "new"))
+    assert len(reads) <= 2 and level1.total_entries == members + 1
+    reads.clear()
+    state.delete(Prefix("00010000", 8, "h1"))
+    assert len(reads) <= 4 and len(level1.members) == members - 1
+    assert level1.total_entries == members
