@@ -29,10 +29,7 @@ from .pipeline import (
     PipelinePlan,
     PipelineProfile,
     PipelineState,
-    delete_prefix,
-    insert_prefix,
     map_to_pipeline,
-    search,
 )
 from .prefixdb import (
     DEFAULT_NEXT_HOP,
@@ -59,8 +56,6 @@ from .trie import (
     LeanLevelTable,
     build_unibit_trie,
     compute_lean_levels,
-    expand_prefixes,
-    trie_lookup,
 )
 
 __all__ = [
@@ -89,10 +84,7 @@ __all__ = [
     "build_unibit_trie",
     "choose_strides",
     "compute_lean_levels",
-    "delete_prefix",
-    "expand_prefixes",
     "hybridize",
-    "insert_prefix",
     "lower_bound_bits",
     "map_to_pipeline",
     "max_savings_factor",
@@ -101,12 +93,10 @@ __all__ = [
     "parse_database",
     "parse_file",
     "resource_totals",
-    "search",
     "serialize",
     "single_tcam_baseline",
     "tag_and_pack",
     "tiling_condition",
-    "trie_lookup",
 ]
 
 __version__ = "0.1.0"

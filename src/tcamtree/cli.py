@@ -306,15 +306,16 @@ def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,
     else:
         addresses = verification_addresses(db, mode, samples, cfg.seed)
     mismatches = []
-    checked = 0
+    checked = total = 0
     for address in addresses:
         checked += 1
         got = state.search(address)
         expected = oracle_lookup(db, address)
         if got != expected:
+            total += 1
             if len(mismatches) < max_mismatches:
                 mismatches.append((address, got, expected))
-    return checked, mismatches
+    return checked, total, mismatches
 
 
 # -- grain sweep -------------------------------------------------------------------
@@ -507,12 +508,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             cfg = _plan_config(args)
             db = parse_file(args.db, args.width)
-            checked, mismatches = run_verify(
+            checked, total, mismatches = run_verify(
                 db, cfg, args.mode, args.samples, args.inject_fault,
                 args.max_mismatches, trace=args.trace,
             )
-            if mismatches:
-                lines = [f"FAIL {checked - 0} addresses checked, mismatches:"]
+            if total:
+                lines = [f"FAIL {total} of {checked} addresses mismatch; first {len(mismatches)}:"]
                 lines += [f"({a}, {g}, {e})" for a, g, e in mismatches]
                 _write_output("".join(l + "\n" for l in lines), args.out)
                 return 1

@@ -159,9 +159,6 @@ class SuperTable:
     def empty_entries(self) -> int:
         return self.entry_capacity - self.total_entries
 
-    def member_for(self, table: TreeTable) -> Optional[int]:
-        return self.members.get(table)
-
     def __repr__(self):
         return (
             f"<SuperTable level={self.level_index} members={len(self.members)}"
@@ -220,15 +217,6 @@ def tag_and_pack(
         if group:
             _emit_group(level_index, group, tag_bits, grain, result)
     return result
-
-
-def pre_tag_blocks(tree: TcamTree, grain: GrainSpec) -> int:
-    """Block cost if every TCAM table were tiled on its own, untagged."""
-    return sum(
-        blocks_for_table(t.stride_width, t.entry_count, grain)
-        for t in tree.all_tables()
-        if t.kind == TCAM
-    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ tree's by explicit prefix length, overflow winning ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ._util import ceil_div
 from .errors import (
@@ -314,16 +314,16 @@ def tree_lookup(tree: TcamTree, address: str) -> tuple[Optional[str], int]:
 
 
 class PipelineState:
-    """A deployable lookup structure: tree, optional packing/placement, overflow."""
+    """A deployable lookup structure: tree, packing, optional placement, overflow."""
 
     def __init__(
         self,
         tree: TcamTree,
         overflow: OverflowBuffer,
         *,
-        grain: Optional[GrainSpec] = None,
-        tag_bits: Optional[int] = None,
-        supertables: Optional[list[SuperTable]] = None,
+        grain: GrainSpec,
+        tag_bits: int,
+        supertables: list[SuperTable],
         plan: Optional[PipelinePlan] = None,
     ):
         self.tree = tree
@@ -334,20 +334,11 @@ class PipelineState:
         self.plan = plan
         self.sram_rows = 0
         self._st_of: dict[TreeTable, SuperTable] = {}
-        if supertables is not None:
-            for st in supertables:
-                for t in st.members:
-                    self._st_of[t] = st
+        for st in supertables:
+            for t in st.members:
+                self._st_of[t] = st
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_database(
-        cls, db: PrefixDatabase, strides: StrideList, overflow_capacity: int = 512
-    ) -> "PipelineState":
-        """Unpacked tree plus overflow; updates are not capacity-constrained."""
-        tree = build_tree(db.restricted(strides.coverage), strides)
-        return cls(tree, _long_entries(db, strides.coverage, overflow_capacity))
 
     @classmethod
     def planned(
@@ -361,7 +352,9 @@ class PipelineState:
         hybrid: Optional[HybridizationConfig] = None,
         overflow_capacity: int = 512,
     ) -> "PipelineState":
-        """Full build: tree, optional hybridization, packing, optional placement."""
+        """The one constructor: tree, optional hybridization, packing, and
+        placement when a profile is given.  Without one, updates count block
+        rows but never refuse one."""
         tag = grain.default_tag_bits if tag_bits is None else tag_bits
         tree = build_tree(db.restricted(strides.coverage), strides)
         level_rows: list[int] = []
@@ -427,7 +420,7 @@ class PipelineState:
             self.overflow.add(prefix)
             return
         grown = tree_insert(self.tree, prefix.bits, prefix.next_hop)
-        if self.supertables is None or self._place(grown):
+        if self._place(grown):
             return
         tree_delete(self.tree, prefix.bits)
         self.overflow.add(prefix)
@@ -437,8 +430,6 @@ class PipelineState:
         if self.overflow.remove(prefix.bits):
             return
         shrunk = tree_delete(self.tree, prefix.bits)
-        if self.supertables is None:
-            return
         for table in shrunk:
             st = self._st_of.get(table)
             if st is None:
@@ -446,11 +437,10 @@ class PipelineState:
             st.total_entries -= 1
             if table.entry_count == 0 and table is not self.tree.root:
                 # collected: it leaves its super-table, whose blocks stay
-                # allocated until a replan
+                # allocated until a replan; an emptied super-table stays in
+                # `supertables`, in its planned position, and can be rejoined
                 del self._st_of[table]
                 st.discard(table)
-                if not st.members:
-                    self.supertables.remove(st)
 
     # -- capacity bookkeeping ------------------------------------------------------
 
@@ -537,22 +527,3 @@ class PipelineState:
         ]
         return candidates[-1] if candidates else None
 
-
-def search(target: Union[TcamTree, PipelineState], address: str) -> str:
-    """Longest-prefix-match through a built tree or a full pipeline state."""
-    if isinstance(target, PipelineState):
-        return target.search(address)
-    if len(address) != target.address_width or address.strip("01"):
-        raise ValueError(f"address must be exactly {target.address_width} bits of 0/1")
-    value, _ = tree_lookup(target, address)
-    return value if value is not None else DEFAULT_NEXT_HOP
-
-
-def insert_prefix(state: PipelineState, prefix: Prefix) -> PipelineState:
-    state.insert(prefix)
-    return state
-
-
-def delete_prefix(state: PipelineState, prefix: Prefix) -> PipelineState:
-    state.delete(prefix)
-    return state

@@ -108,15 +108,14 @@ class TableEntry:
     database prefix ending in this table, as opposed to values inherited by a
     stub from the table's own terminals."""
 
-    __slots__ = ("key_bits", "bmp_value", "bmp_local_len", "is_terminal", "child", "seq")
+    __slots__ = ("key_bits", "bmp_value", "bmp_local_len", "is_terminal", "child")
 
-    def __init__(self, key_bits, bmp_value, bmp_local_len, is_terminal, child, seq):
+    def __init__(self, key_bits, bmp_value, bmp_local_len, is_terminal, child):
         self.key_bits = key_bits
         self.bmp_value = bmp_value
         self.bmp_local_len = bmp_local_len
         self.is_terminal = is_terminal
         self.child = child
-        self.seq = seq
 
     @property
     def specified_len(self) -> int:
@@ -146,7 +145,7 @@ class TreeTable:
     """
 
     __slots__ = ("level_index", "stride_width", "start_bit", "kind", "sram_key_len",
-                 "_entries", "_next_seq", "_lengths", "_counts")
+                 "_entries", "_lengths", "_counts")
 
     def __init__(self, level_index: int, stride_width: int, start_bit: int):
         self.level_index = level_index
@@ -157,15 +156,10 @@ class TreeTable:
         # row counts follow the live rows.
         self.sram_key_len: Optional[int] = None
         self._entries: dict[str, TableEntry] = {}
-        self._next_seq = 0
         self._lengths: tuple[int, ...] = ()
         self._counts: Optional[dict[int, int]] = None
 
     # -- structure ---------------------------------------------------------
-
-    def next_seq(self) -> int:
-        self._next_seq += 1
-        return self._next_seq
 
     def put(self, entry: TableEntry):
         """Store `entry` under its key, replacing any row there."""
@@ -223,8 +217,9 @@ class TreeTable:
         return len(self._entries)
 
     def entries(self) -> list[TableEntry]:
-        """Entries in match priority order: descending specified bits, then creation."""
-        return sorted(self._entries.values(), key=lambda e: (-e.specified_len, e.seq))
+        """Entries in match priority order: descending specified bits, then key.
+        Same-length keys are disjoint, so the key order never decides a match."""
+        return sorted(self._entries.values(), key=lambda e: (-e.specified_len, e.key_bits))
 
     def raw_entries(self):
         return self._entries.values()
@@ -415,9 +410,7 @@ def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
         entry = table.get(stub_key)
         if entry is None:
             inherited_value, inherited_len = table.local_lpm(stub_key)
-            table.put(TableEntry(
-                stub_key, inherited_value, inherited_len, False, child, table.next_seq()
-            ))
+            table.put(TableEntry(stub_key, inherited_value, inherited_len, False, child))
             grown.append(table)
         else:
             entry.child = child
@@ -432,7 +425,7 @@ def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
         entry.bmp_value = value
         entry.bmp_local_len = len(rest)
     else:
-        table.put(TableEntry(key, value, len(rest), True, None, table.next_seq()))
+        table.put(TableEntry(key, value, len(rest), True, None))
         grown.append(table)
     for other in table.rows_under(rest, s):
         if not other.is_terminal and (
@@ -482,9 +475,9 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
 def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
     """Build the fixed-stride tree for a whole database.
 
-    Deterministic: prefixes are inserted in (length, file order), so entry
-    sequence numbers and the resulting priority order depend only on the
-    database contents.
+    Deterministic: prefixes are inserted in (length, file order), so the
+    order in which tables are created, which packing follows, depends only
+    on the database.
     """
     if strides.coverage > db.address_width:
         raise ValueError(

@@ -7,8 +7,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from ._util import fixed_decimal_str
-from .errors import DuplicatePrefix, EmptyDatabase, LevelOutOfRange, TargetTooShort
-from .prefixdb import DEFAULT_NEXT_HOP, PrefixDatabase
+from .errors import EmptyDatabase, LevelOutOfRange, TargetTooShort
+from .prefixdb import PrefixDatabase
 
 
 class TrieNode:
@@ -23,9 +23,6 @@ class TrieNode:
     @property
     def children(self):
         return [c for c in (self.zero, self.one) if c is not None]
-
-    def child(self, bit: str) -> Optional["TrieNode"]:
-        return self.one if bit == "1" else self.zero
 
 
 def build_unibit_trie(db: PrefixDatabase) -> TrieNode:
@@ -44,21 +41,6 @@ def build_unibit_trie(db: PrefixDatabase) -> TrieNode:
                 node = node.zero
         node.value = p.next_hop
     return root
-
-
-def trie_lookup(root: TrieNode, address: str) -> str:
-    """Walk the trie on `address`, returning the deepest stored value seen."""
-    best = DEFAULT_NEXT_HOP
-    node = root
-    if node.value is not None:
-        best = node.value
-    for bit in address:
-        node = node.child(bit)
-        if node is None:
-            break
-        if node.value is not None:
-            best = node.value
-    return best
 
 
 @dataclass(frozen=True)
@@ -133,39 +115,11 @@ def compute_lean_levels(
     return LeanLevelTable(rows, total_prefixes)
 
 
-def expand_prefixes(
-    entries: Iterable[tuple[str, int, str]], target_length: int
-) -> dict[str, str]:
-    """Rewrite each entry as all its `target_length`-bit completions; longer originals win.
-
-    Exact-match lookup on the result equals longest-prefix-match on the input
-    for every target_length-bit key that some entry covers.
-    """
-    items = sorted(entries, key=lambda e: (e[1], e[0]))
-    out: dict[str, str] = {}
-    seen: set[str] = set()
-    for bits, length, value in items:
-        if len(bits) != length:
-            raise ValueError("entry bits must match the stated length")
-        if length > target_length:
-            raise TargetTooShort(
-                f"entry of length {length} cannot expand to {target_length} bits"
-            )
-        if bits in seen:
-            raise DuplicatePrefix(f"duplicate entry {bits}/{length} in expansion input")
-        seen.add(bits)
-        span = 1 << (target_length - length)
-        base = int(bits, 2) << (target_length - length) if bits else 0
-        for key in range(base, base + span):
-            out[format(key, f"0{target_length}b")] = value
-    return out
-
-
 def covered_ranges(
     entries: Iterable[tuple[str, int, str]], target_length: int
 ) -> list[tuple[int, int]]:
-    """Disjoint ascending [lo, hi) key ranges that expand_prefixes covers,
-    computed without enumerating keys."""
+    """Disjoint ascending [lo, hi) ranges of the keys that the entries' expansion
+    to `target_length` bits covers, computed without enumerating keys."""
     intervals = []
     for bits, length, _ in entries:
         if length > target_length:
@@ -185,6 +139,6 @@ def covered_ranges(
 
 
 def expanded_size(entries: Iterable[tuple[str, int, str]], target_length: int) -> int:
-    """Distinct-key count of expand_prefixes: the size of an interval union,
+    """Distinct-key count of that expansion: the size of an interval union,
     which stays cheap even when the expansion itself would not."""
     return sum(hi - lo for lo, hi in covered_ranges(entries, target_length))

@@ -15,9 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from tcamtree import Prefix, PrefixDatabase, StrideList, parse_database
-from tcamtree.pipeline import PipelineState
+from tcamtree import Prefix, PrefixDatabase, StrideList, blocks_for_table, parse_database
+from tcamtree.errors import DuplicatePrefix, TargetTooShort
+from tcamtree.pipeline import PipelineState, tree_lookup
 from tcamtree.prefixdb import DEFAULT_NEXT_HOP
+from tcamtree.tiler import TCAM
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -60,6 +62,67 @@ def scan_local_lpm(table, key: str):
         if (best_len is None or length > best_len) and key.startswith(bits):
             best_val, best_len = value, length
     return best_val, best_len
+
+
+def tree_search(tree, address: str) -> str:
+    """Longest-prefix match through a bare tree, without an overflow buffer."""
+    value, _ = tree_lookup(tree, address)
+    return value if value is not None else DEFAULT_NEXT_HOP
+
+
+def trie_child(node, bit: str):
+    return node.one if bit == "1" else node.zero
+
+
+def trie_lookup(root, address: str) -> str:
+    """Walk a unibit trie on `address`, returning the deepest stored value seen."""
+    best = DEFAULT_NEXT_HOP
+    node = root
+    if node.value is not None:
+        best = node.value
+    for bit in address:
+        node = trie_child(node, bit)
+        if node is None:
+            break
+        if node.value is not None:
+            best = node.value
+    return best
+
+
+def expand_prefixes(entries, target_length: int) -> dict[str, str]:
+    """Reference for `expanded_size`: rewrite each entry as all its
+    `target_length`-bit completions, longer originals winning.
+
+    Exact-match lookup on the result equals longest-prefix-match on the input
+    for every target_length-bit key that some entry covers.
+    """
+    items = sorted(entries, key=lambda e: (e[1], e[0]))
+    out: dict[str, str] = {}
+    seen: set[str] = set()
+    for bits, length, value in items:
+        if len(bits) != length:
+            raise ValueError("entry bits must match the stated length")
+        if length > target_length:
+            raise TargetTooShort(
+                f"entry of length {length} cannot expand to {target_length} bits"
+            )
+        if bits in seen:
+            raise DuplicatePrefix(f"duplicate entry {bits}/{length} in expansion input")
+        seen.add(bits)
+        span = 1 << (target_length - length)
+        base = int(bits, 2) << (target_length - length) if bits else 0
+        for key in range(base, base + span):
+            out[format(key, f"0{target_length}b")] = value
+    return out
+
+
+def pre_tag_blocks(tree, grain) -> int:
+    """Block cost if every TCAM table were tiled on its own, untagged."""
+    return sum(
+        blocks_for_table(t.stride_width, t.entry_count, grain)
+        for t in tree.all_tables()
+        if t.kind == TCAM
+    )
 
 
 # -- random inputs -------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_criterion_1_table1_end_to_end():
     started = time.monotonic()
     db = table1_db()
     for spec in ("6", "3-3", "2-2-2", "1-1-1-1-1-1"):
-        state = PipelineState.from_database(db, StrideList.parse(spec))
+        state = PipelineState.planned(db, StrideList.parse(spec))
         for address in all_addresses(6):
             assert state.search(address) == oracle_lookup(db, address), (spec, address)
     tree = build_tree(db, StrideList.parse("3-3"))
@@ -192,10 +192,10 @@ def test_criterion_3_update_correctness():
         style = run % 4
         if style == 0:
             strides = random_strides(rng, width)
-            state = PipelineState.from_database(base, strides)
+            state = PipelineState.planned(base, strides)
         elif style == 1:
             strides = random_strides(rng, 8)   # partial coverage: long prefixes overflow
-            state = PipelineState.from_database(base, strides)
+            state = PipelineState.planned(base, strides)
         elif style == 2:
             strides = random_strides(rng, width)
             state = PipelineState.planned(

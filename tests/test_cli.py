@@ -218,6 +218,19 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out and "corrupt" in out
 
+    @pytest.mark.parametrize("listed", [2, 0])
+    def test_fault_injection_reports_the_total(self, listed, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
+            "--inject-fault", "--max-mismatches", str(listed),
+        )
+        # every address under a prefix of table 1 (all that start with 1) is
+        # wrong, however few of them are listed
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == f"FAIL 32 of 64 addresses mismatch; first {listed}:"
+        assert len(lines) == 1 + listed
+
     def test_trace_replay(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
         trace.write_text("100110\n# comment\n011111\n\n111111\n")
@@ -288,3 +301,18 @@ class TestSweep:
             w = int(cols[0])
             expected = single_tcam_baseline(6, 6, GrainSpec(w, 512))[1]
             assert int(cols[2]) == expected
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/run.py --trace 1 patches these names; a rename must fail here,
+    # not only in the multi-minute perfbench smoke test
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for name, owner, attr, _ in tracer.TARGETS:
+        assert callable(getattr(owner, attr, None)), name

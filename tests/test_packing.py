@@ -15,11 +15,17 @@ from tcamtree import (
     resource_totals,
     tag_and_pack,
 )
-from tcamtree.packing import pre_tag_blocks, sram_rows_for_table
-from tcamtree.pipeline import search
+from tcamtree.packing import sram_rows_for_table
 from tcamtree.tiler import SRAM, TCAM, TcamTree, TableEntry
 
-from tests.helpers import all_addresses, random_database, random_strides, table1_db
+from tests.helpers import (
+    all_addresses,
+    pre_tag_blocks,
+    random_database,
+    random_strides,
+    table1_db,
+    tree_search,
+)
 
 
 def synthetic_level(sizes, stride, level_index=1):
@@ -29,7 +35,7 @@ def synthetic_level(sizes, stride, level_index=1):
         t = tree.new_table(1)
         for i in range(n):
             key = format(i, f"0{stride}b")
-            t.put(TableEntry(key, f"v{i}", stride, True, None, t.next_seq()))
+            t.put(TableEntry(key, f"v{i}", stride, True, None))
     return tree, tree.levels[1]
 
 
@@ -90,7 +96,7 @@ class TestHybridize:
             for tables in hybrid.levels
         ]
         for address in all_addresses(width):
-            assert search(hybrid, address) == oracle_lookup(db, address)
+            assert tree_search(hybrid, address) == oracle_lookup(db, address)
 
 
 class TestTagAndPack:
@@ -131,7 +137,7 @@ class TestTagAndPack:
         tree, tables = synthetic_level([7, 3, 5], stride=6)
         (sup,) = [st for st in tag_and_pack(tree, GrainSpec(16, 8), 4) if st.level_index == 1]
         for table, tag in sup.members.items():
-            assert sup.member_for(table) == tag
+            assert sup.members[table] == tag
         # largest-first grouping
         assert [t.entry_count for t in sup.members] == [7, 5, 3]
 

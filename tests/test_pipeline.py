@@ -11,11 +11,8 @@ from tcamtree import (
     Prefix,
     PrefixDatabase,
     StrideList,
-    delete_prefix,
-    insert_prefix,
     map_to_pipeline,
     oracle_lookup,
-    search,
 )
 from tcamtree.errors import (
     CapacityExceeded,
@@ -52,7 +49,7 @@ def synthetic_supertables(level_blocks):
             for i in range(blocks * grain.depth):
                 key = format(i % 256, "08b")
                 if table.get(key) is None:
-                    table.put(TableEntry(key, f"v{i}", 8, True, None, table.next_seq()))
+                    table.put(TableEntry(key, f"v{i}", 8, True, None))
             tables_here.append(table)
             supers.append(SuperTable(level, 0, [(0, table)], grain))
         if prev_tables:
@@ -60,7 +57,7 @@ def synthetic_supertables(level_blocks):
             parent = prev_tables[0]
             for t in tables_here:
                 key = format(parent.entry_count % 256, "08b")
-                parent.put(TableEntry(key, None, None, False, t, parent.next_seq()))
+                parent.put(TableEntry(key, None, None, False, t))
         prev_tables = tables_here
     return supers
 
@@ -124,19 +121,19 @@ class TestMapToPipeline:
 
 class TestSearch:
     def test_table1_walk_examples(self):
-        state = PipelineState.from_database(table1_db(), StrideList.parse("3-3"))
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         assert state.search("100110") == "E"
         assert state.search("101111") == "A"
         assert state.search("000000") == "default"
 
     def test_search_rejects_bad_width(self):
-        state = PipelineState.from_database(table1_db(), StrideList.parse("3-3"))
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         with pytest.raises(ValueError):
             state.search("1001")
 
     def test_overflow_entry_wins_by_length(self):
         db = PrefixDatabase(8, [Prefix("10", 2, "short"), Prefix("101010", 6, "long")])
-        state = PipelineState.from_database(db, StrideList.parse("2-2"))
+        state = PipelineState.planned(db, StrideList.parse("2-2"))
         assert len(state.overflow) == 1
         assert state.search("10101010") == "long"
         assert state.search("10111111") == "short"
@@ -145,8 +142,8 @@ class TestSearch:
 class TestInsert:
     def test_insert_gains_priority_over_shorter(self):
         db = table1_db()
-        state = PipelineState.from_database(db, StrideList.parse("3-3"))
-        insert_prefix(state, Prefix("101", 3, "G"))
+        state = PipelineState.planned(db, StrideList.parse("3-3"))
+        state.insert(Prefix("101", 3, "G"))
         keys = [e.key_bits for e in state.tree.root.entries()]
         assert keys.index("101") < keys.index("1**")
         entries = [(p.bits, p.length, p.next_hop) for p in db.entries] + [("101", 3, "G")]
@@ -154,12 +151,12 @@ class TestInsert:
         assert count == 0, samples
 
     def test_duplicate_insert_rejected(self):
-        state = PipelineState.from_database(table1_db(), StrideList.parse("3-3"))
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         with pytest.raises(DuplicatePrefix):
             state.insert(Prefix("1000", 4, "Z"))
 
     def test_long_prefix_goes_to_overflow(self):
-        state = PipelineState.from_database(table1_db(), StrideList.parse("3-2"))
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-2"))
         state.insert(Prefix("110011", 6, "Z"))
         assert state.overflow.contains("110011")
         assert state.search("110011") == "Z"
@@ -229,12 +226,36 @@ class TestInsert:
         state.delete(Prefix("0000", 4, "a"))
         state.insert(Prefix("1000", 4, "c"))
         (level1,) = [st_ for st_ in state.supertables if st_.level_index == 1]
-        assert sorted(level1.member_for(t) for t in state.tree.levels[1]) == [0, 1]
+        assert sorted(level1.members[t] for t in state.tree.levels[1]) == [0, 1]
         assert state.search("1000") == "c" and state.search("0100") == "b"
+
+    def test_emptied_supertable_keeps_its_place_and_is_rejoined(self):
+        db = PrefixDatabase(6, [
+            Prefix("000", 3, "a"), Prefix("000111", 6, "b"), Prefix("111000", 6, "c"),
+        ])
+        state = PipelineState.planned(
+            db, StrideList.parse("3-3"), grain=GrainSpec(8, 4), tag_bits=0,
+            profile=PipelineProfile(),
+        )
+        planned = list(state.supertables)
+        assert len(planned) == 3
+        state.delete(Prefix("000111", 6, "b"))
+        # supertables[i] stays paired with plan.placements[i]
+        assert len(state.supertables) == 3
+        assert all(a is b for a, b in zip(state.supertables, planned))
+        assert not planned[1].members and planned[2].members
+        for st_, spans in zip(state.supertables, state.plan.placements):
+            assert sum(s.count for s in spans) == st_.allocated_blocks
+        # a new level-1 table joins the emptied super-table and its blocks
+        blocks = sum(state.plan._tcam_next)
+        state.insert(Prefix("010101", 6, "d"))
+        assert len(state.supertables) == 3 and len(planned[1].members) == 1
+        assert sum(state.plan._tcam_next) == blocks
+        assert state.search("010101") == "d" and state.search("111000") == "c"
 
     def test_overflow_full_raises(self):
         db = PrefixDatabase(6, [Prefix("1", 1, "A")])
-        state = PipelineState.from_database(db, StrideList.parse("3"), overflow_capacity=1)
+        state = PipelineState.planned(db, StrideList.parse("3"), overflow_capacity=1)
         state.insert(Prefix("1010", 4, "X"))
         with pytest.raises(OverflowFull):
             state.insert(Prefix("1011", 4, "Y"))
@@ -262,8 +283,8 @@ class TestInsert:
 class TestDelete:
     def test_delete_reverts_to_next_best(self):
         db = table1_db()
-        state = PipelineState.from_database(db, StrideList.parse("3-3"))
-        delete_prefix(state, Prefix("100110", 6, "E"))
+        state = PipelineState.planned(db, StrideList.parse("3-3"))
+        state.delete(Prefix("100110", 6, "E"))
         # remaining matches for 100110: only the /1 entry
         assert state.search("100110") == "A"
         entries = [(p.bits, p.length, p.next_hop) for p in db.entries if p.next_hop != "E"]
@@ -271,20 +292,20 @@ class TestDelete:
         assert count == 0, samples
 
     def test_delete_shortest_unsets_inherited_values(self):
-        state = PipelineState.from_database(table1_db(), StrideList.parse("3-3"))
-        delete_prefix(state, Prefix("1", 1, "A"))
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
+        state.delete(Prefix("1", 1, "A"))
         assert state.search("111111") == "default"
         stub = state.tree.root.get("100")
         assert stub is not None and stub.bmp_value is None
 
     def test_delete_absent_prefix(self):
-        state = PipelineState.from_database(table1_db(), StrideList.parse("3-3"))
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         with pytest.raises(NotFound):
-            delete_prefix(state, Prefix("111", 3, "Q"))
+            state.delete(Prefix("111", 3, "Q"))
 
     def test_merged_entry_survives_terminal_removal(self):
         db = PrefixDatabase(4, [Prefix("01", 2, "X"), Prefix("0111", 4, "Y")])
-        state = PipelineState.from_database(db, StrideList.parse("2-2"))
+        state = PipelineState.planned(db, StrideList.parse("2-2"))
         merged = state.tree.root.get("01")
         assert merged.is_terminal and merged.child is not None
         state.delete(Prefix("01", 2, "X"))
@@ -295,14 +316,14 @@ class TestDelete:
 
     def test_emptied_child_tables_are_collected(self):
         db = PrefixDatabase(4, [Prefix("0111", 4, "Y")])
-        state = PipelineState.from_database(db, StrideList.parse("2-2"))
+        state = PipelineState.planned(db, StrideList.parse("2-2"))
         assert len(state.tree.levels[1]) == 1
         state.delete(Prefix("0111", 4, "Y"))
         assert len(state.tree.levels[1]) == 0
         assert state.tree.root.entry_count == 0
 
     def test_delete_from_overflow(self):
-        state = PipelineState.from_database(table1_db(), StrideList.parse("3-2"))
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-2"))
         state.insert(Prefix("110011", 6, "Z"))
         state.delete(Prefix("110011", 6, "Z"))
         assert not state.overflow.contains("110011")
@@ -326,7 +347,7 @@ def test_interleaved_updates_stay_oracle_equal(seed):
     db = random_database(rng, width, max_entries=12)
     coverage = rng.choice([width, max(1, width - 2)])
     strides = random_strides(rng, coverage)
-    state = PipelineState.from_database(db, strides)
+    state = PipelineState.planned(db, strides)
     shadow = {p.bits: p for p in db.entries}
     for _ in range(30):
         length = rng.randint(0, width)
@@ -371,8 +392,12 @@ def audit_tree(tree, levels_before):
 def audit(state, planned_supertables):
     """Recount the packing and stage bookkeeping from scratch and compare it
     with the incremental state.  `planned_supertables` is the super-table list
-    as mapped, which `plan.placements` is indexed by."""
+    as mapped, which `plan.placements` is indexed by; it stays the head of
+    `state.supertables`, emptied super-tables included."""
     plan = state.plan
+    n = len(planned_supertables)
+    assert len(state.supertables) >= n
+    assert all(a is b for a, b in zip(state.supertables, planned_supertables))
     owners = Counter(t for st_ in state.supertables for t in st_.members)
     live = [t for t in state.tree.all_tables() if t.kind == TCAM]
     assert len(owners) == len(live) and all(owners[t] == 1 for t in live)
@@ -386,13 +411,12 @@ def audit(state, planned_supertables):
         # the free tags are the unused ones below the next fresh tag, as a heap
         heap = st_._free_tags
         assert sorted(heap) == sorted(set(range(st_._next_tag)) - set(tags))
-        assert max(tags) < st_._next_tag
+        assert all(tag < st_._next_tag for tag in tags)
         assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
-    index = {st_: i for i, st_ in enumerate(planned_supertables)}
-    for st_ in state.supertables:
+    for i, st_ in enumerate(state.supertables):
         spans = plan.extra_spans.get(st_, [])
-        if st_ in index:
-            spans = spans + plan.placements[index[st_]]
+        if i < n:
+            spans = spans + plan.placements[i]
         assert sum(s.count for s in spans) == st_.allocated_blocks
     by_level = [(sup.level_index, spans)
                 for sup, spans in zip(planned_supertables, plan.placements)]

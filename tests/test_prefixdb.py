@@ -19,9 +19,9 @@ from tcamtree.errors import (
     MalformedLine,
 )
 from tcamtree.prefixdb import dotted_to_bits
-from tcamtree.trie import build_unibit_trie, trie_lookup
+from tcamtree.trie import build_unibit_trie
 
-from tests.helpers import TABLE1_TEXT, all_addresses, linear_scan_lookup, table1_db
+from tests.helpers import TABLE1_TEXT, all_addresses, linear_scan_lookup, table1_db, trie_lookup
 
 
 @st.composite

@@ -19,7 +19,6 @@ from tcamtree import (
     oracle_lookup,
 )
 from tcamtree.errors import BudgetZero, DuplicatePrefix, PrefixExceedsCoverage
-from tcamtree.pipeline import search
 from tcamtree.tiler import StrideSearchConfig, TreeTable, tree_delete, tree_insert
 
 from tests.helpers import (
@@ -29,6 +28,7 @@ from tests.helpers import (
     random_strides,
     scan_local_lpm,
     table1_db,
+    tree_search,
 )
 
 
@@ -83,7 +83,7 @@ class TestBuildTree:
         (child,) = tree.levels[1]
         assert entry_view(child) == {"1": ("Y", True, False)}
         for address in all_addresses(2):
-            assert search(tree, address) == oracle_lookup(db, address)
+            assert tree_search(tree, address) == oracle_lookup(db, address)
 
     def test_rejects_prefix_beyond_coverage(self):
         with pytest.raises(PrefixExceedsCoverage):
@@ -132,7 +132,7 @@ class TestBuildTree:
             if boundary < strides.coverage:
                 assert stubs == lean.nonleaf(boundary)
         for address in all_addresses(width):
-            assert search(tree, address) == oracle_lookup(db, address)
+            assert tree_search(tree, address) == oracle_lookup(db, address)
 
 
 class CountingDict(dict):
@@ -195,7 +195,7 @@ class TestProbeIndex:
             check_index(tree, rng)
         final = PrefixDatabase(width, list(live.values()))
         for address in all_addresses(width):
-            assert search(tree, address) == oracle_lookup(final, address)
+            assert tree_search(tree, address) == oracle_lookup(final, address)
 
     def test_root_delete_reads_only_the_prefix_range(self, monkeypatch):
         rng = random.Random(3)

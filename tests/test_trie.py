@@ -9,12 +9,11 @@ from tcamtree import (
     Prefix,
     build_unibit_trie,
     compute_lean_levels,
-    expand_prefixes,
 )
 from tcamtree.errors import EmptyDatabase, LevelOutOfRange, TargetTooShort
-from tcamtree.trie import expanded_size, trie_lookup
+from tcamtree.trie import expanded_size
 
-from tests.helpers import table1_db
+from tests.helpers import expand_prefixes, table1_db, trie_child, trie_lookup
 
 
 def table1_trie():
@@ -29,7 +28,7 @@ class TestBuildTrie:
         assert root.one.value == "A"
         node = root
         for bit in "100":
-            node = node.child(bit)
+            node = trie_child(node, bit)
         assert node.zero is not None and node.one is not None  # 1000 and 1001
 
     def test_leaf_depths(self):

@@ -35,7 +35,7 @@ def test_vector_equals_scalar_on_plain_trees(seed):
     width = rng.randint(3, 9)
     db = random_database(rng, width, max_entries=50)
     coverage = rng.choice([width, max(1, width - 2)])
-    state = PipelineState.from_database(db, random_strides(rng, coverage))
+    state = PipelineState.planned(db, random_strides(rng, coverage))
     assert_vector_matches_scalar(state)
 
 
@@ -75,14 +75,14 @@ def test_vector_equals_scalar_after_updates_on_hybrid_states(seed):
 
 def test_vector_agrees_on_table1():
     db = table1_db()
-    state = PipelineState.from_database(db, StrideList.parse("3-3"))
+    state = PipelineState.planned(db, StrideList.parse("3-3"))
     count, samples = full_space_mismatches(db_entry_tuples(db), state)
     assert count == 0, samples
 
 
 def test_vector_catches_a_planted_fault():
     db = table1_db()
-    state = PipelineState.from_database(db, StrideList.parse("3-3"))
+    state = PipelineState.planned(db, StrideList.parse("3-3"))
     for e in state.tree.root.raw_entries():
         if e.is_terminal:
             e.bmp_value = "WRONG"
@@ -92,6 +92,6 @@ def test_vector_catches_a_planted_fault():
 
 def test_vector_honors_overflow_length_ties():
     db = PrefixDatabase(8, [Prefix("10", 2, "short"), Prefix("101010", 6, "long")])
-    state = PipelineState.from_database(db, StrideList.parse("2-2"))
+    state = PipelineState.planned(db, StrideList.parse("2-2"))
     count, samples = full_space_mismatches(db_entry_tuples(db), state)
     assert count == 0, samples
