@@ -97,8 +97,7 @@ def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
     resources = resource_totals(
         state.supertables, state.sram_rows, cfg.grain, cfg.sram_page, baseline_blocks
     )
-    root = build_unibit_trie(db)
-    lean = compute_lean_levels(root, len(db), max_depth=cfg.strides.coverage)
+    lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=cfg.strides.coverage)
     split_level = cfg.strides.boundaries[0] if len(cfg.strides) >= 2 else None
     breport = bounds_model.build_report(
         entry_count=len(db),
@@ -332,6 +331,8 @@ def sweep_rows(db, strides: StrideList, widths, depth_rule: str, reference: Grai
     """
     if len(db) == 0:
         raise EmptyDatabase("cannot sweep an empty database")
+    if min(widths, default=1) < 1:
+        raise ValueError(f"grain widths must be >= 1, got {min(widths)}")
     threshold = max_threshold_length(db, threshold_coverage)
     ref_bits = bounds_model.single_tcam_baseline(
         len(db), max(threshold.length, 1), reference
@@ -409,9 +410,15 @@ def _load_profile(path: Optional[str]) -> PipelineProfile:
     return PipelineProfile(**{key: raw[key] for key in keys})
 
 
+def _require_nonnegative(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _plan_config(args) -> PlanConfig:
-    if args.tag_bits is not None and args.tag_bits < 0:
-        raise ValueError(f"--tag-bits must be >= 0, got {args.tag_bits}")
+    _require_nonnegative(args, "tag_bits", "overflow_capacity")
     return PlanConfig(
         db_path=args.db,
         address_width=args.width,
@@ -488,14 +495,13 @@ def main(argv=None) -> int:
             db = parse_file(args.db, args.width)
             if len(db) == 0:
                 raise EmptyDatabase("analyze needs a non-empty database")
-            root = build_unibit_trie(db)
             max_level = args.max_level if args.max_level is not None else db.address_width
             if not 1 <= max_level <= db.address_width:
                 raise ValueError(
                     f"--max-level must be between 1 and the address width {db.address_width},"
                     f" got {max_level}"
                 )
-            lean = compute_lean_levels(root, len(db), max_depth=max_level)
+            lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=max_level)
             _write_output(lean.to_csv(1, max_level), args.out)
             return 0
         if args.command == "plan":
@@ -506,6 +512,7 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return 0
         if args.command == "verify":
+            _require_nonnegative(args, "samples", "max_mismatches")
             cfg = _plan_config(args)
             db = parse_file(args.db, args.width)
             checked, total, mismatches = run_verify(

@@ -28,6 +28,10 @@ class SramPageSpec:
     page_width: int = 128
     page_depth: int = 1024
 
+    def __post_init__(self):
+        if self.page_width < 1 or self.page_depth < 1:
+            raise ValueError("SRAM page width and depth must be >= 1")
+
     def __str__(self):
         return f"{self.page_width}x{self.page_depth}"
 

@@ -1,46 +1,30 @@
-"""Unibit trie construction, lean-level statistics, and controlled prefix expansion."""
+"""Lean-level statistics of the unibit trie, and controlled prefix expansion.
+
+The lean levels are the per-depth counts of trie nodes with a child.  They
+are counted bottom-up over sets of ints, one depth at a time, from the
+entries grouped by length; no trie node is ever allocated.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ._util import fixed_decimal_str
 from .errors import EmptyDatabase, LevelOutOfRange, TargetTooShort
 from .prefixdb import PrefixDatabase
 
 
-class TrieNode:
-    __slots__ = ("depth", "zero", "one", "value")
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.zero: Optional[TrieNode] = None
-        self.one: Optional[TrieNode] = None
-        self.value: Optional[str] = None
-
-    @property
-    def children(self):
-        return [c for c in (self.zero, self.one) if c is not None]
-
-
-def build_unibit_trie(db: PrefixDatabase) -> TrieNode:
-    """One node per distinct prefix path; a node's value is set where an entry ends."""
-    root = TrieNode(0)
+def build_unibit_trie(db: PrefixDatabase) -> list[list[int]]:
+    """The unibit trie's marked nodes by depth: `[d]` holds the entries of
+    length d as ints, up to the deepest entry.  The whole trie is the prefix
+    closure of these nodes; `compute_lean_levels` counts it without a node
+    object."""
+    marked: list[list[int]] = [[] for _ in range(db.max_length() + 1)]
     for p in db.entries:
-        node = root
-        for bit in p.bits:
-            if bit == "1":
-                if node.one is None:
-                    node.one = TrieNode(node.depth + 1)
-                node = node.one
-            else:
-                if node.zero is None:
-                    node.zero = TrieNode(node.depth + 1)
-                node = node.zero
-        node.value = p.next_hop
-    return root
+        marked[p.length].append(int(p.bits or "0", 2))
+    return marked
 
 
 @dataclass(frozen=True)
@@ -90,26 +74,29 @@ class LeanLevelTable:
 
 
 def compute_lean_levels(
-    root: TrieNode, total_prefixes: int, max_depth: Optional[int] = None
+    marked: Sequence[Iterable[int]], total_prefixes: int, max_depth: Optional[int] = None
 ) -> LeanLevelTable:
-    """Count nodes with at least one child at every depth 0..max_depth."""
+    """Count nodes with at least one child at every depth 0..max_depth.
+
+    Sweeps up from the deepest entry over sets of ints: a depth-d node has a
+    child exactly when it is the parent (x >> 1) of a depth-(d+1) node, and
+    the depth-d nodes are those parents plus the entries of length d.  Only
+    two depths' sets are alive at a time."""
     if total_prefixes < 1:
         raise EmptyDatabase("lean levels need at least one prefix")
-    counts: dict[int, int] = {}
-    deepest = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        deepest = max(deepest, node.depth)
-        kids = node.children
-        if kids:
-            counts[node.depth] = counts.get(node.depth, 0) + 1
-            stack.extend(kids)
+    deepest = len(marked) - 1
     if max_depth is None:
         max_depth = deepest
+    counts = [0] * (max_depth + 1)
+    nodes: set[int] = set()
+    for depth in range(deepest, -1, -1):
+        parents = {x >> 1 for x in nodes}
+        if depth <= max_depth:
+            counts[depth] = len(parents)
+        parents.update(marked[depth])
+        nodes = parents
     rows = []
-    for depth in range(max_depth + 1):
-        n = counts.get(depth, 0)
+    for depth, n in enumerate(counts):
         b = Fraction(100 * n, total_prefixes)
         rows.append(LeanLevelRow(depth, n, b, 2 * b))
     return LeanLevelTable(rows, total_prefixes)

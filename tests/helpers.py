@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -68,6 +69,57 @@ def tree_search(tree, address: str) -> str:
     """Longest-prefix match through a bare tree, without an overflow buffer."""
     value, _ = tree_lookup(tree, address)
     return value if value is not None else DEFAULT_NEXT_HOP
+
+
+class TrieNode:
+    __slots__ = ("depth", "zero", "one", "value")
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.zero: Optional[TrieNode] = None
+        self.one: Optional[TrieNode] = None
+        self.value: Optional[str] = None
+
+    @property
+    def children(self):
+        return [c for c in (self.zero, self.one) if c is not None]
+
+
+def build_pointer_trie(db: PrefixDatabase) -> TrieNode:
+    """Reference unibit trie: one node per distinct prefix path; a node's
+    value is set where an entry ends."""
+    root = TrieNode(0)
+    for p in db.entries:
+        node = root
+        for bit in p.bits:
+            if bit == "1":
+                if node.one is None:
+                    node.one = TrieNode(node.depth + 1)
+                node = node.one
+            else:
+                if node.zero is None:
+                    node.zero = TrieNode(node.depth + 1)
+                node = node.zero
+        node.value = p.next_hop
+    return root
+
+
+def dfs_nonleaf_counts(root: TrieNode, max_depth: Optional[int] = None) -> list[int]:
+    """Reference for `compute_lean_levels`: nodes with at least one child at
+    every depth 0..max_depth (default: the deepest node), by walking the trie."""
+    counts: dict[int, int] = {}
+    deepest = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        deepest = max(deepest, node.depth)
+        kids = node.children
+        if kids:
+            counts[node.depth] = counts.get(node.depth, 0) + 1
+            stack.extend(kids)
+    if max_depth is None:
+        max_depth = deepest
+    return [counts.get(depth, 0) for depth in range(max_depth + 1)]
 
 
 def trie_child(node, bit: str):

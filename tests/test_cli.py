@@ -44,6 +44,18 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: --max-level") and err.count("\n") == 1
 
+    def test_max_level_checked_before_counting(self, monkeypatch, capsys):
+        import tcamtree.cli
+
+        def no_counting(db):
+            raise AssertionError("the trie was counted before --max-level was checked")
+
+        monkeypatch.setattr(tcamtree.cli, "build_unibit_trie", no_counting)
+        code, _, err = run(
+            capsys, "analyze", "--db", str(DATA), "--width", "6", "--max-level", "0"
+        )
+        assert code == 2 and err.startswith("error: --max-level")
+
     def test_missing_file_and_bad_strides_fail_cleanly(self, capsys):
         code, _, err = run(capsys, "analyze", "--db", "/nonexistent/db.txt", "--width", "6")
         assert code == 2 and "error:" in err
@@ -166,6 +178,36 @@ class TestBadInput:
     def test_malformed_grain(self, capsys):
         assert "WxD" in self.plan_error(capsys, "--grain", "44")
 
+    def test_negative_overflow_capacity(self, capsys):
+        assert "--overflow-capacity" in self.plan_error(capsys, "--overflow-capacity", "-1")
+
+    @pytest.mark.parametrize("page", ["4x0", "0x4"])
+    def test_empty_sram_page(self, page, capsys):
+        err = self.plan_error(capsys, "--strides", "2-2-2", "--hybridize", "--sram-page", page)
+        assert "SRAM page" in err
+
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [
+            ("--max-mismatches", ("--inject-fault", "--max-mismatches", "-1")),
+            ("--samples", ("--mode", "sampled", "--samples", "-5")),
+        ],
+    )
+    def test_negative_verify_counts(self, flag, extra, capsys):
+        code, out, err = run(
+            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3", *extra
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} must be >= 0") and err.count("\n") == 1
+
+    def test_zero_sweep_width(self, capsys):
+        code, out, err = run(
+            capsys, "sweep-grain", "--db", str(DATA), "--width", "6",
+            "--strides", "3-3", "--widths", "0,44",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: grain widths") and err.count("\n") == 1
+
 
 class TestGolden:
     """`plan` output, byte for byte, against reports committed from an earlier
@@ -190,6 +232,10 @@ class TestGolden:
                 "tests/data/synthetic-ipv4-500.txt 32 --strides 16-4-4-8"
                 " --grain 32x16 --tag-bits 4",
             ),
+            (
+                "synthetic-ipv6-500-19-29-16.json",
+                "tests/data/synthetic-ipv6-500.txt 64 --strides 19-29-16",
+            ),
         ],
     )
     def test_plan_matches_golden(self, golden, argv, tmp_path, monkeypatch, capsys):
@@ -197,6 +243,20 @@ class TestGolden:
         db, width, *flags = argv.split()
         out = tmp_path / golden
         code, _, _ = run(capsys, "plan", "--db", db, "--width", width, *flags, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "golden, db, width",
+        [
+            ("synthetic-ipv4-500-analyze.csv", "synthetic-ipv4-500.txt", "32"),
+            ("synthetic-ipv6-500-analyze.csv", "synthetic-ipv6-500.txt", "64"),
+        ],
+    )
+    def test_analyze_matches_golden(self, golden, db, width, tmp_path, capsys):
+        out = tmp_path / golden
+        db_path = str(Path(__file__).parent / "data" / db)
+        code, _, _ = run(capsys, "analyze", "--db", db_path, "--width", width, "--out", str(out))
         assert code == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 

@@ -19,9 +19,15 @@ from tcamtree.errors import (
     MalformedLine,
 )
 from tcamtree.prefixdb import dotted_to_bits
-from tcamtree.trie import build_unibit_trie
 
-from tests.helpers import TABLE1_TEXT, all_addresses, linear_scan_lookup, table1_db, trie_lookup
+from tests.helpers import (
+    TABLE1_TEXT,
+    all_addresses,
+    build_pointer_trie,
+    linear_scan_lookup,
+    table1_db,
+    trie_lookup,
+)
 
 
 @st.composite
@@ -134,7 +140,7 @@ class TestOracle:
     @settings(max_examples=40)
     def test_three_independent_lookups_agree(self, db):
         # dict-probe oracle vs. literal scan vs. trie walk, full space
-        root = build_unibit_trie(db)
+        root = build_pointer_trie(db)
         for address in all_addresses(db.address_width):
             expected = linear_scan_lookup(db, address)
             assert oracle_lookup(db, address) == expected

@@ -13,16 +13,36 @@ from tcamtree import (
 from tcamtree.errors import EmptyDatabase, LevelOutOfRange, TargetTooShort
 from tcamtree.trie import expanded_size
 
-from tests.helpers import expand_prefixes, table1_db, trie_child, trie_lookup
+from tests.helpers import (
+    build_pointer_trie,
+    dfs_nonleaf_counts,
+    expand_prefixes,
+    table1_db,
+    trie_child,
+    trie_lookup,
+)
 
 
 def table1_trie():
     return build_unibit_trie(table1_db())
 
 
+def distinct_prefixes(width, raw):
+    """One Prefix per distinct (length, value) draw, value masked to length."""
+    seen, entries = set(), []
+    for length, value in raw:
+        bits = format(value & ((1 << length) - 1), f"0{length}b") if length else ""
+        if bits not in seen:
+            seen.add(bits)
+            entries.append(Prefix(bits, length, "x"))
+    return PrefixDatabase(width, entries)
+
+
 class TestBuildTrie:
+    """The pointer trie in tests/helpers.py, the reference for the sweep."""
+
     def test_table1_shape(self):
-        root = table1_trie()
+        root = build_pointer_trie(table1_db())
         # depth-1 node "1" stores A; the only deeper branching follows 100
         assert root.one is not None and root.zero is None
         assert root.one.value == "A"
@@ -32,7 +52,7 @@ class TestBuildTrie:
         assert node.zero is not None and node.one is not None  # 1000 and 1001
 
     def test_leaf_depths(self):
-        root = table1_trie()
+        root = build_pointer_trie(table1_db())
         deepest = []
 
         def walk(node):
@@ -45,18 +65,36 @@ class TestBuildTrie:
         assert sorted(deepest) == [5, 5, 6, 6]
 
     def test_empty_database_gives_bare_root(self):
-        root = build_unibit_trie(PrefixDatabase(6))
+        root = build_pointer_trie(PrefixDatabase(6))
         assert root.children == [] and root.value is None
 
     def test_zero_length_entry_stored_at_root(self):
-        root = build_unibit_trie(PrefixDatabase(6, [Prefix("", 0, "X")]))
+        root = build_pointer_trie(PrefixDatabase(6, [Prefix("", 0, "X")]))
         assert root.value == "X" and root.children == []
 
     def test_walk_matches_oracle(self):
         db = table1_db()
-        root = build_unibit_trie(db)
+        root = build_pointer_trie(db)
         assert trie_lookup(root, "100110") == "E"
         assert trie_lookup(root, "011111") == "default"
+
+
+class TestMarkedNodes:
+    """`build_unibit_trie`: the entries as ints, grouped by length."""
+
+    def test_table1_by_depth(self):
+        # A is "1" at depth 1
+        assert table1_trie() == [[], [1], [], [], [0b1000], [0b10001, 0b10010], [0b100110, 0b100111]]
+
+    def test_zero_length_entry_is_depth_0(self):
+        assert build_unibit_trie(PrefixDatabase(6, [Prefix("", 0, "X")])) == [[0]]
+
+    def test_empty_database_has_no_marked_node(self):
+        assert build_unibit_trie(PrefixDatabase(6)) == [[]]
+
+    def test_stops_at_the_deepest_entry(self):
+        db = PrefixDatabase(8, [Prefix("01", 2, "X"), Prefix("", 0, "Y")])
+        assert build_unibit_trie(db) == [[0], [], [1]]
 
 
 class TestLeanLevels:
@@ -95,17 +133,36 @@ class TestLeanLevels:
     def test_counts_bounded_by_width_and_entries(self, data):
         width = data.draw(st.integers(2, 8))
         raw = data.draw(st.lists(st.tuples(st.integers(0, width), st.integers(0, 255)), min_size=1, max_size=30))
-        seen, entries = set(), []
-        for length, value in raw:
-            bits = format(value & ((1 << length) - 1), f"0{length}b") if length else ""
-            if bits not in seen:
-                seen.add(bits)
-                entries.append(Prefix(bits, length, "x"))
-        db = PrefixDatabase(width, entries)
+        db = distinct_prefixes(width, raw)
         lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=width)
         for row in lean.rows:
             assert row.nonleaf_count <= min(1 << row.depth, len(db))
             assert row.worst_overhead == 2 * row.b
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_sweep_equals_pointer_trie_dfs(self, data):
+        width = data.draw(st.integers(1, 12))
+        raw = data.draw(
+            st.lists(st.tuples(st.integers(0, width), st.integers(0, 4095)), min_size=1, max_size=40)
+        )
+        if data.draw(st.booleans()):
+            raw.append((0, 0))  # a /0 entry
+        db = distinct_prefixes(width, raw)
+        deepest = db.max_length()
+        # None, below the deepest entry, at or above it, and above the width
+        max_depth = data.draw(
+            st.one_of(
+                st.none(),
+                st.integers(0, max(deepest - 1, 0)),
+                st.integers(deepest, width),
+                st.integers(width + 1, width + 4),
+            )
+        )
+        lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=max_depth)
+        want = dfs_nonleaf_counts(build_pointer_trie(db), max_depth)
+        assert [r.nonleaf_count for r in lean.rows] == want
+        assert [r.depth for r in lean.rows] == list(range(len(want)))
 
 
 def lpm_over(entries, key):
