@@ -63,8 +63,8 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, list[
     terminal entries to the local maximum length is at most factor times its
     current row count, and an expanded row (tag + key + value) fits the page
     width.  Tables with no terminal entries stay TCAM: expanding pure pointer
-    tables saves nothing.  Parent rows expose the child's kind via
-    TableEntry.child_kind so a walk knows which lookup the next stage runs.
+    tables saves nothing.  A parent row reaches its child's `kind` through
+    its `child` pointer, so a walk knows which lookup the next stage runs.
     """
     level_rows = [0] * len(tree.levels)
     for level_index, tables in enumerate(tree.levels):
@@ -80,7 +80,6 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, list[
             if row_bits > cfg.sram_spec.page_width:
                 continue
             table.kind = SRAM
-            table.sram_key_len = target
             level_rows[level_index] += sram_rows_for_table(table)
     return tree, level_rows
 

@@ -1,7 +1,8 @@
 """Stage mapping and the runtime model: search, insert, delete, overflow.
 
-Placement honors one hard constraint: every block of a child super-table
-lives in a physical stage strictly after every stage used by its parent.
+Placement honors one hard constraint, stated per level: every level's
+blocks and pages sit after every stage of the level above (the RMT stage
+dependency), and `PipelinePlan.place` is the one way to take stage space.
 The walk itself is match/action per level: take the next stride segment,
 look it up, remember the best value seen, descend on the returned child,
 and stop on the first miss or missing child.  Entries that the planned
@@ -13,7 +14,7 @@ tree's by explicit prefix length, overflow winning ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from ._util import ceil_div
 from .errors import (
@@ -61,14 +62,6 @@ class PipelineProfile:
             raise ValueError("per-stage block and page capacities must be >= 0")
 
     @property
-    def total_tcam_blocks(self) -> int:
-        return self.stage_count * self.tcam_blocks_per_stage
-
-    @property
-    def total_sram_pages(self) -> int:
-        return self.stage_count * self.sram_pages_per_stage
-
-    @property
     def is_synthetic_default(self) -> bool:
         return self == PipelineProfile()
 
@@ -102,7 +95,6 @@ class PipelinePlan:
         self._sram_next = [0] * (profile.stage_count + 1)
         self.level_min_stage: dict[int, int] = {}
         self.level_max_stage: dict[int, int] = {}
-        self.edges: list[tuple[int, int]] = []
 
     # -- capacity ------------------------------------------------------------
 
@@ -123,69 +115,47 @@ class PipelinePlan:
             raise AssertionError("can only release the most recent span in a stage")
         nxt[span.stage] -= span.count
 
-    def place(self, amount: int, first_stage: int, last_stage: int, sram: bool):
-        """Contiguous-per-stage spans over consecutive stages, first fit.
+    def window(self, level: int) -> tuple[int, int]:
+        """Stages a level-`level` placement may legally occupy right now: after
+        every stage of the shallower levels, before every stage of the deeper."""
+        first = max((s for l, s in self.level_max_stage.items() if l < level), default=0) + 1
+        last = min(
+            (s for l, s in self.level_min_stage.items() if l > level),
+            default=self.profile.stage_count + 1,
+        ) - 1
+        return first, last
 
-        Returns the span list or None when no start stage within the window
-        can hold the amount with consecutive spill.
-        """
+    def place(self, level: int, amount: int, sram: bool) -> Optional[list[Span]]:
+        """Take `amount` blocks (or SRAM pages) for level `level`: contiguous
+        per-stage spans over consecutive stages of the level's window, first
+        fit, noted in the level's stage bounds.  None when no start stage in
+        the window can hold the amount."""
         if amount == 0:
             return []
-        for start in range(first_stage, last_stage + 1):
+        first, last = self.window(level)
+        for start in range(first, last + 1):
             if self._free(start, sram) <= 0:
                 continue
-            spans = []
+            takes = []
             remaining = amount
             stage = start
-            while remaining > 0:
-                if stage > last_stage:
-                    spans = None
-                    break
+            while remaining > 0 and stage <= last:
                 take = min(self._free(stage, sram), remaining)
                 if take <= 0:
-                    spans = None
                     break
-                spans.append((stage, take))
+                takes.append((stage, take))
                 remaining -= take
                 stage += 1
-            if spans is not None:
-                return [self._take(stage, take, sram) for stage, take in spans]
+            if remaining == 0:
+                lo, hi = start, stage - 1
+                self.level_min_stage[level] = min(self.level_min_stage.get(level, lo), lo)
+                self.level_max_stage[level] = max(self.level_max_stage.get(level, hi), hi)
+                return [self._take(stage, take, sram) for stage, take in takes]
         return None
-
-    def note_level_use(self, level: int, spans: Iterable[Span]):
-        for span in spans:
-            lo = self.level_min_stage.get(level, span.stage)
-            hi = self.level_max_stage.get(level, span.stage)
-            self.level_min_stage[level] = min(lo, span.stage)
-            self.level_max_stage[level] = max(hi, span.stage)
-
-    def window(self, level: int) -> tuple[int, int]:
-        """Stages a level-`level` placement may legally occupy right now."""
-        first = self.level_max_stage.get(level - 1, 0) + 1
-        deeper = [s for l, s in self.level_min_stage.items() if l > level]
-        last = min(deeper) - 1 if deeper else self.profile.stage_count
-        return first, last
 
     def stages_used(self) -> int:
         highs = list(self.level_max_stage.values())
         return max(highs) if highs else 0
-
-    def validate_dependencies(self, supertables: list[SuperTable]):
-        """Assert every parent placement ends before any child placement starts."""
-        for parent, child in self.edges:
-            pmax = max(s.stage for s in self.placements[parent])
-            cmin = min(s.stage for s in self.placements[child])
-            if pmax >= cmin:
-                raise AssertionError(
-                    f"dependency violated: super-table {parent} (stage {pmax})"
-                    f" not before {child} (stage {cmin})"
-                )
-        for level, spans in self.sram_spans.items():
-            if not spans:
-                continue
-            prev = self.level_max_stage.get(level - 1)
-            if prev is not None and min(s.stage for s in spans) <= prev and level > 0:
-                raise AssertionError(f"SRAM pool of level {level} overlaps level {level - 1}")
 
 
 def map_to_pipeline(
@@ -193,59 +163,52 @@ def map_to_pipeline(
     sram_pools: dict[int, int],
     profile: PipelineProfile,
 ) -> PipelinePlan:
-    """Greedy level-by-level placement with first-fit inside each level."""
+    """Level by level, shallowest first: each level's super-tables, then its
+    SRAM pool, placed first fit through `PipelinePlan.place`."""
     plan = PipelinePlan(profile)
     plan.placements = [[] for _ in supertables]
     by_level: dict[int, list[int]] = {}
     for i, st in enumerate(supertables):
         by_level.setdefault(st.level_index, []).append(i)
-    levels = sorted(set(by_level) | set(l for l, pages in sram_pools.items() if pages))
-    floor = 1
-    for level in levels:
-        needs_blocks = sum(supertables[i].allocated_blocks for i in by_level.get(level, []))
-        needs_pages = sram_pools.get(level, 0)
-        if needs_blocks == 0 and needs_pages == 0:
+    for level in sorted(set(by_level) | set(sram_pools)):
+        indices = by_level.get(level, [])
+        pages = sram_pools.get(level, 0)
+        if not pages and not any(supertables[i].allocated_blocks for i in indices):
             continue
-        if floor > profile.stage_count:
+        first, last = plan.window(level)
+        if first > profile.stage_count:
             raise StageDepthExceeded(
-                f"level {level} needs a stage after {floor - 1},"
+                f"level {level} needs a stage after {first - 1},"
                 f" but the profile has only {profile.stage_count}"
             )
-        for i in by_level.get(level, []):
-            st = supertables[i]
-            spans = plan.place(st.allocated_blocks, floor, profile.stage_count, sram=False)
+        for i in indices:
+            blocks = supertables[i].allocated_blocks
+            spans = plan.place(level, blocks, sram=False)
             if spans is None:
-                free = sum(plan._free(s, False) for s in range(floor, profile.stage_count + 1))
+                free = sum(plan._free(s, False) for s in range(first, last + 1))
                 raise CapacityExceeded(
-                    f"cannot place {st.allocated_blocks} blocks for a level-{level}"
-                    f" super-table; {free} blocks free in stages {floor}..{profile.stage_count}",
-                    blocks_short=max(0, st.allocated_blocks - free),
+                    f"cannot place {blocks} blocks for a level-{level}"
+                    f" super-table; {free} blocks free in stages {first}..{last}",
+                    blocks_short=max(0, blocks - free),
                 )
             plan.placements[i] = spans
-            plan.note_level_use(level, spans)
-        if needs_pages:
-            spans = plan.place(needs_pages, floor, profile.stage_count, sram=True)
+        if pages:
+            spans = plan.place(level, pages, sram=True)
             if spans is None:
-                free = sum(plan._free(s, True) for s in range(floor, profile.stage_count + 1))
+                free = sum(plan._free(s, True) for s in range(first, last + 1))
                 raise CapacityExceeded(
-                    f"cannot place {needs_pages} SRAM pages for level {level};"
-                    f" {free} pages free in stages {floor}..{profile.stage_count}",
-                    pages_short=max(0, needs_pages - free),
+                    f"cannot place {pages} SRAM pages for level {level};"
+                    f" {free} pages free in stages {first}..{last}",
+                    pages_short=max(0, pages - free),
                 )
             plan.sram_spans[level] = spans
-            plan.note_level_use(level, spans)
-        floor = plan.level_max_stage[level] + 1
-    # Parent/child edges between placed super-tables, for the dependency invariant.
-    st_of: dict[TreeTable, int] = {}
-    for i, st in enumerate(supertables):
-        for t in st.members:
-            st_of[t] = i
-    for i, st in enumerate(supertables):
-        for t in st.members:
-            for e in t.raw_entries():
-                if e.child in st_of:
-                    plan.edges.append((i, st_of[e.child]))
-    plan.validate_dependencies(supertables)
+    placed = sorted(plan.level_min_stage)
+    for above, below in zip(placed, placed[1:]):
+        if plan.level_max_stage[above] >= plan.level_min_stage[below]:
+            raise AssertionError(
+                f"level {above} reaches stage {plan.level_max_stage[above]},"
+                f" level {below} starts in stage {plan.level_min_stage[below]}"
+            )
     return plan
 
 
@@ -509,12 +472,9 @@ class PipelineState:
         while st.entry_capacity < entries:
             spans: list[Span] = []
             if self.plan is not None:
-                spans = self.plan.place(
-                    st.horizontal_blocks, *self.plan.window(st.level_index), sram=False
-                )
+                spans = self.plan.place(st.level_index, st.horizontal_blocks, sram=False)
                 if spans is None:
                     return False
-                self.plan.note_level_use(st.level_index, spans)
             st.allocated_rows += 1
             rows.append((st, spans))
         return True

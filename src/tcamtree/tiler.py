@@ -122,11 +122,6 @@ class TableEntry:
         star = self.key_bits.find("*")
         return len(self.key_bits) if star < 0 else star
 
-    @property
-    def child_kind(self) -> Optional[str]:
-        # The flag a parent row exposes so the next stage knows which lookup to run.
-        return None if self.child is None else self.child.kind
-
     def __repr__(self):
         mark = "T" if self.is_terminal else "s"
         return f"<{self.key_bits} {mark} {self.bmp_value} child={self.child is not None}>"
@@ -144,7 +139,7 @@ class TreeTable:
     them.
     """
 
-    __slots__ = ("level_index", "stride_width", "start_bit", "kind", "sram_key_len",
+    __slots__ = ("level_index", "stride_width", "start_bit", "kind",
                  "_entries", "_lengths", "_counts")
 
     def __init__(self, level_index: int, stride_width: int, start_bit: int):
@@ -152,9 +147,6 @@ class TreeTable:
         self.stride_width = stride_width
         self.start_bit = start_bit
         self.kind = TCAM
-        # The as-converted SRAM key width, kept for accounting; lookups and
-        # row counts follow the live rows.
-        self.sram_key_len: Optional[int] = None
         self._entries: dict[str, TableEntry] = {}
         self._lengths: tuple[int, ...] = ()
         self._counts: Optional[dict[int, int]] = None

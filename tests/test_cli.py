@@ -8,6 +8,7 @@ from tcamtree.cli import main
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data" / "table1.txt"
 GOLDEN = Path(__file__).parent / "data" / "golden"
+SYNTHETIC_IPV4 = Path(__file__).parent / "data" / "synthetic-ipv4-500.txt"
 
 
 def run(capsys, *argv):
@@ -200,6 +201,30 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag} must be >= 0") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags, profile, line",
+        [
+            (("--strides", "8-8-8-8", "--grain", "8x4"), (2, 1, 80),
+             "cannot place 5 blocks for a level-0 super-table; 2 blocks free in stages 1..2"),
+            (("--strides", "16-4-4-8"), (2, 4, 4),
+             "level 2 needs a stage after 2, but the profile has only 2"),
+            (("--strides", "16-4-4-8", "--hybridize"), (16, 24, 0),
+             "cannot place 1 SRAM pages for level 0; 0 pages free in stages 1..16"),
+        ],
+    )
+    def test_placement_errors(self, flags, profile, line, tmp_path, capsys):
+        stages, blocks, pages = profile
+        path = self.profile(
+            tmp_path, stage_count=stages, tcam_blocks_per_stage=blocks,
+            sram_pages_per_stage=pages,
+        )
+        code, out, err = run(
+            capsys, "plan", "--db", str(SYNTHETIC_IPV4), "--width", "32", *flags,
+            "--profile", path,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {line}\n"
+
     def test_zero_sweep_width(self, capsys):
         code, out, err = run(
             capsys, "sweep-grain", "--db", str(DATA), "--width", "6",
@@ -376,3 +401,37 @@ def test_benchmark_tracer_targets_resolve():
     assert tracer.TARGETS
     for name, owner, attr, _ in tracer.TARGETS:
         assert callable(getattr(owner, attr, None)), name
+
+
+def test_benchmark_counts_the_blocks_the_plan_hands_out(monkeypatch):
+    # perfbench/run.py reports tcam_blocks by reading the stage map's spans; a
+    # PipelinePlan change that breaks that reading must fail here
+    import importlib.util
+    import sys
+
+    from tcamtree import GrainSpec, Prefix, PrefixDatabase, StrideList
+    from tcamtree.pipeline import PipelineProfile, PipelineState
+
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])   # for `gen`
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "perfbench_run", bench)   # its dataclasses look it up
+    fresh_gen = "gen" not in sys.modules
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        if fresh_gen:
+            sys.modules.pop("gen", None)
+
+    db = PrefixDatabase(8, [Prefix(format(i, "06b"), 6, f"h{i}") for i in range(4)])
+    state = PipelineState.planned(
+        db, StrideList.parse("6-2"), grain=GrainSpec(8, 4),
+        profile=PipelineProfile(stage_count=4, tcam_blocks_per_stage=4, sram_pages_per_stage=4),
+    )
+    for i in range(4, 7):
+        state.insert(Prefix(format(i, "06b"), 6, f"h{i}"))
+        state.insert(Prefix(format(i, "06b") + "01", 8, f"g{i}"))
+    assert len(state.overflow) == 0 and state.plan.extra_spans
+    blocks = sum(st.allocated_blocks for st in state.supertables)
+    assert bench.blocks_in_use(state) == blocks == sum(state.plan._tcam_next)

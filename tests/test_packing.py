@@ -77,7 +77,7 @@ class TestHybridize:
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         tree, _ = hybridize(tree, HybridizationConfig(factor=3))
         stub = tree.root.get("100")
-        assert stub.child_kind == SRAM
+        assert stub.child.kind == SRAM
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1.5, 3, 8]))
     @settings(max_examples=25, deadline=None)

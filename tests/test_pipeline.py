@@ -95,8 +95,18 @@ class TestMapToPipeline:
             map_to_pipeline(supers, {}, profile)
         assert err.value.blocks_short > 0
 
+    def test_sram_exhaustion_reports_page_shortfall(self):
+        # level 1's window is stages 2..4, with 8 pages each
+        supers = synthetic_supertables([[1], [1]])
+        profile = PipelineProfile(stage_count=4, tcam_blocks_per_stage=8, sram_pages_per_stage=8)
+        with pytest.raises(CapacityExceeded) as err:
+            map_to_pipeline(supers, {1: 40}, profile)
+        assert err.value.pages_short == 16 and err.value.blocks_short == 0
+        assert str(err.value) == "cannot place 40 SRAM pages for level 1; 24 pages free in stages 2..4"
+
     def test_dependency_invariant_holds_on_random_plans(self):
         rng = random.Random(7)
+        checked = 0
         for _ in range(20):
             width = rng.randint(4, 10)
             db = random_database(rng, width, max_entries=60)
@@ -105,11 +115,20 @@ class TestMapToPipeline:
             state = PipelineState.planned(
                 db, strides, grain=GrainSpec(8, 8), profile=profile
             )
-            state.plan.validate_dependencies(state.supertables)
-            for parent, child in state.plan.edges:
+            st_of = {t: i for i, st_ in enumerate(state.supertables) for t in st_.members}
+            edges = {
+                (i, st_of[e.child])
+                for i, st_ in enumerate(state.supertables)
+                for t in st_.members
+                for e in t.raw_entries()
+                if e.child in st_of
+            }
+            for parent, child in edges:
                 pmax = max(s.stage for s in state.plan.placements[parent])
                 cmin = min(s.stage for s in state.plan.placements[child])
                 assert pmax < cmin
+            checked += len(edges)
+        assert checked
 
     def test_deterministic_given_profile_and_order(self):
         db = table1_db()
@@ -270,7 +289,6 @@ class TestInsert:
             db, StrideList.parse("4"), hybrid=HybridizationConfig(factor=3)
         )
         assert state.tree.root.kind == "sram"
-        assert state.tree.root.sram_key_len == 2
         state.insert(Prefix("0110", 4, "b"))
         assert state.search("0110") == "b"
         assert state.search("0011") == "a"
@@ -429,6 +447,9 @@ def audit(state, planned_supertables):
             low[level] = min(low.get(level, s.stage), s.stage)
             high[level] = max(high.get(level, s.stage), s.stage)
     assert plan.level_min_stage == low and plan.level_max_stage == high
+    # stage order: each level ends before the next placed level begins
+    placed = sorted(low)
+    assert all(high[a] < low[b] for a, b in zip(placed, placed[1:])), (low, high)
 
 
 def interleave_and_audit(seed) -> Counter:
