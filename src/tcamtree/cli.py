@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bounds as bounds_model
-from ._util import ceil_log2, fixed_decimal_str, parse_wxd
+from ._util import fixed_decimal_str, parse_wxd
 from .errors import EmptyDatabase, MalformedLine, PlannerError
 from .packing import (
     HybridizationConfig,
@@ -54,18 +54,10 @@ class PlanConfig:
     overflow_capacity: int = 512
     seed: int = 0
 
-    @property
-    def effective_tag_bits(self) -> int:
-        return self.grain.default_tag_bits if self.tag_bits is None else self.tag_bits
-
     def hybrid_config(self) -> Optional[HybridizationConfig]:
         if not self.hybridize:
             return None
-        return HybridizationConfig(
-            factor=self.factor,
-            sram_spec=self.sram_page,
-            tag_bits=self.effective_tag_bits,
-        )
+        return HybridizationConfig(factor=self.factor, sram_spec=self.sram_page)
 
 
 def _improvement_fields(improvement: Optional[Fraction]) -> dict:
@@ -91,12 +83,6 @@ def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
         hybrid=cfg.hybrid_config(),
         overflow_capacity=cfg.overflow_capacity,
     )
-    baseline_blocks, _ = bounds_model.single_tcam_baseline(
-        len(db), cfg.strides.coverage, cfg.grain
-    )
-    resources = resource_totals(
-        state.supertables, state.sram_rows, cfg.grain, cfg.sram_page, baseline_blocks
-    )
     lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=cfg.strides.coverage)
     split_level = cfg.strides.boundaries[0] if len(cfg.strides) >= 2 else None
     breport = bounds_model.build_report(
@@ -107,6 +93,9 @@ def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
         grain=cfg.grain,
         lean=lean,
         split_level=split_level,
+    )
+    resources = resource_totals(
+        state.supertables, state.sram_rows, cfg.grain, cfg.sram_page, breport.baseline_blocks
     )
     report = _render_report(db, cfg, state, resources, breport, threshold)
     return state, report
@@ -168,7 +157,7 @@ def _render_report(db, cfg, state, resources, breport, threshold) -> dict:
             "address_width": cfg.address_width,
             "strides": str(cfg.strides),
             "grain": str(cfg.grain),
-            "tag_bits": cfg.effective_tag_bits,
+            "tag_bits": state.tag_bits,
             "hybridize": cfg.hybridize,
             "conversion_factor": str(cfg.factor) if cfg.hybridize else None,
             "sram_page": str(cfg.sram_page),
@@ -348,7 +337,7 @@ def sweep_rows(db, strides: StrideList, widths, depth_rule: str, reference: Grai
         _, single_bits = bounds_model.single_tcam_baseline(
             len(db), max(threshold.length, 1), grain
         )
-        supertables = tag_and_pack(tree, grain, ceil_log2(depth))
+        supertables = tag_and_pack(tree, grain, grain.default_tag_bits)
         plan_bits = sum(st.block_count for st in supertables) * grain.bits
         tree_bits = min(plan_bits, single_bits)
         rows.append(
@@ -440,7 +429,8 @@ def _add_plan_arguments(sub):
     sub.add_argument("--width", required=True, type=int, help="address width in bits")
     sub.add_argument("--strides", required=True, help="hyphen-joined strides, e.g. 19-29-16")
     sub.add_argument("--grain", default="44x512", help="TCAM block geometry WxD")
-    sub.add_argument("--tag-bits", type=int, default=None, help="tag width; default ceil(log2 depth)")
+    sub.add_argument("--tag-bits", type=int, default=None,
+                     help="tag width of super-tables and SRAM rows; default ceil(log2 grain depth)")
     sub.add_argument("--hybridize", action="store_true", help="convert eligible tables to SRAM")
     sub.add_argument("--factor", default="3", help="conversion factor for hybridization")
     sub.add_argument("--sram-page", default="128x1024", help="SRAM page geometry WxD")

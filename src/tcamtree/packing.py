@@ -15,7 +15,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from ._util import ceil_div, ceil_log2
+from ._util import ceil_div
 from .errors import TagOverflow
 from .tiler import SRAM, TCAM, GrainSpec, TcamTree, TreeTable, blocks_for_table
 from .trie import covered_ranges, expanded_size
@@ -36,35 +36,31 @@ class SramPageSpec:
         return f"{self.page_width}x{self.page_depth}"
 
 
+VALUE_BITS = 16   # assumed result width per pooled SRAM row; not published
+
+
 @dataclass(frozen=True)
 class HybridizationConfig:
     factor: Fraction = Fraction(3)          # expansion budget: expanded <= factor * rows
     sram_spec: SramPageSpec = SramPageSpec()
-    value_bits: int = 16                    # assumed result width per row; not published
-    tag_bits: Optional[int] = None          # disambiguator budget for pooled rows
 
     def __post_init__(self):
         object.__setattr__(self, "factor", Fraction(str(self.factor)) if isinstance(self.factor, float) else Fraction(self.factor))
         if self.factor < 1:
             raise ValueError("conversion factor must be >= 1")
 
-    @property
-    def effective_tag_bits(self) -> int:
-        if self.tag_bits is not None:
-            return self.tag_bits
-        return ceil_log2(self.sram_spec.page_depth)
 
-
-def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, list[int]]:
-    """Re-mark eligible tables as SRAM, in place; returns (tree, pooled rows
-    per level).
+def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[int]:
+    """Re-mark eligible tables as SRAM, in place; returns the pooled rows per
+    level.
 
     Runs before tagging.  A table qualifies when the expansion of its own
     terminal entries to the local maximum length is at most factor times its
-    current row count, and an expanded row (tag + key + value) fits the page
-    width.  Tables with no terminal entries stay TCAM: expanding pure pointer
-    tables saves nothing.  A parent row reaches its child's `kind` through
-    its `child` pointer, so a walk knows which lookup the next stage runs.
+    current row count, and an expanded row (`tag_bits` + key + `VALUE_BITS`)
+    fits the page width.  Tables with no terminal entries stay TCAM: expanding
+    pure pointer tables saves nothing.  A parent row reaches its child's
+    `kind` through its `child` pointer, so a walk knows which lookup the next
+    stage runs.
     """
     level_rows = [0] * len(tree.levels)
     for level_index, tables in enumerate(tree.levels):
@@ -74,14 +70,14 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig) -> tuple[TcamTree, list[
                 continue
             target = table.max_local_length()
             expanded = expanded_size(terminals, target)
-            row_bits = cfg.effective_tag_bits + target + cfg.value_bits
+            row_bits = tag_bits + target + VALUE_BITS
             if expanded > cfg.factor * table.entry_count:
                 continue
             if row_bits > cfg.sram_spec.page_width:
                 continue
             table.kind = SRAM
             level_rows[level_index] += sram_rows_for_table(table)
-    return tree, level_rows
+    return level_rows
 
 
 def sram_rows_for_table(table: TreeTable) -> int:
@@ -186,19 +182,13 @@ def _emit_group(level_index, group, tag_bits, grain, out):
         out.extend(SuperTable(level_index, 0, [(0, t)], grain) for t in group)
 
 
-def tag_and_pack(
-    tree: TcamTree,
-    grain: GrainSpec,
-    tag_bits: Optional[int] = None,
-) -> list[SuperTable]:
+def tag_and_pack(tree: TcamTree, grain: GrainSpec, tag_bits: int) -> list[SuperTable]:
     """Group each level's TCAM tables into super-tables.
 
     Tables are taken largest-first (pairing large with small bounds the size of
     any one group) and a group closes at 2**tag_bits members.  The root stays
     alone and untagged; SRAM tables are never tagged.
     """
-    if tag_bits is None:
-        tag_bits = grain.default_tag_bits
     result: list[SuperTable] = []
     for level_index, tables in enumerate(tree.levels):
         tcams = [t for t in tables if t.kind == TCAM]

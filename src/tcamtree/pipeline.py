@@ -25,7 +25,6 @@ from .errors import (
 )
 from .packing import (
     HybridizationConfig,
-    SramPageSpec,
     SuperTable,
     hybridize,
     sram_rows_for_table,  # noqa: F401 -- perfbench/tracer.py times it through this module
@@ -41,7 +40,6 @@ from .tiler import (
     build_tree,
     tree_delete,
     tree_insert,
-    walk,
 )
 
 
@@ -317,18 +315,18 @@ class PipelineState:
     ) -> "PipelineState":
         """The one constructor: tree, optional hybridization, packing, and
         placement when a profile is given.  Without one, updates count block
-        rows but never refuse one."""
+        rows but never refuse one.  `tag_bits` (default: the grain's) is the
+        plan's one tag width, for super-tables and pooled SRAM rows alike."""
         tag = grain.default_tag_bits if tag_bits is None else tag_bits
         tree = build_tree(db.restricted(strides.coverage), strides)
         level_rows: list[int] = []
         if hybrid is not None:
-            tree, level_rows = hybridize(tree, hybrid)
+            level_rows = hybridize(tree, hybrid, tag)
         supertables = tag_and_pack(tree, grain, tag)
         plan = None
         if profile is not None:
-            page_depth = (hybrid.sram_spec.page_depth if hybrid else SramPageSpec().page_depth)
             pools = {
-                level_index: ceil_div(rows, page_depth)
+                level_index: ceil_div(rows, hybrid.sram_spec.page_depth)
                 for level_index, rows in enumerate(level_rows)
                 if rows
             }
@@ -366,11 +364,6 @@ class PipelineState:
             raise ValueError(f"address must be exactly {self.address_width} bits of 0/1")
         value, _ = self.lookup_with_length(address)
         return value if value is not None else DEFAULT_NEXT_HOP
-
-    def contains(self, bits: str) -> bool:
-        _, table, rest = walk(self.tree, bits)
-        row = table.get(rest.ljust(table.stride_width, "*"))
-        return (row is not None and row.is_terminal) or self.overflow.contains(bits)
 
     # -- updates -----------------------------------------------------------------
 

@@ -41,9 +41,6 @@ class Prefix:
         if not self.next_hop:
             raise ValueError("next_hop must be non-empty")
 
-    def matches(self, address: str) -> bool:
-        return address.startswith(self.bits)
-
     def padded(self, width: int) -> str:
         return self.bits + "0" * (width - self.length)
 
@@ -92,13 +89,6 @@ class PrefixDatabase:
 
     def max_length(self) -> int:
         return max((p.length for p in self.entries), default=0)
-
-    def contains(self, bits: str) -> bool:
-        length = len(bits)
-        for l, table in self._by_length:
-            if l == length:
-                return bits in table
-        return False
 
     def restricted(self, max_length: int) -> "PrefixDatabase":
         """Entries with length <= max_length, original order preserved."""

@@ -121,7 +121,7 @@ class TestReport:
             strides = random_strides(rng, width)
             grain = GrainSpec(rng.choice([4, 8, 16]), rng.choice([4, 8, 16]))
             tree = build_tree(db, strides)
-            supers = tag_and_pack(tree, grain)
+            supers = tag_and_pack(tree, grain, grain.default_tag_bits)
             report = resource_totals(
                 supers, 0, grain, SramPageSpec(),
                 single_tcam_baseline(len(db), width, grain)[0],

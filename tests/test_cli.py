@@ -1,9 +1,24 @@
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tcamtree.cli import main
+from tcamtree import (
+    GrainSpec,
+    HybridizationConfig,
+    PipelineState,
+    SramPageSpec,
+    StrideList,
+    parse_file,
+)
+from tcamtree.cli import PlanConfig, build_plan, main
+from tcamtree.tiler import TCAM
+
+from tests.helpers import random_database, random_strides
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data" / "table1.txt"
@@ -139,6 +154,68 @@ class TestPlan:
         report = json.loads(out)
         assert report["pipeline"]["stage_count"] == 2
         assert report["notes"] == []
+
+
+class TestTagWidth:
+    """One plan has one tag width: the library and the CLI size super-tables
+    and pooled SRAM rows with the same one."""
+
+    def test_library_and_cli_agree_on_the_ipv4_hybrid_root(self, capsys):
+        # with the plan's 14 tag bits a 16-bit root key does not fit a 42-bit
+        # page row (14 + 16 + 16 > 42), so the root stays in TCAM; a tag sized
+        # from the 1,024-row page depth (10 bits) would let it convert
+        db = parse_file(SYNTHETIC_IPV4, 32)
+        state = PipelineState.planned(
+            db, StrideList.parse("16-4-4-8"), tag_bits=14,
+            hybrid=HybridizationConfig(factor=3, sram_spec=SramPageSpec(42, 1024)),
+        )
+        assert state.tree.root.kind == TCAM
+        assert state.sram_rows == 813
+        assert sum(st.block_count for st in state.supertables) == 3
+        code, out, _ = run(
+            capsys, "plan", "--db", str(SYNTHETIC_IPV4), "--width", "32",
+            "--strides", "16-4-4-8", "--tag-bits", "14", "--hybridize", "--factor", "3",
+            "--sram-page", "42x1024",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["tree"]["levels"][0]["sram_tables"] == 0
+        assert report["resources"]["sram_entries"] == 813
+        assert report["resources"]["tcam_blocks_post_tag"] == 3
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.integers(0, 14)),
+        st.sampled_from([Fraction(3, 2), Fraction(3), Fraction(8)]),
+        st.integers(16, 30),
+        st.sampled_from([4, 16, 1024]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_planned_equals_build_plan(self, seed, tag_bits, factor, page_slack, page_depth):
+        # page widths of max stride + [16, 30] put the tag on the conversion
+        # boundary, and page depths differ from the grain's, so a tag width
+        # taken from anywhere but the plan changes which tables convert
+        rng = random.Random(seed)
+        width = rng.randint(3, 10)
+        db = random_database(rng, width, max_entries=60)
+        strides = random_strides(rng, width)
+        grain = GrainSpec(rng.choice([8, 16]), rng.choice([4, 8]))
+        page = SramPageSpec(max(strides) + page_slack, page_depth)
+        state = PipelineState.planned(
+            db, strides, grain=grain, tag_bits=tag_bits,
+            hybrid=HybridizationConfig(factor=factor, sram_spec=page),
+        )
+        cfg = PlanConfig(
+            db_path="db.txt", address_width=width, strides=strides, grain=grain,
+            tag_bits=tag_bits, hybridize=True, factor=factor, sram_page=page,
+        )
+        cli_state, report = build_plan(db, cfg, map_stages=False)
+        kinds = [[t.kind for t in tables] for tables in state.tree.levels]
+        assert kinds == [[t.kind for t in tables] for tables in cli_state.tree.levels]
+        assert state.sram_rows == cli_state.sram_rows == report["resources"]["sram_entries"]
+        blocks = sum(st.block_count for st in state.supertables)
+        assert blocks == report["resources"]["tcam_blocks_post_tag"]
+        assert state.tag_bits == report["config"]["tag_bits"]
 
 
 class TestBadInput:
@@ -388,9 +465,7 @@ class TestSweep:
             assert int(cols[2]) == expected
 
 
-def test_benchmark_tracer_targets_resolve():
-    # perfbench/run.py --trace 1 patches these names; a rename must fail here,
-    # not only in the multi-minute perfbench smoke test
+def load_tracer():
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -398,9 +473,36 @@ def test_benchmark_tracer_targets_resolve():
     )
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/run.py --trace 1 patches these names; a rename must fail here,
+    # not only in the multi-minute perfbench smoke test
+    tracer = load_tracer()
     assert tracer.TARGETS
     for name, owner, attr, _ in tracer.TARGETS:
         assert callable(getattr(owner, attr, None)), name
+
+
+def test_benchmark_tracer_records_the_planning_layers():
+    # the per-layer metrics read these spans and hot counts; a call that stops
+    # going through a patched name would quietly read zero
+    from tcamtree import cli
+
+    t = load_tracer().Tracer()
+    cfg = PlanConfig(
+        db_path=str(DATA), address_width=6, strides=StrideList.parse("3-3"), hybridize=True
+    )
+    db = parse_file(DATA, 6)
+    t.install()
+    try:
+        cli.build_plan(db, cfg)
+    finally:
+        t.uninstall()
+    names = {span[0] for span in t.spans}
+    assert {"packing.hybridize", "packing.tag_and_pack", "pipeline.map_to_pipeline"} <= names
+    assert t.hot_snapshot()["packing.sram_rows_for_table"][0] > 0
 
 
 def test_benchmark_counts_the_blocks_the_plan_hands_out(monkeypatch):

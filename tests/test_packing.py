@@ -44,7 +44,7 @@ class TestHybridize:
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         (child,) = tree.levels[1]
         assert child.max_local_length() == 3
-        tree, rows = hybridize(tree, HybridizationConfig(factor=3))
+        rows = hybridize(tree, HybridizationConfig(factor=3), 9)
         assert child.kind == SRAM
         # child expands to 8 exact keys; the root (4 keys incl. the stub) converts too
         assert rows == [4, 8]
@@ -52,7 +52,7 @@ class TestHybridize:
     def test_factor_1_5_keeps_child_ternary(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         (child,) = tree.levels[1]
-        tree, rows = hybridize(tree, HybridizationConfig(factor=1.5))
+        rows = hybridize(tree, HybridizationConfig(factor=1.5), 9)
         assert child.kind == TCAM
         assert sum(rows) == 0
 
@@ -61,7 +61,7 @@ class TestHybridize:
 
         db = PrefixDatabase(4, [Prefix("0011", 4, "X")])
         tree = build_tree(db, StrideList.parse("2-2"))
-        tree, _ = hybridize(tree, HybridizationConfig(factor=8))
+        hybridize(tree, HybridizationConfig(factor=8), 9)
         assert tree.root.kind == TCAM  # only a stub lives in the root
         (child,) = tree.levels[1]
         assert child.kind == SRAM
@@ -69,13 +69,13 @@ class TestHybridize:
     def test_page_width_feasibility_gate(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         narrow = HybridizationConfig(factor=8, sram_spec=SramPageSpec(page_width=20, page_depth=1024))
-        tree, rows = hybridize(tree, narrow)
+        rows = hybridize(tree, narrow, 10)
         # 10 tag + 3 key + 16 value > 20: nothing converts
         assert sum(rows) == 0 and all(t.kind == TCAM for t in tree.all_tables())
 
     def test_parent_rows_expose_child_kind(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
-        tree, _ = hybridize(tree, HybridizationConfig(factor=3))
+        hybridize(tree, HybridizationConfig(factor=3), 9)
         stub = tree.root.get("100")
         assert stub.child.kind == SRAM
 
@@ -89,7 +89,8 @@ class TestHybridize:
         grain = GrainSpec(8, 4)
         plain = build_tree(db, strides)
         plain_blocks = pre_tag_blocks(plain, grain)
-        hybrid, rows = hybridize(build_tree(db, strides), HybridizationConfig(factor=factor))
+        hybrid = build_tree(db, strides)
+        rows = hybridize(hybrid, HybridizationConfig(factor=factor), 9)
         assert pre_tag_blocks(hybrid, grain) <= plain_blocks
         assert rows == [
             sum(sram_rows_for_table(t) for t in tables if t.kind == SRAM)
@@ -130,7 +131,7 @@ class TestTagAndPack:
 
     def test_sram_tables_excluded(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
-        tree, _ = hybridize(tree, HybridizationConfig(factor=8))
+        hybridize(tree, HybridizationConfig(factor=8), 9)
         assert tag_and_pack(tree, GrainSpec(44, 512), 9) == []
 
     def test_members_recoverable_by_tag(self):
@@ -150,7 +151,7 @@ class TestTagAndPack:
         strides = random_strides(rng, width)
         grain = GrainSpec(rng.choice([4, 8, 12]), rng.choice([4, 8, 16]))
         tree = build_tree(db, strides)
-        supers = tag_and_pack(tree, grain)
+        supers = tag_and_pack(tree, grain, grain.default_tag_bits)
         report = resource_totals(supers, 0, grain, SramPageSpec(), baseline_blocks=1)
         assert report.tcam_blocks_post_tag <= report.tcam_blocks_pre_tag
         assert report.tcam_blocks_pre_tag == pre_tag_blocks(tree, grain)

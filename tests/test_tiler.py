@@ -179,7 +179,7 @@ class TestProbeIndex:
         db = random_database(rng, width, max_entries=30)
         tree = build_tree(db, random_strides(rng, width))
         if hybrid:
-            hybridize(tree, HybridizationConfig(factor=rng.choice([1.5, 3, 8])))
+            hybridize(tree, HybridizationConfig(factor=rng.choice([1.5, 3, 8])), 9)
         live = {p.bits: p for p in db.entries}
         check_index(tree, rng)
         for _ in range(30):
