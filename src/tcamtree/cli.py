@@ -481,6 +481,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.width < 1:
+            raise ValueError(f"--width must be >= 1, got {args.width}")
         if args.command == "analyze":
             db = parse_file(args.db, args.width)
             if len(db) == 0:

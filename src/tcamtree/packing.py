@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from ._util import ceil_div
 from .errors import TagOverflow
 from .tiler import SRAM, TCAM, GrainSpec, TcamTree, TreeTable, blocks_for_table
-from .trie import covered_ranges, expanded_size
+from .trie import covered_ranges
 
 
 @dataclass(frozen=True)
@@ -63,28 +63,33 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
     stage runs.
     """
     level_rows = [0] * len(tree.levels)
+    # expanded <= factor * rows, in integers
+    num, den = cfg.factor.numerator, cfg.factor.denominator
     for level_index, tables in enumerate(tree.levels):
         for table in tables:
             terminals = table.terminal_prefixes()
             if not terminals:
                 continue
             target = table.max_local_length()
-            expanded = expanded_size(terminals, target)
-            row_bits = tag_bits + target + VALUE_BITS
-            if expanded > cfg.factor * table.entry_count:
+            if tag_bits + target + VALUE_BITS > cfg.sram_spec.page_width:
                 continue
-            if row_bits > cfg.sram_spec.page_width:
+            # The one expansion per table: its size decides the conversion
+            # and its ranges count the pooled rows.
+            ranges = covered_ranges(terminals, target)
+            if sum(hi - lo for lo, hi in ranges) * den > num * table.entry_count:
                 continue
             table.kind = SRAM
-            level_rows[level_index] += sram_rows_for_table(table)
+            level_rows[level_index] += sram_rows_for_table(table, ranges)
     return level_rows
 
 
-def sram_rows_for_table(table: TreeTable) -> int:
+def sram_rows_for_table(table: TreeTable, ranges: Optional[list[tuple[int, int]]] = None) -> int:
     """Exact-match rows a converted table occupies: the expanded terminal keys
     plus any stub keys the expansion does not already cover.  Uses the live
-    expansion width, matching the lookup path."""
-    ranges = covered_ranges(table.terminal_prefixes(), table.max_local_length())
+    expansion width, matching the lookup path; `ranges`, when given, are that
+    expansion's covered ranges, already computed."""
+    if ranges is None:
+        ranges = covered_ranges(table.terminal_prefixes(), table.max_local_length())
     starts = [lo for lo, _ in ranges]
     rows = sum(hi - lo for lo, hi in ranges)
     for e in table.raw_entries():

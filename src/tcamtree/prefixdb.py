@@ -88,10 +88,13 @@ class PrefixDatabase:
         )
 
     def max_length(self) -> int:
-        return max((p.length for p in self.entries), default=0)
+        return self._by_length[0][0] if self._by_length else 0
 
     def restricted(self, max_length: int) -> "PrefixDatabase":
-        """Entries with length <= max_length, original order preserved."""
+        """Entries with length <= max_length, original order preserved.  The
+        database is immutable, so when nothing is cut it is its own answer."""
+        if self.max_length() <= max_length:
+            return self
         return PrefixDatabase(
             self.address_width, [p for p in self.entries if p.length <= max_length]
         )

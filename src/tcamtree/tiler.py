@@ -89,7 +89,11 @@ class StrideList:
 
     @classmethod
     def parse(cls, text: str) -> "StrideList":
-        return cls(tuple(int(part) for part in text.split("-")))
+        try:
+            strides = tuple(int(part) for part in text.split("-"))
+        except ValueError:
+            raise ValueError(f"strides must be dash-separated integers, got {text!r}") from None
+        return cls(strides)
 
     def __str__(self):
         return "-".join(str(s) for s in self.strides)
@@ -131,7 +135,8 @@ class TreeTable:
     """One node of the tree: a ternary table over `stride_width` bits.
 
     The lookup index is `_entries` plus `_lengths`, the distinct specified
-    lengths present, longest first; `put` and `remove` keep it current.
+    lengths present, longest first; `put` and `remove` keep it current, and
+    `build_tree` writes both directly, one level at a time.
     A `remove` checks whether a length lost its last row by probing that
     length's keys.  Once the probes would outnumber the rows left (and some
     are left), the table counts its rows per specified length in `_counts`
@@ -382,7 +387,8 @@ def walk(tree: TcamTree, bits: str):
 
 
 def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
-    """Insert one prefix, creating stub/child chains as needed.
+    """Insert one prefix, creating stub/child chains as needed: the update
+    path of a built tree (`build_tree` builds a whole database in one sweep).
 
     Returns the tables that gained a row, shallowest first.  Safe under
     arbitrary insertion order: a new terminal refreshes the inherited values
@@ -465,11 +471,17 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
 
 
 def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
-    """Build the fixed-stride tree for a whole database.
+    """Build the fixed-stride tree for a whole database, one sweep per level.
 
-    Deterministic: prefixes are inserted in (length, file order), so the
-    order in which tables are created, which packing follows, depends only
-    on the database.
+    The sweep runs over the prefixes stably sorted by length, so (length,
+    file) order.  At each level, the prefixes that end there become terminal
+    rows of their table; each longer one keys a child table by its bits up to
+    the level's end, created at that key's first occurrence.  So each level's
+    tables come out in (length, file) order of their first prefix, which
+    packing follows, and the tree equals the one `tree_insert` grows from the
+    same order.  All of a table's terminals come before any of its stubs in
+    that order, so each new stub row takes its inherited value from one
+    `local_lpm` call and no row is ever refreshed.
     """
     if strides.coverage > db.address_width:
         raise ValueError(
@@ -482,10 +494,46 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
             f" (first: {too_long[0]})"
         )
     tree = TcamTree(strides, db.address_width)
-    for _, _, p in sorted(
-        ((p.length, i, p) for i, p in enumerate(db.entries)), key=lambda t: (t[0], t[1])
-    ):
-        tree_insert(tree, p.bits, p.next_hop)
+    # The prefixes still alive at a level, and beside them the table each
+    # one has reached: two parallel lists, not a tuple per prefix, because
+    # every container object the sweep allocates beyond the rows themselves
+    # brings the garbage collector's passes closer.
+    alive = sorted(db.entries, key=lambda p: p.length)
+    owners = [tree.root] * len(alive)
+    end = 0
+    for level_index, s in enumerate(strides.strides):
+        start, end = end, end + s
+        deeper, deeper_owners = [], []
+        for p, table in zip(alive, owners):
+            bits = p.bits
+            if len(bits) > end:
+                deeper.append(p)
+                deeper_owners.append(table)
+                continue
+            rest = bits[start:]
+            local = len(rest)
+            key = rest + "*" * (s - local)
+            table._entries[key] = TableEntry(key, p.next_hop, local, True, None)
+            # Lengths arrive in ascending order, so the tuple stays longest first.
+            lengths = table._lengths
+            if not lengths or lengths[0] != local:
+                table._lengths = (local,) + lengths
+        for j, p in enumerate(deeper):
+            table = deeper_owners[j]
+            key = p.bits[start:end]
+            entry = table._entries.get(key)
+            if entry is None:
+                value, length = table.local_lpm(key)
+                child = tree.new_table(level_index + 1)
+                table._entries[key] = TableEntry(key, value, length, False, child)
+                if s not in table._lengths:
+                    table._lengths = (s,) + table._lengths
+            elif entry.child is None:   # a full-length terminal takes the stub's child
+                child = entry.child = tree.new_table(level_index + 1)
+            else:
+                child = entry.child
+            deeper_owners[j] = child
+        alive, owners = deeper, deeper_owners
     return tree
 
 

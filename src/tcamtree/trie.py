@@ -123,9 +123,3 @@ def covered_ranges(
         else:
             merged.append((lo, hi))
     return merged
-
-
-def expanded_size(entries: Iterable[tuple[str, int, str]], target_length: int) -> int:
-    """Distinct-key count of that expansion: the size of an interval union,
-    which stays cheap even when the expansion itself would not."""
-    return sum(hi - lo for lo, hi in covered_ranges(entries, target_length))

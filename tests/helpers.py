@@ -20,7 +20,7 @@ from tcamtree import Prefix, PrefixDatabase, StrideList, blocks_for_table, parse
 from tcamtree.errors import DuplicatePrefix, TargetTooShort
 from tcamtree.pipeline import PipelineState, tree_lookup
 from tcamtree.prefixdb import DEFAULT_NEXT_HOP
-from tcamtree.tiler import TCAM
+from tcamtree.tiler import TCAM, TcamTree, tree_insert
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -142,8 +142,9 @@ def trie_lookup(root, address: str) -> str:
 
 
 def expand_prefixes(entries, target_length: int) -> dict[str, str]:
-    """Reference for `expanded_size`: rewrite each entry as all its
-    `target_length`-bit completions, longer originals winning.
+    """Reference for the expansion that `covered_ranges` measures: rewrite
+    each entry as all its `target_length`-bit completions, longer originals
+    winning.
 
     Exact-match lookup on the result equals longest-prefix-match on the input
     for every target_length-bit key that some entry covers.
@@ -166,6 +167,15 @@ def expand_prefixes(entries, target_length: int) -> dict[str, str]:
         for key in range(base, base + span):
             out[format(key, f"0{target_length}b")] = value
     return out
+
+
+def build_tree_by_inserts(db: PrefixDatabase, strides: StrideList) -> TcamTree:
+    """Reference for `build_tree`: one `tree_insert` per prefix, in (length,
+    file) order, through the update path."""
+    tree = TcamTree(strides, db.address_width)
+    for p in sorted(db.entries, key=lambda p: p.length):
+        tree_insert(tree, p.bits, p.next_hop)
+    return tree
 
 
 def pre_tag_blocks(tree, grain) -> int:

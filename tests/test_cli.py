@@ -302,6 +302,25 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err == f"error: {line}\n"
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("analyze", ()),
+            ("plan", ("--strides", "3-3")),
+            ("verify", ("--strides", "3-3")),
+            ("sweep-grain", ("--strides", "3-3", "--widths", "44")),
+        ],
+    )
+    def test_nonpositive_width_is_named(self, command, extra, capsys):
+        # checked before parsing, which would blame the first line's length
+        code, out, err = run(capsys, command, "--db", str(DATA), "--width", "-3", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: --width must be >= 1, got -3\n"
+
+    def test_malformed_strides_are_named(self, capsys):
+        err = self.plan_error(capsys, "--strides", "16-x")
+        assert err == "error: strides must be dash-separated integers, got '16-x'\n"
+
     def test_zero_sweep_width(self, capsys):
         code, out, err = run(
             capsys, "sweep-grain", "--db", str(DATA), "--width", "6",

@@ -12,13 +12,16 @@ from tcamtree import (
     build_tree,
     hybridize,
     oracle_lookup,
+    parse_file,
     resource_totals,
     tag_and_pack,
 )
+from tcamtree import packing, trie
 from tcamtree.packing import sram_rows_for_table
 from tcamtree.tiler import SRAM, TCAM, TcamTree, TableEntry
 
 from tests.helpers import (
+    DATA_DIR,
     all_addresses,
     pre_tag_blocks,
     random_database,
@@ -48,6 +51,23 @@ class TestHybridize:
         assert child.kind == SRAM
         # child expands to 8 exact keys; the root (4 keys incl. the stub) converts too
         assert rows == [4, 8]
+
+    def test_each_candidate_is_expanded_once(self, monkeypatch):
+        calls = []
+        covered_ranges = trie.covered_ranges
+
+        def counted(entries, target):
+            calls.append(target)
+            return covered_ranges(entries, target)
+
+        for module in (packing, trie):
+            monkeypatch.setattr(module, "covered_ranges", counted)
+        db = parse_file(DATA_DIR / "synthetic-ipv4-500.txt", 32)
+        tree = build_tree(db, StrideList.parse("16-4-4-8"))
+        hybridize(tree, HybridizationConfig(factor=3), 14)
+        candidates = sum(1 for t in tree.all_tables() if t.terminal_prefixes())
+        assert any(t.kind == SRAM for t in tree.all_tables())
+        assert 0 < len(calls) <= candidates
 
     def test_factor_1_5_keeps_child_ternary(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))

@@ -182,3 +182,17 @@ class TestRestricted:
         db = table1_db()
         small = db.restricted(5)
         assert [p.next_hop for p in small.entries] == ["A", "B", "C", "D"]
+
+    def test_nothing_cut_returns_the_same_database(self):
+        db = table1_db()
+        assert db.restricted(6) is db
+        assert db.restricted(64) is db
+        empty = PrefixDatabase(6)
+        assert empty.restricted(0) is empty
+
+    def test_cut_returns_a_copy_in_file_order(self):
+        db = table1_db()
+        small = db.restricted(4)
+        assert small is not db
+        assert small.entries == tuple(p for p in db.entries if p.length <= 4)
+        assert small.address_width == db.address_width

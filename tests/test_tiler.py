@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,16 @@ from tcamtree import (
     compute_lean_levels,
     hybridize,
     oracle_lookup,
+    parse_file,
 )
+from tcamtree import tiler
 from tcamtree.errors import BudgetZero, DuplicatePrefix, PrefixExceedsCoverage
 from tcamtree.tiler import StrideSearchConfig, TreeTable, tree_delete, tree_insert
 
 from tests.helpers import (
+    DATA_DIR,
     all_addresses,
+    build_tree_by_inserts,
     ordered_scan_lookup,
     random_database,
     random_strides,
@@ -133,6 +138,90 @@ class TestBuildTree:
                 assert stubs == lean.nonleaf(boundary)
         for address in all_addresses(width):
             assert tree_search(tree, address) == oracle_lookup(db, address)
+
+
+def build_view(tree):
+    """What a build must reproduce: the nested rows, and per level, in table
+    creation order, each table's sorted keys and its length index."""
+    return (
+        tree.structure(),
+        [[sorted(t._entries) for t in level] for level in tree.levels],
+        [[t._lengths for t in level] for level in tree.levels],
+    )
+
+
+def edge_case_database(rng, width, strides):
+    """A random database plus the cases a level sweep can get wrong: a
+    length-0 prefix, a prefix ending on each stride boundary, and a longer
+    prefix under each of those, whose stub merges with that full-length
+    terminal.  File order is shuffled."""
+    entries = {p.bits: p for p in random_database(rng, width, max_entries=40).entries}
+    extra = [""]
+    for boundary in strides.boundaries:
+        head = format(rng.getrandbits(boundary), f"0{boundary}b")
+        extra.append(head)
+        if boundary < width:
+            tail = rng.randint(1, width - boundary)
+            extra.append(head + format(rng.getrandbits(tail), f"0{tail}b"))
+    for bits in extra:
+        entries.setdefault(bits, Prefix(bits, len(bits), f"x{rng.randint(0, 9)}"))
+    order = list(entries.values())
+    rng.shuffle(order)
+    return PrefixDatabase(width, order)
+
+
+class TestBulkBuild:
+    """`build_tree` sweeps each level once; `tree_insert`, the update path,
+    is its oracle."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_tree_equals_insert_built_tree_under_updates(self, seed, single_stride):
+        rng = random.Random(seed)
+        width = rng.randint(2, 12)
+        strides = StrideList((width,)) if single_stride else random_strides(rng, width)
+        db = edge_case_database(rng, width, strides)
+        bulk, reference = build_tree(db, strides), build_tree_by_inserts(db, strides)
+        assert build_view(bulk) == build_view(reference)
+        assert all(t._counts is None for t in bulk.all_tables())
+        live = {p.bits for p in db.entries}
+        for _ in range(30):
+            if live and rng.random() < 0.5:
+                bits = rng.choice(sorted(live))
+                live.discard(bits)
+                for tree in (bulk, reference):
+                    tree_delete(tree, bits)
+            else:
+                length = rng.randint(0, width)
+                bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
+                if bits in live:
+                    continue
+                live.add(bits)
+                hop = f"u{rng.randint(0, 9)}"
+                for tree in (bulk, reference):
+                    tree_insert(tree, bits, hop)
+        assert build_view(bulk) == build_view(reference)
+
+    def test_build_walks_no_prefix_and_refreshes_no_row(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(tiler, "tree_insert", counting("tree_insert", tiler.tree_insert))
+        monkeypatch.setattr(tiler, "walk", counting("walk", tiler.walk))
+        for name in ("rows_under", "local_lpm"):
+            monkeypatch.setattr(TreeTable, name, counting(name, getattr(TreeTable, name)))
+        db = parse_file(DATA_DIR / "synthetic-ipv4-500.txt", 32)
+        tree = build_tree(db, StrideList.parse("16-4-4-8"))
+        stubs = sum(t.pure_stub_count() for t in tree.all_tables())
+        assert stubs > 0
+        assert calls["tree_insert"] == calls["walk"] == calls["rows_under"] == 0
+        assert calls["local_lpm"] <= stubs
 
 
 class CountingDict(dict):

@@ -11,7 +11,7 @@ from tcamtree import (
     compute_lean_levels,
 )
 from tcamtree.errors import EmptyDatabase, LevelOutOfRange, TargetTooShort
-from tcamtree.trie import expanded_size
+from tcamtree.trie import covered_ranges
 
 from tests.helpers import (
     build_pointer_trie,
@@ -210,6 +210,6 @@ class TestExpandPrefixes:
         for key in (format(v, f"0{target}b") for v in range(1 << target)):
             assert out.get(key) == lpm_over(entries, key)
         # the interval-union size never enumerates but must agree exactly
-        assert expanded_size(entries, target) == len(out)
+        assert sum(hi - lo for lo, hi in covered_ranges(entries, target)) == len(out)
         covered = sum(1 << (target - length) for _, length, _ in entries)
         assert len(out) <= covered
