@@ -56,6 +56,7 @@ from .trie import (
     LeanLevelTable,
     build_unibit_trie,
     compute_lean_levels,
+    lean_row,
 )
 
 __all__ = [
@@ -85,6 +86,7 @@ __all__ = [
     "choose_strides",
     "compute_lean_levels",
     "hybridize",
+    "lean_row",
     "lower_bound_bits",
     "map_to_pipeline",
     "max_savings_factor",

@@ -10,7 +10,7 @@ from typing import Optional
 
 from ._util import ceil_div, ceil_log2
 from .tiler import GrainSpec
-from .trie import LeanLevelTable
+from .trie import LeanLevelRow
 
 
 def lower_bound_bits(entry_count: int, grain: GrainSpec) -> int:
@@ -47,21 +47,22 @@ class TilingCondition:
 
 
 def tiling_condition(
-    threshold_length: int, lean: LeanLevelTable, grain: GrainSpec, level: int
+    threshold_length: int, split: LeanLevelRow, grain: GrainSpec
 ) -> TilingCondition:
-    """Can a two-level tree split at `level` fit tagged suffixes in one grain word?
+    """Can a two-level tree split at `split.depth` fit tagged suffixes in one
+    grain word?
 
-    Feasible when threshold_length - level + ceil(log2 depth) < grain width; the
-    entry overhead is then bounded by twice the level's pointer fraction.
+    Feasible when threshold_length - split.depth + ceil(log2 grain.depth) <
+    grain.width; the entry overhead is then bounded by twice the split level's
+    pointer fraction.
     """
-    row = lean.row(level)
-    lhs = threshold_length - level + ceil_log2(grain.depth)
+    lhs = threshold_length - split.depth + ceil_log2(grain.depth)
     return TilingCondition(
-        level=level,
-        b=row.b,
+        level=split.depth,
+        b=split.b,
         lhs=lhs,
         feasible=lhs < grain.width,
-        epsilon_bound=2 * row.b / 100,
+        epsilon_bound=2 * split.b / 100,
     )
 
 
@@ -92,19 +93,17 @@ def build_report(
     threshold_length: int,
     baseline_width: int,
     grain: GrainSpec,
-    lean: Optional[LeanLevelTable] = None,
-    split_level: Optional[int] = None,
+    split: Optional[LeanLevelRow] = None,
 ) -> BoundsReport:
-    """Assemble the model outputs for one database and grain.
+    """Assemble the model outputs for one database and grain; the tiling check
+    runs when the lean-level row of a split is given.
 
     Two savings caps are reported: one against the baseline width actually
     used, one against the threshold length, since the two differ whenever the
     baseline is built wider than the length that covers most entries.
     """
     blocks, bits = single_tcam_baseline(entry_count, baseline_width, grain)
-    tiling = None
-    if lean is not None and split_level is not None:
-        tiling = tiling_condition(threshold_length, lean, grain, split_level)
+    tiling = None if split is None else tiling_condition(threshold_length, split, grain)
     return BoundsReport(
         entry_count=entry_count,
         max_length=max_length,

@@ -36,7 +36,7 @@ from .prefixdb import (
     parse_file,
 )
 from .tiler import SRAM, GrainSpec, StrideList, build_tree
-from .trie import build_unibit_trie, compute_lean_levels
+from .trie import build_unibit_trie, compute_lean_levels, lean_row
 
 
 @dataclass
@@ -83,16 +83,14 @@ def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
         hybrid=cfg.hybrid_config(),
         overflow_capacity=cfg.overflow_capacity,
     )
-    lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=cfg.strides.coverage)
-    split_level = cfg.strides.boundaries[0] if len(cfg.strides) >= 2 else None
+    split = lean_row(db, cfg.strides.boundaries[0]) if len(cfg.strides) >= 2 else None
     breport = bounds_model.build_report(
         entry_count=len(db),
         max_length=db.max_length(),
         threshold_length=threshold.length,
         baseline_width=cfg.strides.coverage,
         grain=cfg.grain,
-        lean=lean,
-        split_level=split_level,
+        split=split,
     )
     resources = resource_totals(
         state.supertables, state.sram_rows, cfg.grain, cfg.sram_page, breport.baseline_blocks
@@ -406,6 +404,14 @@ def _require_nonnegative(args, *names):
             raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
+def _fraction_flag(args, name: str) -> Fraction:
+    raw = getattr(args, name)
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{name} must be a fraction or decimal, got {raw!r}") from None
+
+
 def _plan_config(args) -> PlanConfig:
     _require_nonnegative(args, "tag_bits", "overflow_capacity")
     return PlanConfig(
@@ -415,10 +421,10 @@ def _plan_config(args) -> PlanConfig:
         grain=GrainSpec(*parse_wxd(args.grain)),
         tag_bits=args.tag_bits,
         hybridize=args.hybridize,
-        factor=Fraction(str(args.factor)),
+        factor=_fraction_flag(args, "factor"),
         sram_page=SramPageSpec(*parse_wxd(args.sram_page)),
         profile=_load_profile(args.profile),
-        coverage=Fraction(str(args.coverage)),
+        coverage=_fraction_flag(args, "coverage"),
         overflow_capacity=args.overflow_capacity,
         seed=args.seed,
     )
@@ -519,16 +525,17 @@ def main(argv=None) -> int:
             _write_output(f"PASS {checked}/{checked}\n", args.out)
             return 0
         if args.command == "sweep-grain":
+            try:
+                widths = [int(w) for w in args.widths.split(",")]
+            except ValueError:
+                raise ValueError(
+                    f"--widths must be comma-separated integers, got {args.widths!r}"
+                ) from None
+            strides = StrideList.parse(args.strides)
+            reference = GrainSpec(*parse_wxd(args.grain))
+            coverage = _fraction_flag(args, "coverage")
             db = parse_file(args.db, args.width)
-            widths = [int(w) for w in args.widths.split(",")]
-            rows = sweep_rows(
-                db,
-                StrideList.parse(args.strides),
-                widths,
-                args.depth_rule,
-                GrainSpec(*parse_wxd(args.grain)),
-                Fraction(str(args.coverage)),
-            )
+            rows = sweep_rows(db, strides, widths, args.depth_rule, reference, coverage)
             _write_output(render_sweep_csv(rows), args.out)
             return 0
     except (PlannerError, ValueError, OSError) as exc:

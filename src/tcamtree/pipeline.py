@@ -317,7 +317,7 @@ class PipelineState:
         placement when a profile is given.  Without one, updates count block
         rows but never refuse one.  `tag_bits` (default: the grain's) is the
         plan's one tag width, for super-tables and pooled SRAM rows alike."""
-        tag = grain.default_tag_bits if tag_bits is None else tag_bits
+        tag = grain.tag_width(tag_bits)
         tree = build_tree(db.restricted(strides.coverage), strides)
         level_rows: list[int] = []
         if hybrid is not None:

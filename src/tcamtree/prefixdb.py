@@ -56,17 +56,16 @@ class PrefixDatabase:
             raise ValueError("address_width must be >= 1")
         self.address_width = address_width
         self.entries: tuple[Prefix, ...] = tuple(entries)
-        seen = set()
         by_length: dict[int, dict[str, str]] = {}
         for p in self.entries:
             if p.length > address_width:
                 raise LengthOutOfRange(
                     f"prefix {p} longer than address width {address_width}"
                 )
-            if p.bits in seen:
+            table = by_length.setdefault(p.length, {})
+            if p.bits in table:
                 raise DuplicatePrefix(f"duplicate prefix {p}")
-            seen.add(p.bits)
-            by_length.setdefault(p.length, {})[p.bits] = p.next_hop
+            table[p.bits] = p.next_hop
         # Descending-length probe order for oracle_lookup.
         self._by_length = [(l, by_length[l]) for l in sorted(by_length, reverse=True)]
 

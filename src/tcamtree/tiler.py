@@ -50,6 +50,10 @@ class GrainSpec:
     def default_tag_bits(self) -> int:
         return ceil_log2(self.depth)
 
+    def tag_width(self, tag_bits: Optional[int]) -> int:
+        """A plan's one tag width: `tag_bits` when given, else the grain's default."""
+        return self.default_tag_bits if tag_bits is None else tag_bits
+
     def __str__(self):
         return f"{self.width}x{self.depth}"
 
@@ -554,10 +558,6 @@ class StrideSearchConfig:
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
 
-    @property
-    def effective_tag_bits(self) -> int:
-        return self.grain.default_tag_bits if self.tag_bits is None else self.tag_bits
-
 
 @dataclass(frozen=True)
 class ScoredStrides:
@@ -594,7 +594,7 @@ def choose_strides(
     levels = range(1, cfg.coverage)
     if cfg.budget == 0 and any(lean.nonleaf(l) > 0 for l in levels):
         raise BudgetZero("no split can satisfy a zero overhead budget")
-    tag = cfg.effective_tag_bits
+    tag = cfg.grain.tag_width(cfg.tag_bits)
     w = cfg.grain.width
     accepted = []
     for combo in combinations(levels, cfg.height - 1):

@@ -2,7 +2,8 @@
 
 The lean levels are the per-depth counts of trie nodes with a child.  They
 are counted bottom-up over sets of ints, one depth at a time, from the
-entries grouped by length; no trie node is ever allocated.
+entries grouped by length; no trie node is ever allocated.  `lean_row`
+counts a single depth straight from the entries.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class LeanLevelRow:
     b: Fraction                  # 100 * nonleaf_count / N, kept exact
     worst_overhead: Fraction     # 2 * b: pointer waste plus packing waste
 
+    @classmethod
+    def counted(cls, depth: int, nonleaf_count: int, total_prefixes: int) -> "LeanLevelRow":
+        b = Fraction(100 * nonleaf_count, total_prefixes)
+        return cls(depth, nonleaf_count, b, 2 * b)
+
 
 class LeanLevelTable:
     """Per-depth non-leaf counts; low counts mark cheap places to cut the trie."""
@@ -55,9 +61,6 @@ class LeanLevelTable:
 
     def nonleaf(self, depth: int) -> int:
         return self.row(depth).nonleaf_count
-
-    def b(self, depth: int) -> Fraction:
-        return self.row(depth).b
 
     def to_csv(self, min_level: int = 1, max_level: Optional[int] = None) -> str:
         if max_level is None:
@@ -95,11 +98,20 @@ def compute_lean_levels(
             counts[depth] = len(parents)
         parents.update(marked[depth])
         nodes = parents
-    rows = []
-    for depth, n in enumerate(counts):
-        b = Fraction(100 * n, total_prefixes)
-        rows.append(LeanLevelRow(depth, n, b, 2 * b))
+    rows = (LeanLevelRow.counted(depth, n, total_prefixes) for depth, n in enumerate(counts))
     return LeanLevelTable(rows, total_prefixes)
+
+
+def lean_row(db: PrefixDatabase, depth: int) -> LeanLevelRow:
+    """The lean level at one depth, equal to `compute_lean_levels`' row there:
+    a depth-d node has a child exactly when it is the d-bit prefix of a longer
+    entry, so count those prefixes without sweeping the other depths."""
+    if len(db) < 1:
+        raise EmptyDatabase("lean levels need at least one prefix")
+    if depth < 0:
+        raise LevelOutOfRange(f"no lean-level row for depth {depth}")
+    nonleaf = len({p.bits[:depth] for p in db.entries if p.length > depth})
+    return LeanLevelRow.counted(depth, nonleaf, len(db))
 
 
 def covered_ranges(

@@ -296,7 +296,7 @@ def test_criterion_5_two_level_construction_bound():
             n = len(db)
             lean = compute_lean_levels(build_unibit_trie(db), n, max_depth=max_length)
             assert lean.nonleaf(pivot_depth) == k, "construction must plant the lean level"
-            cond = tiling_condition(max_length, lean, GRAIN, pivot_depth)
+            cond = tiling_condition(max_length, lean.row(pivot_depth), GRAIN)
             assert cond.lhs == max_length - pivot_depth + 9 < GRAIN.width
             assert cond.feasible
             tree = build_tree(db, StrideList((pivot_depth, max_length - pivot_depth)))
@@ -325,7 +325,7 @@ def test_criterion_6_closed_form_checkpoints():
         + [LeanLevelRow(19, 450, Fraction(3, 10), Fraction(3, 5))],
         150000,
     )
-    cond = tiling_condition(48, lean, GRAIN, 19)
+    cond = tiling_condition(48, lean.row(19), GRAIN)
     assert cond.lhs == 38
     assert cond.feasible
     assert cond.epsilon_bound == Fraction(6, 1000)

@@ -69,28 +69,28 @@ class TestMaxSavingsFactor:
 
 class TestTilingCondition:
     def test_feasible_split(self):
-        cond = tiling_condition(48, lean_with(19, "0.3"), GRAIN, 19)
+        cond = tiling_condition(48, lean_with(19, "0.3").row(19), GRAIN)
         assert cond.lhs == 38
         assert cond.feasible
         assert cond.epsilon_bound == Fraction(3, 500)  # exactly 0.006
 
     def test_infeasible_shallow_split(self):
-        cond = tiling_condition(48, lean_with(3, "0.3"), GRAIN, 3)
+        cond = tiling_condition(48, lean_with(3, "0.3").row(3), GRAIN)
         assert cond.lhs == 54
         assert not cond.feasible
 
     def test_boundary_case_equal_width(self):
         # threshold equal to the grain width: lhs == width, strict inequality fails
-        cond = tiling_condition(44, lean_with(9, "1"), GRAIN, 9)
+        cond = tiling_condition(44, lean_with(9, "1").row(9), GRAIN)
         assert cond.lhs == 44
         assert not cond.feasible
 
     def test_missing_level_raises(self):
         with pytest.raises(LevelOutOfRange):
-            tiling_condition(48, lean_with(3, "0.3"), GRAIN, 19)
+            tiling_condition(48, lean_with(3, "0.3").row(19), GRAIN)
 
     def test_all_rational_arithmetic(self):
-        cond = tiling_condition(48, lean_with(19, "0.3"), GRAIN, 19)
+        cond = tiling_condition(48, lean_with(19, "0.3").row(19), GRAIN)
         assert isinstance(cond.lhs, int)
         assert isinstance(cond.epsilon_bound, Fraction)
         assert isinstance(cond.b, Fraction)
@@ -106,8 +106,7 @@ class TestReport:
             threshold_length=6,
             baseline_width=6,
             grain=GRAIN,
-            lean=lean,
-            split_level=3,
+            split=lean.row(3),
         )
         assert report.lower_bound_bits <= report.baseline_bits
         assert report.max_savings_factor_baseline_width >= 1

@@ -156,6 +156,43 @@ class TestPlan:
         assert report["notes"] == []
 
 
+class TestLeanWork:
+    """`plan` reads the lean level at one depth and counts only that one;
+    `analyze` prints every depth and sweeps them all."""
+
+    def test_plan_sweeps_no_depth_and_analyze_sweeps(self, monkeypatch, capsys):
+        import tcamtree.cli
+
+        calls = []
+
+        def counted(name):
+            original = getattr(tcamtree.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("build_plan swept the lean levels")
+
+        db = parse_file(SYNTHETIC_IPV4, 32)
+        cfg = PlanConfig(
+            db_path=str(SYNTHETIC_IPV4), address_width=32, strides=StrideList.parse("16-4-4-8")
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(tcamtree.cli, "build_unibit_trie", no_sweep)
+            patch.setattr(tcamtree.cli, "compute_lean_levels", no_sweep)
+            _, report = build_plan(db, cfg)
+        assert report["bounds"]["tiling"]["level"] == 16
+        for name in ("build_unibit_trie", "compute_lean_levels"):
+            monkeypatch.setattr(tcamtree.cli, name, counted(name))
+        code, _, _ = run(capsys, "analyze", "--db", str(SYNTHETIC_IPV4), "--width", "32")
+        assert code == 0
+        assert calls == ["build_unibit_trie", "compute_lean_levels"]
+
+
 class TestTagWidth:
     """One plan has one tag width: the library and the CLI size super-tables
     and pooled SRAM rows with the same one."""
@@ -321,6 +358,34 @@ class TestBadInput:
         err = self.plan_error(capsys, "--strides", "16-x")
         assert err == "error: strides must be dash-separated integers, got '16-x'\n"
 
+    @pytest.mark.parametrize("value", ["1/0", "abc"])
+    @pytest.mark.parametrize(
+        "command, flag, extra",
+        [
+            ("plan", "--factor", ("--strides", "3-3", "--hybridize")),
+            ("verify", "--factor", ("--strides", "3-3", "--hybridize")),
+            ("plan", "--coverage", ("--strides", "3-3")),
+            ("verify", "--coverage", ("--strides", "3-3")),
+            ("sweep-grain", "--coverage", ("--strides", "3-3", "--widths", "44")),
+        ],
+    )
+    def test_bad_fraction_is_named(self, command, flag, extra, value, capsys):
+        # 1/0 used to end in a ZeroDivisionError traceback and exit 1; flags
+        # are checked before the database is read, so the missing file is not
+        code, out, err = run(
+            capsys, command, "--db", "/nonexistent/db.txt", "--width", "6", *extra, flag, value
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be a fraction or decimal, got '{value}'\n"
+
+    def test_malformed_sweep_widths_are_named(self, capsys):
+        code, out, err = run(
+            capsys, "sweep-grain", "--db", "/nonexistent/db.txt", "--width", "6",
+            "--strides", "3-3", "--widths", "18,x",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --widths must be comma-separated integers, got '18,x'\n"
+
     def test_zero_sweep_width(self, capsys):
         code, out, err = run(
             capsys, "sweep-grain", "--db", str(DATA), "--width", "6",
@@ -357,6 +422,9 @@ class TestGolden:
                 "synthetic-ipv6-500-19-29-16.json",
                 "tests/data/synthetic-ipv6-500.txt 64 --strides 19-29-16",
             ),
+            # 111111/6 overflows the 2-2 coverage and still counts in the
+            # tiling check's b_percent: 200/3, where the tree alone gives 100/3
+            ("overflow-2-2.json", "tests/data/overflow.txt 6 --strides 2-2"),
         ],
     )
     def test_plan_matches_golden(self, golden, argv, tmp_path, monkeypatch, capsys):

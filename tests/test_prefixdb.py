@@ -67,6 +67,13 @@ class TestParse:
         with pytest.raises(DuplicatePrefix):
             parse_database("1000/4 B\n100000/4 C\n", 6)
 
+    def test_duplicate_prefix_messages(self):
+        # the parser names the line; the database names only the prefix
+        with pytest.raises(DuplicatePrefix, match=r"^line 2: duplicate prefix 1000/4$"):
+            parse_database("1000/4 B\n1000/4 C\n", 6)
+        with pytest.raises(DuplicatePrefix, match=r"^duplicate prefix 10/2$"):
+            PrefixDatabase(6, [Prefix("10", 2, "a"), Prefix("10", 2, "b")])
+
     def test_length_out_of_range(self):
         with pytest.raises(LengthOutOfRange):
             parse_database("1000/7 B\n", 6)

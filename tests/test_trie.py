@@ -9,6 +9,7 @@ from tcamtree import (
     Prefix,
     build_unibit_trie,
     compute_lean_levels,
+    lean_row,
 )
 from tcamtree.errors import EmptyDatabase, LevelOutOfRange, TargetTooShort
 from tcamtree.trie import covered_ranges
@@ -163,6 +164,33 @@ class TestLeanLevels:
         want = dfs_nonleaf_counts(build_pointer_trie(db), max_depth)
         assert [r.nonleaf_count for r in lean.rows] == want
         assert [r.depth for r in lean.rows] == list(range(len(want)))
+
+
+class TestLeanRow:
+    """`lean_row` counts one depth directly; the sweep is its reference."""
+
+    def test_table1_depth3(self):
+        assert lean_row(table1_db(), 3) == compute_lean_levels(table1_trie(), 6).row(3)
+
+    def test_requires_nonempty_and_nonnegative_depth(self):
+        with pytest.raises(EmptyDatabase):
+            lean_row(PrefixDatabase(6), 3)
+        with pytest.raises(LevelOutOfRange):
+            lean_row(table1_db(), -1)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_equals_the_sweep_at_every_depth(self, data):
+        width = data.draw(st.integers(1, 12))
+        raw = data.draw(
+            st.lists(st.tuples(st.integers(0, width), st.integers(0, 4095)), min_size=1, max_size=40)
+        )
+        raw.append((0, 0))  # a /0 entry
+        raw.append((width, data.draw(st.integers(0, 4095))))  # a full-width entry
+        db = distinct_prefixes(width, raw)
+        lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=width)
+        for depth in range(width + 1):
+            assert lean_row(db, depth) == lean.row(depth)
 
 
 def lpm_over(entries, key):
