@@ -436,6 +436,39 @@ class TestGolden:
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     @pytest.mark.parametrize(
+        "golden, shape, flags",
+        [
+            ("ipv4-hybrid-50k.json", "IPV4",
+             "--strides 16-4-4-8 --hybridize --factor 3 --tag-bits 14"),
+            ("ipv6-tcam-50k.json", "IPV6", "--strides 19-29-16"),
+        ],
+    )
+    def test_benchmark_plan_matches_golden(self, golden, shape, flags, tmp_path, monkeypatch,
+                                           capsys):
+        # the seed-1 50k tables of the benchmark's two workloads, written under
+        # a fixed relative name, since the report names its database
+        import sys
+
+        from tcamtree.prefixdb import serialize
+
+        monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        fresh_gen = "gen" not in sys.modules
+        import gen
+
+        if fresh_gen:
+            sys.modules.pop("gen")
+        db, _ = gen.make_table(getattr(gen, shape), 50_000, 1)
+        monkeypatch.chdir(tmp_path)
+        Path("table.txt").write_bytes(serialize(db).encode())
+        code, _, _ = run(
+            capsys, "plan", "--db", "table.txt", "--width", str(db.address_width),
+            *flags.split(), "--out", golden,
+        )
+        assert code == 0
+        assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize(
         "golden, db, width",
         [
             ("synthetic-ipv4-500-analyze.csv", "synthetic-ipv4-500.txt", "32"),
