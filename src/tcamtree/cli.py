@@ -239,7 +239,10 @@ def read_trace(path, width: int):
             if "." in line:
                 if width != 32:
                     raise MalformedLine(lineno, "dotted addresses need width 32")
-                line = dotted_to_bits(line)
+                try:
+                    line = dotted_to_bits(line)
+                except ValueError as exc:
+                    raise MalformedLine(lineno, str(exc)) from None
             if len(line) != width or line.strip("01"):
                 raise MalformedLine(lineno, f"expected a {width}-bit address")
             addresses.append(line)
@@ -385,7 +388,10 @@ def _load_profile(path: Optional[str]) -> PipelineProfile:
     if path is None:
         return PipelineProfile()
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8
+            raise ValueError(f"profile {path}: {exc}") from None
     keys = ("stage_count", "tcam_blocks_per_stage", "sram_pages_per_stage")
     if not isinstance(raw, dict):
         raise ValueError(f"profile {path}: expected a JSON object with keys {', '.join(keys)}")

@@ -92,10 +92,7 @@ def sram_rows_for_table(table: TreeTable, ranges: Optional[list[tuple[int, int]]
         ranges = covered_ranges(table.terminal_prefixes(), table.max_local_length())
     starts = [lo for lo, _ in ranges]
     rows = sum(hi - lo for lo, hi in ranges)
-    for e in table.raw_entries():
-        if e.child is None:
-            continue
-        key = int(e.key_bits, 2)
+    for key, _ in table.stubs():
         i = bisect_right(starts, key) - 1
         if i < 0 or key >= ranges[i][1]:
             rows += 1

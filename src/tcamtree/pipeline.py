@@ -261,15 +261,17 @@ def tree_lookup(tree: TcamTree, address: str) -> tuple[Optional[str], int]:
     """Walk the table tree; returns (value, matched prefix length) or (None, -1)."""
     table: Optional[TreeTable] = tree.root
     value, vlen = None, -1
-    pos = 0
+    rest = int(address, 2)
+    rest_len = len(address)
     while table is not None:
-        segment = address[pos : pos + table.stride_width]
+        rest_len -= table.stride_width
+        segment = rest >> rest_len
+        rest &= (1 << rest_len) - 1
         hit, v, local_len, child = table.lookup(segment)
         if not hit:
             break
         if v is not None:
             value, vlen = v, table.start_bit + local_len
-        pos += table.stride_width
         table = child
     return value, vlen
 

@@ -23,7 +23,7 @@ from .errors import DuplicatePrefix, EmptyDatabase, LengthOutOfRange, MalformedL
 DEFAULT_NEXT_HOP = "default"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prefix:
     """One route entry: significant bits (MSB first), their count, a next-hop label."""
 
@@ -175,7 +175,12 @@ def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabas
 
 def parse_file(path, address_width: int) -> PrefixDatabase:
     with open(path, "rb") as fh:
-        return parse_database(fh.read(), address_width)
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parse_database(text, address_width)
 
 
 def serialize(db: PrefixDatabase) -> str:

@@ -10,16 +10,20 @@ terminal entries.
 Keys are unique within a table and prefix-shaped, so at most one entry of
 each specified length matches a segment, and the longest such entry is the
 first match of a priority-ordered ternary scan.  TCAM and SRAM tables
-therefore share one lookup: probe the entry dict once per specified length
-present, longest first (per-length hashing, as in Waldvogel et al. and
-Srinivasan & Varghese).  The index is kept current by the writes that add or
-remove a row, so searches are read-only.
+therefore share one lookup: each table keeps one map per specified length,
+keyed by the int value of the specified bits, and a lookup probes them
+longest first with the segment shifted down to each length (per-length
+hashing, as in Waldvogel et al.; int keys as in Srinivasan & Varghese's
+controlled prefix expansion).  Keys and segments are ints throughout; the
+ternary text of a key (`key_text`) is made only for dumps.  The maps are kept
+current by the writes that add or remove a row, so searches are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from operator import attrgetter
 from typing import Optional
 
 from ._util import ceil_div, ceil_log2
@@ -111,160 +115,158 @@ def blocks_for_table(table_width: int, table_depth: int, grain: GrainSpec) -> in
 
 
 class TableEntry:
-    """One ternary row: key, optional value (with the local length that produced
-    it), optional child pointer.  `is_terminal` marks values that belong to a
-    database prefix ending in this table, as opposed to values inherited by a
-    stub from the table's own terminals."""
+    """One ternary row's payload: optional value (with the local length that
+    produced it), optional child pointer.  `is_terminal` marks values that
+    belong to a database prefix ending in this table, as opposed to values
+    inherited by a stub from the table's own terminals.  The row's key and
+    specified length are where its table files it."""
 
-    __slots__ = ("key_bits", "bmp_value", "bmp_local_len", "is_terminal", "child")
+    __slots__ = ("bmp_value", "bmp_local_len", "is_terminal", "child")
 
-    def __init__(self, key_bits, bmp_value, bmp_local_len, is_terminal, child):
-        self.key_bits = key_bits
+    def __init__(self, bmp_value, bmp_local_len, is_terminal, child):
         self.bmp_value = bmp_value
         self.bmp_local_len = bmp_local_len
         self.is_terminal = is_terminal
         self.child = child
 
-    @property
-    def specified_len(self) -> int:
-        star = self.key_bits.find("*")
-        return len(self.key_bits) if star < 0 else star
-
     def __repr__(self):
         mark = "T" if self.is_terminal else "s"
-        return f"<{self.key_bits} {mark} {self.bmp_value} child={self.child is not None}>"
+        return f"<{mark} {self.bmp_value} child={self.child is not None}>"
+
+
+def key_text(key: int, length: int, width: int) -> str:
+    """A row's key as ternary text, for dumps: its `length` specified bits,
+    then don't-cares up to `width`."""
+    return (format(key, f"0{length}b") if length else "") + "*" * (width - length)
+
+
+class LengthRows(dict):
+    """The rows of one specified length, `length`: the int value of each
+    row's specified bits mapped to the row."""
+
+    __slots__ = ("length",)
 
 
 class TreeTable:
     """One node of the tree: a ternary table over `stride_width` bits.
 
-    The lookup index is `_entries` plus `_lengths`, the distinct specified
-    lengths present, longest first; `put` and `remove` keep it current, and
-    `build_tree` writes both directly, one level at a time.
-    A `remove` checks whether a length lost its last row by probing that
-    length's keys.  Once the probes would outnumber the rows left (and some
-    are left), the table counts its rows per specified length in `_counts`
-    and keeps the counts from then on; tables that only grow never pay for
-    them.
+    The lookup index is `_by_length`, one `LengthRows` map per specified
+    length present, longest first.  A length enters with its first row and
+    leaves when its map empties, so no write counts or probes anything to
+    keep the index current.  Stubs are full-length rows, so they all sit in
+    the stride's own map.
     """
 
-    __slots__ = ("level_index", "stride_width", "start_bit", "kind",
-                 "_entries", "_lengths", "_counts")
+    __slots__ = ("level_index", "stride_width", "start_bit", "kind", "_by_length")
 
     def __init__(self, level_index: int, stride_width: int, start_bit: int):
         self.level_index = level_index
         self.stride_width = stride_width
         self.start_bit = start_bit
         self.kind = TCAM
-        self._entries: dict[str, TableEntry] = {}
-        self._lengths: tuple[int, ...] = ()
-        self._counts: Optional[dict[int, int]] = None
+        self._by_length: tuple[LengthRows, ...] = ()
 
     # -- structure ---------------------------------------------------------
 
-    def put(self, entry: TableEntry):
-        """Store `entry` under its key, replacing any row there."""
-        length = entry.specified_len
-        if self._counts is not None and entry.key_bits not in self._entries:
-            self._counts[length] = self._counts.get(length, 0) + 1
-        self._entries[entry.key_bits] = entry
-        if length not in self._lengths:
-            self._lengths = tuple(sorted(self._lengths + (length,), reverse=True))
+    def _rows_of(self, length: int) -> Optional[LengthRows]:
+        for rows in self._by_length:
+            if rows.length == length:
+                return rows
+        return None
 
-    def remove(self, key_bits: str):
-        entries = self._entries
-        length = entries[key_bits].specified_len
-        if self._counts is None and 1 < len(entries) <= (1 << length):
-            self._counts = counts = {}
-            for e in entries.values():
-                l = e.specified_len
-                counts[l] = counts.get(l, 0) + 1
-        del entries[key_bits]
-        counts = self._counts
-        if counts is None:
-            last = next(self.rows_under("", length), None) is None
-        else:
-            counts[length] -= 1
-            last = not counts[length]
-            if last:
-                del counts[length]
-        # A row's specified length never changes, so a length leaves the
-        # index only with its last row.
-        if last:
-            self._lengths = tuple(l for l in self._lengths if l != length)
+    def rows_for(self, length: int) -> LengthRows:
+        """The map of `length`, added to the index if missing; the caller
+        stores a row in it, so no map is left empty."""
+        for rows in self._by_length:
+            if rows.length == length:
+                return rows
+        rows = LengthRows()
+        rows.length = length
+        maps = (rows, *self._by_length)
+        self._by_length = tuple(sorted(maps, key=attrgetter("length"), reverse=True))
+        return rows
 
-    def rows_under(self, bits: str, length: int):
-        """Rows of specified length `length` whose keys start with `bits`:
-        probes each candidate key, or scans the table when it holds fewer
-        rows than there are candidates."""
-        free = length - len(bits)
-        pad = "*" * (self.stride_width - length)
-        entries = self._entries
-        if (1 << free) <= len(entries):
-            for tail in product("01", repeat=free):
-                e = entries.get(bits + "".join(tail) + pad)
+    def remove(self, length: int, key: int):
+        rows = self._rows_of(length)
+        del rows[key]
+        if not rows:
+            self._by_length = tuple(filter(None, self._by_length))
+
+    def get(self, length: int, key: int) -> Optional[TableEntry]:
+        rows = self._rows_of(length)
+        return None if rows is None else rows.get(key)
+
+    def rows_under(self, key: int, length: int):
+        """Full-length rows whose keys start with the `length`-bit `key`:
+        probes each candidate key, or scans the full-length rows when there
+        are fewer of them than candidates."""
+        rows = self._rows_of(self.stride_width)
+        if not rows:
+            return
+        free = self.stride_width - length
+        if (1 << free) <= len(rows):
+            low = key << free
+            for k in range(low, low + (1 << free)):
+                e = rows.get(k)
                 if e is not None:
                     yield e
         else:
-            for e in entries.values():
-                if e.key_bits.startswith(bits) and e.specified_len == length:
+            for k, e in rows.items():
+                if k >> free == key:
                     yield e
-
-    def get(self, key_bits: str) -> Optional[TableEntry]:
-        return self._entries.get(key_bits)
 
     @property
     def entry_count(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._by_length))
 
-    def entries(self) -> list[TableEntry]:
-        """Entries in match priority order: descending specified bits, then key.
-        Same-length keys are disjoint, so the key order never decides a match."""
-        return sorted(self._entries.values(), key=lambda e: (-e.specified_len, e.key_bits))
+    def rows(self) -> list[tuple[int, int, TableEntry]]:
+        """(length, key, entry) in match priority order: descending specified
+        length, then key.  Same-length keys are disjoint, so the key order
+        never decides a match."""
+        return [(rows.length, k, rows[k]) for rows in self._by_length for k in sorted(rows)]
 
     def raw_entries(self):
-        return self._entries.values()
+        return [e for rows in self._by_length for e in rows.values()]
 
-    def terminal_prefixes(self) -> list[tuple[str, int, str]]:
-        """(bits, length, value) for database prefixes that end in this table."""
-        out = []
-        for e in self._entries.values():
-            if e.is_terminal:
-                out.append((e.key_bits[: e.bmp_local_len], e.bmp_local_len, e.bmp_value))
-        return out
+    def terminal_prefixes(self) -> list[tuple[int, int, str]]:
+        """(key, length, value) for database prefixes that end in this table."""
+        return [
+            (k, rows.length, e.bmp_value)
+            for rows in self._by_length
+            for k, e in rows.items()
+            if e.is_terminal
+        ]
+
+    def stubs(self) -> list[tuple[int, TableEntry]]:
+        """(key, entry) for the child-bearing rows, all of them full length."""
+        rows = self._rows_of(self.stride_width) or {}
+        return [(k, e) for k, e in rows.items() if e.child is not None]
 
     def stub_count(self) -> int:
         """Child-bearing entries: the pointer overhead charged to this table."""
-        return sum(1 for e in self._entries.values() if e.child is not None)
-
-    def pure_stub_count(self) -> int:
-        """Child-bearing entries that are not also terminals: the rows the
-        tree holds beyond the database entries themselves."""
-        return sum(
-            1 for e in self._entries.values() if e.child is not None and not e.is_terminal
-        )
+        return len(self.stubs())
 
     def max_local_length(self) -> int:
-        """Expansion target for SRAM conversion: the full stride when any stub
-        exists (stub keys must stay exact), else the longest terminal."""
-        if any(e.child is not None for e in self._entries.values()):
-            return self.stride_width
-        return max((e.bmp_local_len for e in self._entries.values() if e.is_terminal), default=0)
+        """Expansion target for SRAM conversion: the longest specified length,
+        which is the full stride when any stub exists (stub keys must stay
+        exact), else the longest terminal."""
+        return self._by_length[0].length if self._by_length else 0
 
-    def local_lpm(self, key: str):
-        """Longest terminal entry matching the first len(key) bits of a
-        segment: (value, local length), or (None, None) when nothing does."""
-        s = self.stride_width
-        for l in self._lengths:
-            if l <= len(key):
-                e = self._entries.get(key[:l] + "*" * (s - l))
+    def local_lpm(self, key: int, length: int):
+        """Longest terminal entry matching the `length`-bit `key`, the first
+        bits of a segment: (value, local length), or (None, None) when
+        nothing does."""
+        for rows in self._by_length:
+            l = rows.length
+            if l <= length:
+                e = rows.get(key >> (length - l))
                 if e is not None and e.is_terminal:
                     return e.bmp_value, l
         return None, None
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, segment: str):
+    def lookup(self, segment: int):
         """(hit, value, value_local_len, child) for one stride segment.
 
         The first hit, longest length first, is the longest local match.  Both
@@ -273,10 +275,10 @@ class TreeTable:
         matching its key, which is what the expansion stores there.
         """
         s = self.stride_width
-        entries = self._entries
-        for l in self._lengths:
-            e = entries.get(segment[:l] + "*" * (s - l))
-            if e is not None:
+        for rows in self._by_length:
+            key = segment >> (s - rows.length)
+            if key in rows:   # a miss costs no method call
+                e = rows[key]
                 return True, e.bmp_value, e.bmp_local_len, e.child
         return False, None, None, None
 
@@ -329,39 +331,22 @@ class TcamTree:
     def total_entries(self) -> int:
         return sum(t.entry_count for t in self.all_tables())
 
-    def stub_counts(self) -> dict[int, int]:
-        """Pointer overhead per level boundary: child-bearing entries, which
-        equal the unibit trie's non-leaf counts at those depths."""
-        out = {}
-        for level_index, tables in enumerate(self.levels):
-            boundary = self.stride_list.boundaries[level_index]
-            out[boundary] = sum(t.stub_count() for t in tables)
-        return out
-
-    def pure_stub_counts(self) -> dict[int, int]:
-        """Rows held beyond the database entries, per level boundary: a stub
-        merged with a terminal occupies no extra row and is not counted."""
-        out = {}
-        for level_index, tables in enumerate(self.levels):
-            boundary = self.stride_list.boundaries[level_index]
-            out[boundary] = sum(t.pure_stub_count() for t in tables)
-        return out
-
     def structure(self):
         """Deterministic nested dump, used for equality and report assertions."""
 
         def dump(table):
+            s = table.stride_width
             return {
                 "kind": table.kind,
                 "entries": [
                     (
-                        e.key_bits,
+                        key_text(k, l, s),
                         e.bmp_value,
                         e.bmp_local_len,
                         e.is_terminal,
                         dump(e.child) if e.child is not None else None,
                     )
-                    for e in table.entries()
+                    for l, k, e in table.rows()
                 ],
             }
 
@@ -371,23 +356,25 @@ class TcamTree:
 # -- construction and edits -------------------------------------------------
 
 
-def walk(tree: TcamTree, bits: str):
-    """Follow a prefix down the strides: (path, table, rest).
+def walk(tree: TcamTree, key: int, length: int):
+    """Follow the `length`-bit prefix `key` down the strides: (path, table,
+    key, length), the last two being the bits left at `table`.
 
-    The walk stops at the table where the prefix ends (`rest`, the bits left
-    there, fits its stride) or at the first missing stub row or child (`rest`
-    is longer).  `path` holds the (table, stub row) pairs passed through.
+    The walk stops at the table where the prefix ends (the bits left fit its
+    stride) or at the first missing stub row or child (they do not).  `path`
+    holds the (table, stub key, stub row) triples passed through.
     """
-    path: list[tuple[TreeTable, TableEntry]] = []
+    path: list[tuple[TreeTable, int, TableEntry]] = []
     table = tree.root
-    while len(bits) > table.stride_width:
-        s = table.stride_width
-        entry = table.get(bits[:s])
+    while length > table.stride_width:
+        rest = length - table.stride_width
+        stub = key >> rest
+        entry = table.get(table.stride_width, stub)
         if entry is None or entry.child is None:
             break
-        path.append((table, entry))
-        table, bits = entry.child, bits[s:]
-    return path, table, bits
+        path.append((table, stub, entry))
+        table, key, length = entry.child, key & ((1 << rest) - 1), rest
+    return path, table, key, length
 
 
 def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
@@ -403,38 +390,37 @@ def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
         raise PrefixExceedsCoverage(
             f"prefix of length {len(bits)} exceeds coverage {tree.coverage}"
         )
-    _, table, rest = walk(tree, bits)
+    _, table, key, length = walk(tree, int(bits or "0", 2), len(bits))
     grown = []
-    while len(rest) > table.stride_width:
+    while length > table.stride_width:
         s = table.stride_width
-        stub_key = rest[:s]
+        length -= s
+        stub, key = key >> length, key & ((1 << length) - 1)
         child = tree.new_table(table.level_index + 1)
-        entry = table.get(stub_key)
+        entry = table.get(s, stub)
         if entry is None:
-            inherited_value, inherited_len = table.local_lpm(stub_key)
-            table.put(TableEntry(stub_key, inherited_value, inherited_len, False, child))
+            inherited_value, inherited_len = table.local_lpm(stub, s)
+            table.rows_for(s)[stub] = TableEntry(inherited_value, inherited_len, False, child)
             grown.append(table)
         else:
             entry.child = child
-        table, rest = child, rest[s:]
-    s = table.stride_width
-    key = rest.ljust(s, "*")
-    entry = table.get(key)
+        table = child
+    entry = table.get(length, key)
     if entry is not None and entry.is_terminal:
         raise DuplicatePrefix(f"prefix {bits}/{len(bits)} already present")
     if entry is not None:
         entry.is_terminal = True
         entry.bmp_value = value
-        entry.bmp_local_len = len(rest)
+        entry.bmp_local_len = length
     else:
-        table.put(TableEntry(key, value, len(rest), True, None))
+        table.rows_for(length)[key] = TableEntry(value, length, True, None)
         grown.append(table)
-    for other in table.rows_under(rest, s):
+    for other in table.rows_under(key, length):
         if not other.is_terminal and (
-            other.bmp_local_len is None or other.bmp_local_len < len(rest)
+            other.bmp_local_len is None or other.bmp_local_len < length
         ):
             other.bmp_value = value
-            other.bmp_local_len = len(rest)
+            other.bmp_local_len = length
     return grown
 
 
@@ -444,31 +430,29 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
     Returns the tables that lost a row, deepest first.  Those left without
     rows, other than the root, are the collected ones.
     """
-    path, table, rest = walk(tree, bits)
-    s = table.stride_width
-    key = rest.ljust(s, "*")
-    entry = table.get(key)
+    path, table, key, length = walk(tree, int(bits or "0", 2), len(bits))
+    entry = table.get(length, key)
     if entry is None or not entry.is_terminal:
         raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
     shrunk = []
     if entry.child is not None:
         entry.is_terminal = False
     else:
-        table.remove(key)
+        table.remove(length, key)
         shrunk.append(table)
     # Only stubs under the prefix that inherited from it change, and all of
     # them fall back to the next shorter terminal above it.
-    value, length = table.local_lpm(rest[:-1]) if rest else (None, None)
-    for other in table.rows_under(rest, s):
-        if not other.is_terminal and other.bmp_local_len == len(rest):
-            other.bmp_value, other.bmp_local_len = value, length
+    value, value_len = table.local_lpm(key >> 1, length - 1) if length else (None, None)
+    for other in table.rows_under(key, length):
+        if not other.is_terminal and other.bmp_local_len == length:
+            other.bmp_value, other.bmp_local_len = value, value_len
     # lazy upward collection of emptied tables
     while table.entry_count == 0 and path:
-        parent, entry = path.pop()
+        parent, stub, entry = path.pop()
         tree.drop_table(table)
         entry.child = None
         if not entry.is_terminal:
-            parent.remove(entry.key_bits)
+            parent.remove(parent.stride_width, stub)
             shrunk.append(parent)
         table = parent
     return shrunk
@@ -514,24 +498,18 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
                 deeper.append(p)
                 deeper_owners.append(table)
                 continue
-            rest = bits[start:]
-            local = len(rest)
-            key = rest + "*" * (s - local)
-            table._entries[key] = TableEntry(key, p.next_hop, local, True, None)
-            # Lengths arrive in ascending order, so the tuple stays longest first.
-            lengths = table._lengths
-            if not lengths or lengths[0] != local:
-                table._lengths = (local,) + lengths
+            local = len(bits) - start
+            rows = table.rows_for(local)
+            rows[int(bits[start:] or "0", 2)] = TableEntry(p.next_hop, local, True, None)
         for j, p in enumerate(deeper):
             table = deeper_owners[j]
-            key = p.bits[start:end]
-            entry = table._entries.get(key)
+            key = int(p.bits[start:end], 2)
+            rows = table.rows_for(s)
+            entry = rows.get(key)
             if entry is None:
-                value, length = table.local_lpm(key)
+                value, length = table.local_lpm(key, s)
                 child = tree.new_table(level_index + 1)
-                table._entries[key] = TableEntry(key, value, length, False, child)
-                if s not in table._lengths:
-                    table._lengths = (s,) + table._lengths
+                rows[key] = TableEntry(value, length, False, child)
             elif entry.child is None:   # a full-length terminal takes the stub's child
                 child = entry.child = tree.new_table(level_index + 1)
             else:

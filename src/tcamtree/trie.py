@@ -115,17 +115,18 @@ def lean_row(db: PrefixDatabase, depth: int) -> LeanLevelRow:
 
 
 def covered_ranges(
-    entries: Iterable[tuple[str, int, str]], target_length: int
+    entries: Iterable[tuple[int, int, str]], target_length: int
 ) -> list[tuple[int, int]]:
-    """Disjoint ascending [lo, hi) ranges of the keys that the entries' expansion
-    to `target_length` bits covers, computed without enumerating keys."""
+    """Disjoint ascending [lo, hi) ranges of the keys that the expansion of the
+    (key, length, value) entries to `target_length` bits covers, computed
+    without enumerating keys."""
     intervals = []
-    for bits, length, _ in entries:
+    for key, length, _ in entries:
         if length > target_length:
             raise TargetTooShort(
                 f"entry of length {length} cannot expand to {target_length} bits"
             )
-        base = int(bits, 2) << (target_length - length) if bits else 0
+        base = key << (target_length - length)
         intervals.append((base, base + (1 << (target_length - length))))
     intervals.sort()
     merged: list[tuple[int, int]] = []

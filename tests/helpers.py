@@ -20,7 +20,7 @@ from tcamtree import Prefix, PrefixDatabase, StrideList, blocks_for_table, parse
 from tcamtree.errors import DuplicatePrefix, TargetTooShort
 from tcamtree.pipeline import PipelineState, tree_lookup
 from tcamtree.prefixdb import DEFAULT_NEXT_HOP
-from tcamtree.tiler import TCAM, TcamTree, tree_insert
+from tcamtree.tiler import TCAM, TcamTree, key_text, tree_insert
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -45,12 +45,17 @@ def linear_scan_lookup(db: PrefixDatabase, address: str) -> str:
     return best
 
 
-def ordered_scan_lookup(ordered_entries, segment: str):
-    """Reference for TreeTable.lookup: the first row, in the priority order of
-    `TreeTable.entries()`, whose specified bits match the segment."""
-    for e in ordered_entries:
-        n = e.specified_len
-        if segment[:n] == e.key_bits[:n]:
+def ternary_rows(table):
+    """(key text, entry) for every row of `table`, in the priority order of
+    `TreeTable.rows()`: the ternary view the int-keyed index stands for."""
+    return [(key_text(key, length, table.stride_width), e) for length, key, e in table.rows()]
+
+
+def ordered_scan_lookup(ordered_rows, segment: str):
+    """Reference for TreeTable.lookup: the first of the `ternary_rows` whose
+    key matches the segment, don't-cares matching either bit."""
+    for text, e in ordered_rows:
+        if all(k in ("*", b) for k, b in zip(text, segment)):
             return True, e.bmp_value, e.bmp_local_len, e.child
     return False, None, None, None
 
@@ -60,9 +65,21 @@ def scan_local_lpm(table, key: str):
     terminal rows matching `key`, found by scanning every row."""
     best_val, best_len = None, None
     for bits, length, value in table.terminal_prefixes():
+        bits = key_text(bits, length, length)
         if (best_len is None or length > best_len) and key.startswith(bits):
             best_val, best_len = value, length
     return best_val, best_len
+
+
+def stub_counts(tree, pure: bool = False) -> dict[int, int]:
+    """Child-bearing rows per level boundary, which equal the unibit trie's
+    non-leaf counts at those depths.  With `pure`, only the rows the tree
+    holds beyond the database entries: a stub merged with a terminal
+    occupies no extra row."""
+    return {
+        boundary: sum(1 for t in tables for _, e in t.stubs() if not (pure and e.is_terminal))
+        for boundary, tables in zip(tree.stride_list.boundaries, tree.levels)
+    }
 
 
 def tree_search(tree, address: str) -> str:
@@ -291,9 +308,8 @@ def state_vector(state: PipelineState, hops: HopIds) -> np.ndarray:
         row_of = np.full(n_tables, -1, dtype=np.int64)
         for row, t in enumerate(tables):
             row_of[gid[id(t)]] = row
-            for e in reversed(t.entries()):
-                p = e.specified_len
-                lo = (int(e.key_bits[:p], 2) << (s - p)) if p else 0
+            for p, key, e in reversed(t.rows()):
+                lo = key << (s - p)
                 hi = lo + (1 << (s - p))
                 H[row, lo:hi] = 1
                 if e.bmp_value is not None:

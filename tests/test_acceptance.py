@@ -42,6 +42,7 @@ from tests.helpers import (
     state_vector,
     HopIds,
     table1_db,
+    ternary_rows,
 )
 
 GRAIN = GrainSpec(44, 512)
@@ -63,12 +64,12 @@ def test_criterion_1_table1_end_to_end():
             assert state.search(address) == oracle_lookup(db, address), (spec, address)
     tree = build_tree(db, StrideList.parse("3-3"))
     root_view = {
-        e.key_bits: (e.bmp_value, e.is_terminal, e.child is not None)
-        for e in tree.root.entries()
+        text: (e.bmp_value, e.is_terminal, e.child is not None)
+        for text, e in ternary_rows(tree.root)
     }
     assert root_view == {"1**": ("A", True, False), "100": ("A", False, True)}
     (child,) = tree.levels[1]
-    child_view = {e.key_bits: e.bmp_value for e in child.entries()}
+    child_view = {text: e.bmp_value for text, e in ternary_rows(child)}
     assert child_view == {"0**": "B", "01*": "C", "10*": "D", "110": "E", "111": "F"}
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"took {elapsed:.3f}s"

@@ -386,6 +386,43 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err == "error: --widths must be comma-separated integers, got '18,x'\n"
 
+    @pytest.mark.parametrize(
+        "address, reason",
+        [
+            ("1.2.3.x", "invalid literal for int() with base 10: 'x'"),
+            ("1.2.3.999", "octet 999 out of range"),
+            ("1.2.3", "dotted form needs four octets"),
+        ],
+    )
+    def test_bad_dotted_trace_line_is_numbered(self, address, reason, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_text(f"10.0.0.1\n{address}\n")
+        code, out, err = run(
+            capsys, "verify", "--db", str(SYNTHETIC_IPV4), "--width", "32",
+            "--strides", "16-16", "--trace", str(trace),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: line 2: {reason}\n"
+
+    def test_profile_not_json_is_named(self, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        path.write_text("{stage_count: 2}")
+        err = self.plan_error(capsys, "--profile", str(path))
+        assert err == (
+            f"error: profile {path}: Expecting property name enclosed in double quotes:"
+            " line 1 column 2 (char 1)\n"
+        )
+
+    def test_database_not_utf8_is_named(self, tmp_path, capsys):
+        db = tmp_path / "db.txt"
+        db.write_bytes(b"1/1 A\n\xff/1 B\n")
+        code, out, err = run(capsys, "plan", "--db", str(db), "--width", "6", "--strides", "3-3")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {db}: 'utf-8' codec can't decode byte 0xff in position 6:"
+            " invalid start byte\n"
+        )
+
     def test_zero_sweep_width(self, capsys):
         code, out, err = run(
             capsys, "sweep-grain", "--db", str(DATA), "--width", "6",

@@ -37,8 +37,7 @@ def synthetic_level(sizes, stride, level_index=1):
     for n in sizes:
         t = tree.new_table(1)
         for i in range(n):
-            key = format(i, f"0{stride}b")
-            t.put(TableEntry(key, f"v{i}", stride, True, None))
+            t.rows_for(stride)[i] = TableEntry(f"v{i}", stride, True, None)
     return tree, tree.levels[1]
 
 
@@ -96,7 +95,7 @@ class TestHybridize:
     def test_parent_rows_expose_child_kind(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         hybridize(tree, HybridizationConfig(factor=3), 9)
-        stub = tree.root.get("100")
+        stub = tree.root.get(3, 0b100)
         assert stub.child.kind == SRAM
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1.5, 3, 8]))

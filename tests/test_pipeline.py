@@ -30,6 +30,7 @@ from tests.helpers import (
     random_database,
     random_strides,
     table1_db,
+    ternary_rows,
 )
 
 
@@ -47,17 +48,15 @@ def synthetic_supertables(level_blocks):
         for blocks in block_counts:
             table = tree.new_table(level) if level else tree.root
             for i in range(blocks * grain.depth):
-                key = format(i % 256, "08b")
-                if table.get(key) is None:
-                    table.put(TableEntry(key, f"v{i}", 8, True, None))
+                if table.get(8, i % 256) is None:
+                    table.rows_for(8)[i % 256] = TableEntry(f"v{i}", 8, True, None)
             tables_here.append(table)
             supers.append(SuperTable(level, 0, [(0, table)], grain))
         if prev_tables:
             # chain a dependency: first table of the previous level points here
             parent = prev_tables[0]
             for t in tables_here:
-                key = format(parent.entry_count % 256, "08b")
-                parent.put(TableEntry(key, None, None, False, t))
+                parent.rows_for(8)[parent.entry_count % 256] = TableEntry(None, None, False, t)
         prev_tables = tables_here
     return supers
 
@@ -163,7 +162,7 @@ class TestInsert:
         db = table1_db()
         state = PipelineState.planned(db, StrideList.parse("3-3"))
         state.insert(Prefix("101", 3, "G"))
-        keys = [e.key_bits for e in state.tree.root.entries()]
+        keys = [text for text, _ in ternary_rows(state.tree.root)]
         assert keys.index("101") < keys.index("1**")
         entries = [(p.bits, p.length, p.next_hop) for p in db.entries] + [("101", 3, "G")]
         count, samples = full_space_mismatches(entries, state)
@@ -313,7 +312,7 @@ class TestDelete:
         state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         state.delete(Prefix("1", 1, "A"))
         assert state.search("111111") == "default"
-        stub = state.tree.root.get("100")
+        stub = state.tree.root.get(3, 0b100)
         assert stub is not None and stub.bmp_value is None
 
     def test_delete_absent_prefix(self):
@@ -324,10 +323,10 @@ class TestDelete:
     def test_merged_entry_survives_terminal_removal(self):
         db = PrefixDatabase(4, [Prefix("01", 2, "X"), Prefix("0111", 4, "Y")])
         state = PipelineState.planned(db, StrideList.parse("2-2"))
-        merged = state.tree.root.get("01")
+        merged = state.tree.root.get(2, 0b01)
         assert merged.is_terminal and merged.child is not None
         state.delete(Prefix("01", 2, "X"))
-        merged = state.tree.root.get("01")
+        merged = state.tree.root.get(2, 0b01)
         assert merged is not None and not merged.is_terminal
         assert state.search("0111") == "Y"
         assert state.search("0100") == "default"
@@ -389,7 +388,7 @@ UPDATE_EVENTS = ("grew", "joined", "opened", "spilled", "collected")
 def audit_tree(tree, levels_before):
     """`tree.levels` holds exactly the tables reachable from the root, the
     survivors of `levels_before` first and in their order; each table's
-    length index (and per-length counts, once kept) equals a recount."""
+    length index equals a recount of its per-length maps."""
     reachable = [set() for _ in tree.levels]
     stack = [tree.root]
     while stack:
@@ -401,10 +400,16 @@ def audit_tree(tree, levels_before):
         kept = [t for t in before if t in level]
         assert list(level)[: len(kept)] == kept
     for table in tree.all_tables():
-        lengths = Counter(e.specified_len for e in table.raw_entries())
-        assert table._lengths == tuple(sorted(lengths, reverse=True))
-        if table._counts is not None:
-            assert dict(table._counts) == dict(lengths)
+        # a row of length l is a terminal of local length l, or a stub at the
+        # full stride; every key fits its length, and no length's map is empty
+        lengths = Counter()
+        for rows in table._by_length:
+            length = rows.length
+            for key, e in rows.items():
+                assert 0 <= key < 1 << length
+                assert e.bmp_local_len == length if e.is_terminal else length == table.stride_width
+                lengths[length] += 1
+        assert [rows.length for rows in table._by_length] == sorted(lengths, reverse=True)
 
 
 def audit(state, planned_supertables):

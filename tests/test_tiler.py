@@ -22,7 +22,14 @@ from tcamtree import (
 )
 from tcamtree import tiler
 from tcamtree.errors import BudgetZero, DuplicatePrefix, PrefixExceedsCoverage
-from tcamtree.tiler import StrideSearchConfig, TreeTable, tree_delete, tree_insert
+from tcamtree.tiler import (
+    LengthRows,
+    StrideSearchConfig,
+    TableEntry,
+    TreeTable,
+    tree_delete,
+    tree_insert,
+)
 
 from tests.helpers import (
     DATA_DIR,
@@ -32,15 +39,17 @@ from tests.helpers import (
     random_database,
     random_strides,
     scan_local_lpm,
+    stub_counts,
     table1_db,
+    ternary_rows,
     tree_search,
 )
 
 
 def entry_view(table):
     return {
-        e.key_bits: (e.bmp_value, e.is_terminal, e.child is not None)
-        for e in table.entries()
+        text: (e.bmp_value, e.is_terminal, e.child is not None)
+        for text, e in ternary_rows(table)
     }
 
 
@@ -78,7 +87,7 @@ class TestBuildTree:
         assert len(tree.levels[0]) == 1
         assert tree.root.entry_count == 6
         assert tree.root.stub_count() == 0
-        keys = [e.key_bits for e in tree.root.entries()]
+        keys = [text for text, _ in ternary_rows(tree.root)]
         assert keys == ["100110", "100111", "10001*", "10010*", "1000**", "1*****"]
 
     def test_two_entry_1_1_tree(self):
@@ -110,7 +119,7 @@ class TestBuildTree:
         lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=6)
         for spec in ("3-3", "2-2-2", "1-1-1-1-1-1", "4-2", "1-5"):
             tree = build_tree(db, StrideList.parse(spec))
-            for boundary, stubs in tree.stub_counts().items():
+            for boundary, stubs in stub_counts(tree).items():
                 if boundary < tree.coverage:
                     assert stubs == lean.nonleaf(boundary), (spec, boundary)
                 else:
@@ -131,9 +140,9 @@ class TestBuildTree:
         strides = random_strides(rng, width)
         tree = build_tree(db, strides)
         assert tree.terminal_count == len(db)
-        assert tree.total_entries == len(db) + sum(tree.pure_stub_counts().values())
+        assert tree.total_entries == len(db) + sum(stub_counts(tree, pure=True).values())
         lean = compute_lean_levels(build_unibit_trie(db), max(len(db), 1), max_depth=width)
-        for boundary, stubs in tree.stub_counts().items():
+        for boundary, stubs in stub_counts(tree).items():
             if boundary < strides.coverage:
                 assert stubs == lean.nonleaf(boundary)
         for address in all_addresses(width):
@@ -142,11 +151,11 @@ class TestBuildTree:
 
 def build_view(tree):
     """What a build must reproduce: the nested rows, and per level, in table
-    creation order, each table's sorted keys and its length index."""
+    creation order, each table's length index with each length's sorted keys."""
     return (
         tree.structure(),
-        [[sorted(t._entries) for t in level] for level in tree.levels],
-        [[t._lengths for t in level] for level in tree.levels],
+        [[[(rows.length, sorted(rows)) for rows in t._by_length] for t in level]
+         for level in tree.levels],
     )
 
 
@@ -183,7 +192,6 @@ class TestBulkBuild:
         db = edge_case_database(rng, width, strides)
         bulk, reference = build_tree(db, strides), build_tree_by_inserts(db, strides)
         assert build_view(bulk) == build_view(reference)
-        assert all(t._counts is None for t in bulk.all_tables())
         live = {p.bits for p in db.entries}
         for _ in range(30):
             if live and rng.random() < 0.5:
@@ -218,14 +226,14 @@ class TestBulkBuild:
             monkeypatch.setattr(TreeTable, name, counting(name, getattr(TreeTable, name)))
         db = parse_file(DATA_DIR / "synthetic-ipv4-500.txt", 32)
         tree = build_tree(db, StrideList.parse("16-4-4-8"))
-        stubs = sum(t.pure_stub_count() for t in tree.all_tables())
+        stubs = sum(stub_counts(tree, pure=True).values())
         assert stubs > 0
         assert calls["tree_insert"] == calls["walk"] == calls["rows_under"] == 0
         assert calls["local_lpm"] <= stubs
 
 
-class CountingDict(dict):
-    """A table's row dict that counts the rows a lookup or an update reads."""
+class CountingDict(LengthRows):
+    """One length's row map that counts the rows a lookup or an update reads."""
 
     reads = 0
 
@@ -233,9 +241,28 @@ class CountingDict(dict):
         self.reads += 1
         return super().get(key, default)
 
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
     def values(self):
         self.reads += len(self)
         return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+
+def counting_maps(table) -> list[CountingDict]:
+    """Swap each of the table's row maps for a CountingDict; returns them."""
+    maps = []
+    for rows in table._by_length:
+        counting = CountingDict(rows)
+        counting.length = rows.length
+        maps.append(counting)
+    table._by_length = tuple(maps)
+    return maps
 
 
 def check_index(tree, rng):
@@ -243,20 +270,20 @@ def check_index(tree, rng):
     up to 8 bits, else on sampled ones), and every stub's inherited value
     equals a from-scratch longest local match."""
     for table in tree.all_tables():
-        ordered = table.entries()
+        ordered = ternary_rows(table)
         s = table.stride_width
         if s <= 8:
             segments = [format(v, f"0{s}b") for v in range(1 << s)]
         else:
             segments = [format(rng.getrandbits(s), f"0{s}b") for _ in range(128)]
-            segments += [e.key_bits.replace("*", pad) for e in ordered for pad in "01"]
+            segments += [text.replace("*", pad) for text, _ in ordered for pad in "01"]
         for segment in segments:
-            assert table.lookup(segment) == ordered_scan_lookup(ordered, segment), (
+            assert table.lookup(int(segment, 2)) == ordered_scan_lookup(ordered, segment), (
                 table, segment,
             )
-        for e in ordered:
+        for text, e in ordered:
             if not e.is_terminal:
-                assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, e.key_bits)
+                assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, text)
 
 
 class TestProbeIndex:
@@ -294,26 +321,56 @@ class TestProbeIndex:
         tree = build_tree(PrefixDatabase(16, entries), StrideList.parse("12-4"))
         root = tree.root
         assert root.stub_count() >= 1000
-        before = {e.key_bits: (e.bmp_value, e.bmp_local_len) for e in root.raw_entries()}
+        before = {text: (e.bmp_value, e.bmp_local_len) for text, e in ternary_rows(root)}
         inherited = {k for k, (_, length) in before.items() if length == 6 and "*" not in k}
         assert inherited
         calls = []
         local_lpm = TreeTable.local_lpm
         monkeypatch.setattr(
-            TreeTable, "local_lpm", lambda t, key: calls.append(key) or local_lpm(t, key)
+            TreeTable, "local_lpm", lambda t, *key: calls.append(key) or local_lpm(t, *key)
         )
-        root._entries = CountingDict(root._entries)
+        maps = counting_maps(root)
         tree_delete(tree, "101010")
-        reads = root._entries.reads
-        after = {e.key_bits: (e.bmp_value, e.bmp_local_len) for e in root.raw_entries()}
+        reads = sum(rows.reads for rows in maps)
+        after = {text: (e.bmp_value, e.bmp_local_len) for text, e in ternary_rows(root)}
         # One fallback match for all inheriting stubs; reads cover the walk,
-        # that match, the 2**6 keys under the prefix and the 2**6 keys of its
-        # length (is it still indexed?), never the 1,200 rows.
+        # that match and the 2**6 keys under the prefix, never the 1,200 rows.
         assert len(calls) == 1
-        assert reads <= 2 + 12 + 2 * 2**6
+        assert reads <= 2 + 12 + 2**6
         changed = {k for k, v in after.items() if v != before[k]}
         assert changed == inherited
         assert all(after[k] == ("outer", 2) for k in changed)
+
+    def test_removing_a_row_reads_no_row_of_another_length(self, monkeypatch):
+        # A length leaves the index when its own rows run out: neither a
+        # collected child's stub nor a deleted full-length terminal may make
+        # the root read its rows of other lengths.
+        rng = random.Random(7)
+        heads = rng.sample(range(1 << 11), 1100)   # all below 1 << 11: none under 1*
+        db = PrefixDatabase(16, [Prefix(format(h, "012b") + "0110", 16, f"h{h}") for h in heads])
+        tree = build_tree(db, StrideList.parse("12-4"))
+        assert tree.root.stub_count() == 1100
+
+        class WatchedEntry(TableEntry):
+            __slots__ = ()
+            reads = 0
+
+            def __getattribute__(self, name):
+                WatchedEntry.reads += 1
+                return object.__getattribute__(self, name)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tiler, "TableEntry", WatchedEntry)
+            for bits in ("1", "110", "11110"):
+                tree_insert(tree, bits, "short")
+        free = format(next(h for h in range(1 << 11) if h not in heads), "012b")
+        tree_insert(tree, free, "full")
+        WatchedEntry.reads = 0
+        tree_delete(tree, format(heads[0], "012b") + "0110")
+        assert len(tree.levels[1]) == 1099
+        tree_delete(tree, free)
+        assert tree.root.entry_count == 1099 + 3
+        assert WatchedEntry.reads == 0
 
     def test_lookup_probes_once_per_distinct_length(self):
         rng = random.Random(5)
@@ -322,12 +379,13 @@ class TestProbeIndex:
         for p in db.entries[::2]:
             tree_delete(tree, p.bits)
         for table in tree.all_tables():
-            lengths = {e.specified_len for e in table.raw_entries()}
-            table._entries = CountingDict(table._entries)
+            lengths = {length for length, _, _ in table.rows()}
+            maps = counting_maps(table)
             for v in range(1 << 6):
-                table._entries.reads = 0
-                table.lookup(format(v, "06b"))
-                assert table._entries.reads <= len(lengths)
+                for rows in maps:
+                    rows.reads = 0
+                table.lookup(v)
+                assert sum(rows.reads for rows in maps) <= len(lengths)
 
 
 class TestBlocksForTable:

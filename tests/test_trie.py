@@ -238,6 +238,7 @@ class TestExpandPrefixes:
         for key in (format(v, f"0{target}b") for v in range(1 << target)):
             assert out.get(key) == lpm_over(entries, key)
         # the interval-union size never enumerates but must agree exactly
-        assert sum(hi - lo for lo, hi in covered_ranges(entries, target)) == len(out)
+        keyed = [(int(bits or "0", 2), length, hop) for bits, length, hop in entries]
+        assert sum(hi - lo for lo, hi in covered_ranges(keyed, target)) == len(out)
         covered = sum(1 << (target - length) for _, length, _ in entries)
         assert len(out) <= covered
