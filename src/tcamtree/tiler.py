@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import attrgetter
 from typing import Optional
 
 from ._util import ceil_div, ceil_log2
@@ -177,13 +176,15 @@ class TreeTable:
     def rows_for(self, length: int) -> LengthRows:
         """The map of `length`, added to the index if missing; the caller
         stores a row in it, so no map is left empty."""
-        for rows in self._by_length:
-            if rows.length == length:
-                return rows
+        maps = self._by_length
+        i = 0
+        while i < len(maps) and maps[i].length > length:
+            i += 1
+        if i < len(maps) and maps[i].length == length:
+            return maps[i]
         rows = LengthRows()
         rows.length = length
-        maps = (rows, *self._by_length)
-        self._by_length = tuple(sorted(maps, key=attrgetter("length"), reverse=True))
+        self._by_length = (*maps[:i], rows, *maps[i:])
         return rows
 
     def remove(self, length: int, key: int):
