@@ -1,5 +1,6 @@
-"""Small arithmetic and formatting helpers."""
+"""Small arithmetic and formatting helpers, and the collector pause of bulk builds."""
 
+import gc
 from fractions import Fraction
 
 
@@ -32,3 +33,36 @@ def parse_wxd(text: str) -> tuple[int, int]:
     if not (x and w.isdigit() and d.isdigit()):
         raise ValueError(f"expected a WxD geometry such as 44x512, got {text!r}")
     return int(w), int(d)
+
+
+class _PausedGC:
+    """Pause Python's cyclic garbage collector for a bulk build: `with paused_gc:`.
+
+    Parsing a database and planning a tree allocate hundreds of thousands of
+    objects at once, and the collector traces them again and again while
+    they are made, to free nothing: a tree's tables point to their child
+    tables, a super-table to its member tables and a state to its tree, and
+    nothing points back, so reference counting alone frees them.
+
+    The pause is process-wide, as the collector is.  When the collector is
+    already off it does nothing, so nested pauses are no-ops; otherwise it
+    disables the collector and turns it back on when the block ends, by
+    return or by raise.  Entering and leaving allocate no object (one shared
+    instance and static methods: bound methods would be allocated on every
+    use), so the pause itself sets off no collection.
+    """
+
+    _resume: list[bool] = []   # one flag per open pause: re-enable on exit?
+
+    @staticmethod
+    def __enter__():
+        _PausedGC._resume.append(gc.isenabled())
+        gc.disable()
+
+    @staticmethod
+    def __exit__(*exc_info):
+        if _PausedGC._resume.pop():
+            gc.enable()
+
+
+paused_gc = _PausedGC()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._util import ceil_div
+from ._util import ceil_div, paused_gc
 from .errors import (
     CapacityExceeded,
     DuplicatePrefix,
@@ -319,30 +319,30 @@ class PipelineState:
         placement when a profile is given.  Without one, updates count block
         rows but never refuse one.  `tag_bits` (default: the grain's) is the
         plan's one tag width, for super-tables and pooled SRAM rows alike."""
-        tag = grain.tag_width(tag_bits)
-        tree = build_tree(db.restricted(strides.coverage), strides)
-        level_rows: list[int] = []
-        if hybrid is not None:
-            level_rows = hybridize(tree, hybrid, tag)
-        supertables = tag_and_pack(tree, grain, tag)
-        plan = None
-        if profile is not None:
-            pools = {
-                level_index: ceil_div(rows, hybrid.sram_spec.page_depth)
-                for level_index, rows in enumerate(level_rows)
-                if rows
-            }
-            plan = map_to_pipeline(supertables, pools, profile)
-        state = cls(
-            tree,
-            _long_entries(db, strides.coverage, overflow_capacity),
-            grain=grain,
-            tag_bits=tag,
-            supertables=supertables,
-            plan=plan,
-        )
-        state.sram_rows = sum(level_rows)
-        return state
+        with paused_gc:
+            tag = grain.tag_width(tag_bits)
+            tree = build_tree(db.restricted(strides.coverage), strides)
+            level_rows: list[int] = []
+            if hybrid is not None:
+                level_rows = hybridize(tree, hybrid, tag)
+            supertables = tag_and_pack(tree, grain, tag)
+            plan = None
+            if profile is not None:
+                pools = {}
+                for level_index, rows in enumerate(level_rows):
+                    if rows:
+                        pools[level_index] = ceil_div(rows, hybrid.sram_spec.page_depth)
+                plan = map_to_pipeline(supertables, pools, profile)
+            state = cls(
+                tree,
+                _long_entries(db, strides.coverage, overflow_capacity),
+                grain=grain,
+                tag_bits=tag,
+                supertables=supertables,
+                plan=plan,
+            )
+            state.sram_rows = sum(level_rows)
+            return state
 
     # -- lookup ----------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from ._util import paused_gc
 from .errors import DuplicatePrefix, EmptyDatabase, LengthOutOfRange, MalformedLine
 
 DEFAULT_NEXT_HOP = "default"
@@ -139,38 +140,39 @@ def _parse_bits(token: str, length: int, address_width: int) -> str:
 
 def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabase:
     """Parse the canonical text format, preserving file order and rejecting duplicates."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    entries: list[Prefix] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise MalformedLine(lineno, f"expected '<prefix>/<len> <next_hop>', got {raw!r}")
-        spec, next_hop = fields
-        head, sep, len_str = spec.rpartition("/")
-        if not sep:
-            raise MalformedLine(lineno, "missing '/<len>'")
-        try:
-            length = int(len_str)
-        except ValueError:
-            raise MalformedLine(lineno, f"bad length {len_str!r}") from None
-        if not 0 <= length <= address_width:
-            raise LengthOutOfRange(
-                f"line {lineno}: length {length} outside 0..{address_width}"
-            )
-        try:
-            bits = _parse_bits(head, length, address_width)
-        except ValueError as exc:
-            raise MalformedLine(lineno, str(exc)) from None
-        if bits in seen:
-            raise DuplicatePrefix(f"line {lineno}: duplicate prefix {bits}/{length}")
-        seen.add(bits)
-        entries.append(Prefix(bits, length, next_hop))
-    return PrefixDatabase(address_width, entries)
+    with paused_gc:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        entries: list[Prefix] = []
+        seen: set[str] = set()
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) != 2:
+                raise MalformedLine(lineno, f"expected '<prefix>/<len> <next_hop>', got {raw!r}")
+            spec, next_hop = fields
+            head, sep, len_str = spec.rpartition("/")
+            if not sep:
+                raise MalformedLine(lineno, "missing '/<len>'")
+            try:
+                length = int(len_str)
+            except ValueError:
+                raise MalformedLine(lineno, f"bad length {len_str!r}") from None
+            if not 0 <= length <= address_width:
+                raise LengthOutOfRange(
+                    f"line {lineno}: length {length} outside 0..{address_width}"
+                )
+            try:
+                bits = _parse_bits(head, length, address_width)
+            except ValueError as exc:
+                raise MalformedLine(lineno, str(exc)) from None
+            if bits in seen:
+                raise DuplicatePrefix(f"line {lineno}: duplicate prefix {bits}/{length}")
+            seen.add(bits)
+            entries.append(Prefix(bits, length, next_hop))
+        return PrefixDatabase(address_width, entries)
 
 
 def parse_file(path, address_width: int) -> PrefixDatabase:

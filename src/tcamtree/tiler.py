@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from ._util import ceil_div, ceil_log2
+from ._util import ceil_div, ceil_log2, paused_gc
 from .errors import BudgetZero, DuplicatePrefix, NotFound, PrefixExceedsCoverage
 from .prefixdb import PrefixDatabase
 from .trie import LeanLevelTable
@@ -472,52 +472,52 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
     that order, so each new stub row takes its inherited value from one
     `local_lpm` call and no row is ever refreshed.
     """
-    if strides.coverage > db.address_width:
-        raise ValueError(
-            f"strides cover {strides.coverage} bits but addresses have {db.address_width}"
-        )
-    too_long = [p for p in db.entries if p.length > strides.coverage]
-    if too_long:
-        raise PrefixExceedsCoverage(
-            f"{len(too_long)} entries exceed coverage {strides.coverage}"
-            f" (first: {too_long[0]})"
-        )
-    tree = TcamTree(strides, db.address_width)
-    # The prefixes still alive at a level, and beside them the table each
-    # one has reached: two parallel lists, not a tuple per prefix, because
-    # every container object the sweep allocates beyond the rows themselves
-    # brings the garbage collector's passes closer.
-    alive = sorted(db.entries, key=lambda p: p.length)
-    owners = [tree.root] * len(alive)
-    end = 0
-    for level_index, s in enumerate(strides.strides):
-        start, end = end, end + s
-        deeper, deeper_owners = [], []
-        for p, table in zip(alive, owners):
-            bits = p.bits
-            if len(bits) > end:
-                deeper.append(p)
-                deeper_owners.append(table)
-                continue
-            local = len(bits) - start
-            rows = table.rows_for(local)
-            rows[int(bits[start:] or "0", 2)] = TableEntry(p.next_hop, local, True, None)
-        for j, p in enumerate(deeper):
-            table = deeper_owners[j]
-            key = int(p.bits[start:end], 2)
-            rows = table.rows_for(s)
-            entry = rows.get(key)
-            if entry is None:
-                value, length = table.local_lpm(key, s)
-                child = tree.new_table(level_index + 1)
-                rows[key] = TableEntry(value, length, False, child)
-            elif entry.child is None:   # a full-length terminal takes the stub's child
-                child = entry.child = tree.new_table(level_index + 1)
-            else:
-                child = entry.child
-            deeper_owners[j] = child
-        alive, owners = deeper, deeper_owners
-    return tree
+    with paused_gc:
+        if strides.coverage > db.address_width:
+            raise ValueError(
+                f"strides cover {strides.coverage} bits but addresses have {db.address_width}"
+            )
+        for p in db.entries:
+            if p.length > strides.coverage:
+                beyond = len(db) - len(db.restricted(strides.coverage))
+                raise PrefixExceedsCoverage(
+                    f"{beyond} entries exceed coverage {strides.coverage} (first: {p})"
+                )
+        tree = TcamTree(strides, db.address_width)
+        # The prefixes still alive at a level, and beside them the table each
+        # one has reached: two parallel lists, not a tuple per prefix, so the
+        # sweep allocates no object per prefix beyond the rows themselves.
+        alive = sorted(db.entries, key=lambda p: p.length)
+        owners = [tree.root] * len(alive)
+        end = 0
+        for level_index, s in enumerate(strides.strides):
+            start, end = end, end + s
+            deeper, deeper_owners = [], []
+            for p, table in zip(alive, owners):
+                bits = p.bits
+                if len(bits) > end:
+                    deeper.append(p)
+                    deeper_owners.append(table)
+                    continue
+                local = len(bits) - start
+                rows = table.rows_for(local)
+                rows[int(bits[start:] or "0", 2)] = TableEntry(p.next_hop, local, True, None)
+            for j, p in enumerate(deeper):
+                table = deeper_owners[j]
+                key = int(p.bits[start:end], 2)
+                rows = table.rows_for(s)
+                entry = rows.get(key)
+                if entry is None:
+                    value, length = table.local_lpm(key, s)
+                    child = tree.new_table(level_index + 1)
+                    rows[key] = TableEntry(value, length, False, child)
+                elif entry.child is None:   # a full-length terminal takes the stub's child
+                    child = entry.child = tree.new_table(level_index + 1)
+                else:
+                    child = entry.child
+                deeper_owners[j] = child
+            alive, owners = deeper, deeper_owners
+        return tree
 
 
 # -- stride search ------------------------------------------------------------
