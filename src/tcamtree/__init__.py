@@ -45,12 +45,10 @@ from .prefixdb import (
 from .tiler import (
     GrainSpec,
     StrideList,
-    StrideSearchConfig,
     TcamTree,
     TreeTable,
     blocks_for_table,
     build_tree,
-    choose_strides,
 )
 from .trie import (
     LeanLevelTable,
@@ -75,7 +73,6 @@ __all__ = [
     "ResourceReport",
     "SramPageSpec",
     "StrideList",
-    "StrideSearchConfig",
     "SuperTable",
     "TcamTree",
     "TilingCondition",
@@ -83,7 +80,6 @@ __all__ = [
     "blocks_for_table",
     "build_tree",
     "build_unibit_trie",
-    "choose_strides",
     "compute_lean_levels",
     "hybridize",
     "lean_row",

@@ -8,6 +8,7 @@ output.  Sweeps emit flat CSV for hand-off to plotting tools.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -31,12 +32,17 @@ from .pipeline import (
 )
 from .prefixdb import (
     PrefixDatabase,
+    dotted_to_bits,
     max_threshold_length,
     oracle_lookup,
     parse_file,
+    read_text,
 )
 from .tiler import SRAM, GrainSpec, StrideList, build_tree
 from .trie import build_unibit_trie, compute_lean_levels, lean_row
+
+MAX_WIDTH = 128      # the IPv6 address width
+MAX_TAG_BITS = 128   # tells apart more tables than any level of such a tree holds
 
 
 @dataclass
@@ -228,24 +234,21 @@ def render_csv(report: dict) -> str:
 
 def read_trace(path, width: int):
     """Trace replay input: one address per line, binary or dotted-quad."""
-    from .prefixdb import dotted_to_bits
-
     addresses = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "." in line:
-                if width != 32:
-                    raise MalformedLine(lineno, "dotted addresses need width 32")
-                try:
-                    line = dotted_to_bits(line)
-                except ValueError as exc:
-                    raise MalformedLine(lineno, str(exc)) from None
-            if len(line) != width or line.strip("01"):
-                raise MalformedLine(lineno, f"expected a {width}-bit address")
-            addresses.append(line)
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "." in line:
+            if width != 32:
+                raise MalformedLine(lineno, "dotted addresses need width 32")
+            try:
+                line = dotted_to_bits(line)
+            except ValueError as exc:
+                raise MalformedLine(lineno, str(exc)) from None
+        if len(line) != width or line.strip("01"):
+            raise MalformedLine(lineno, f"expected a {width}-bit address")
+        addresses.append(line)
     return addresses
 
 
@@ -400,7 +403,10 @@ def _load_profile(path: Optional[str]) -> PipelineProfile:
             raise ValueError(f"profile {path}: missing key {key}")
         if type(raw[key]) is not int:
             raise ValueError(f"profile {path}: {key} must be an integer, got {raw[key]!r}")
-    return PipelineProfile(**{key: raw[key] for key in keys})
+    try:
+        return PipelineProfile(**{key: raw[key] for key in keys})
+    except ValueError as exc:
+        raise ValueError(f"profile {path}: {exc}") from None
 
 
 def _require_nonnegative(args, *names):
@@ -420,6 +426,8 @@ def _fraction_flag(args, name: str) -> Fraction:
 
 def _plan_config(args) -> PlanConfig:
     _require_nonnegative(args, "tag_bits", "overflow_capacity")
+    if args.tag_bits is not None and args.tag_bits > MAX_TAG_BITS:
+        raise ValueError(f"--tag-bits must be <= {MAX_TAG_BITS}, got {args.tag_bits}")
     return PlanConfig(
         db_path=args.db,
         address_width=args.width,
@@ -495,6 +503,8 @@ def main(argv=None) -> int:
     try:
         if args.width < 1:
             raise ValueError(f"--width must be >= 1, got {args.width}")
+        if args.width > MAX_WIDTH:
+            raise ValueError(f"--width must be <= {MAX_WIDTH}, got {args.width}")
         if args.command == "analyze":
             db = parse_file(args.db, args.width)
             if len(db) == 0:

@@ -32,10 +32,6 @@ class PrefixExceedsCoverage(PlannerError):
     pass
 
 
-class BudgetZero(PlannerError):
-    pass
-
-
 class TagOverflow(PlannerError):
     pass
 

@@ -42,6 +42,8 @@ from .tiler import (
     tree_insert,
 )
 
+MAX_STAGE_COUNT = 4096   # stage usage is an array, scanned first fit
+
 
 @dataclass(frozen=True)
 class PipelineProfile:
@@ -56,6 +58,8 @@ class PipelineProfile:
     def __post_init__(self):
         if self.stage_count < 1:
             raise ValueError("stage_count must be >= 1")
+        if self.stage_count > MAX_STAGE_COUNT:
+            raise ValueError(f"stage_count must be <= {MAX_STAGE_COUNT}, got {self.stage_count}")
         if self.tcam_blocks_per_stage < 0 or self.sram_pages_per_stage < 0:
             raise ValueError("per-stage block and page capacities must be >= 0")
 
@@ -354,17 +358,14 @@ class PipelineState:
     def address_width(self) -> int:
         return self.tree.address_width
 
-    def lookup_with_length(self, address: str) -> tuple[Optional[str], int]:
-        tree_value, tree_len = tree_lookup(self.tree, address)
-        over_value, over_len = self.overflow.lpm(address)
-        if over_value is not None and over_len >= tree_len:
-            return over_value, over_len
-        return tree_value, tree_len
-
     def search(self, address: str) -> str:
+        """The next hop of `address`; the overflow buffer wins ties by prefix length."""
         if len(address) != self.address_width or address.strip("01"):
             raise ValueError(f"address must be exactly {self.address_width} bits of 0/1")
-        value, _ = self.lookup_with_length(address)
+        value, length = tree_lookup(self.tree, address)
+        over_value, over_len = self.overflow.lpm(address)
+        if over_value is not None and over_len >= length:
+            value = over_value
         return value if value is not None else DEFAULT_NEXT_HOP
 
     # -- updates -----------------------------------------------------------------

@@ -175,14 +175,18 @@ def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabas
         return PrefixDatabase(address_width, entries)
 
 
-def parse_file(path, address_width: int) -> PrefixDatabase:
+def read_text(path) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 is named in the error."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return parse_database(text, address_width)
+
+
+def parse_file(path, address_width: int) -> PrefixDatabase:
+    return parse_database(read_text(path), address_width)
 
 
 def serialize(db: PrefixDatabase) -> str:

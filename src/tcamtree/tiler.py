@@ -1,4 +1,4 @@
-"""Fixed-stride trees of match tables: construction, block costs, stride search.
+"""Fixed-stride trees of match tables: construction and block costs.
 
 A tree table holds ternary entries of its stride width.  An original prefix
 that ends inside a level becomes a terminal entry padded with trailing
@@ -22,13 +22,11 @@ current by the writes that add or remove a row, so searches are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from ._util import ceil_div, ceil_log2, paused_gc
-from .errors import BudgetZero, DuplicatePrefix, NotFound, PrefixExceedsCoverage
+from .errors import DuplicatePrefix, NotFound, PrefixExceedsCoverage
 from .prefixdb import PrefixDatabase
-from .trie import LeanLevelTable
 
 TCAM = "tcam"
 SRAM = "sram"
@@ -519,80 +517,3 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
             alive, owners = deeper, deeper_owners
         return tree
 
-
-# -- stride search ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrideSearchConfig:
-    height: int                    # number of strides in the tree
-    coverage: int                  # total bits the strides must add up to
-    budget: int                    # acceptable-overhead threshold (entry count)
-    grain: GrainSpec = GrainSpec()
-    tag_bits: Optional[int] = None
-
-    def __post_init__(self):
-        if self.height < 1:
-            raise ValueError("height must be >= 1")
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
-
-
-@dataclass(frozen=True)
-class ScoredStrides:
-    strides: StrideList
-    levels: tuple[int, ...]
-    overhead: int
-
-
-@dataclass(frozen=True)
-class StrideSearchResult:
-    config: StrideSearchConfig
-    items: tuple[ScoredStrides, ...]
-    # The printed recurrence reuses the last chosen level's pointer count for
-    # the final segment; we keep that reading and say so wherever scores are shown.
-    convention_note: str = (
-        "final-segment overhead term uses the pointer count of the last chosen level"
-    )
-
-
-def choose_strides(
-    db: PrefixDatabase, cfg: StrideSearchConfig, lean: LeanLevelTable
-) -> StrideSearchResult:
-    """Enumerate split-level combinations and keep those under the overhead budget.
-
-    For each (height-1)-subset of levels 1..coverage-1, the overhead charge per
-    chosen level is (ceil((level + tag - prev) / grain_width) + 1) * nonleaf(level),
-    plus the same form once more for the final segment up to the coverage length.
-    Results are sorted by ascending overhead.
-    """
-    if cfg.height < 2:
-        raise ValueError("stride search needs height >= 2; height 1 is the single-table baseline")
-    if lean.max_depth < cfg.coverage - 1:
-        raise ValueError("lean-level table does not reach the coverage length")
-    levels = range(1, cfg.coverage)
-    if cfg.budget == 0 and any(lean.nonleaf(l) > 0 for l in levels):
-        raise BudgetZero("no split can satisfy a zero overhead budget")
-    tag = cfg.grain.tag_width(cfg.tag_bits)
-    w = cfg.grain.width
-    accepted = []
-    for combo in combinations(levels, cfg.height - 1):
-        overhead = 0
-        prev = 0
-        for lvl in combo:
-            overhead += (ceil_div(lvl + tag - prev, w) + 1) * lean.nonleaf(lvl)
-            prev = lvl
-        last = combo[-1]
-        overhead += (ceil_div(cfg.coverage + tag - prev, w) + 1) * lean.nonleaf(last)
-        if overhead < cfg.budget:
-            strides = []
-            prev = 0
-            for lvl in combo:
-                strides.append(lvl - prev)
-                prev = lvl
-            strides.append(cfg.coverage - prev)
-            accepted.append(
-                ScoredStrides(StrideList(tuple(strides)), combo, overhead)
-            )
-    accepted.sort(key=lambda s: (s.overhead, s.levels))
-    return StrideSearchResult(cfg, tuple(accepted))

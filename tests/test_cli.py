@@ -423,6 +423,44 @@ class TestBadInput:
             " invalid start byte\n"
         )
 
+    def test_trace_not_utf8_is_named(self, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_bytes(b"\xff\n")
+        code, out, err = run(
+            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
+            "--trace", str(trace),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {trace}: 'utf-8' codec can't decode byte 0xff in position 0:"
+            " invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("--width", "4611686018427387904", "--strides", "3-3"),
+             "--width must be <= 128, got 4611686018427387904"),
+            (("--width", "6", "--strides", "2-2-2", "--tag-bits", "9223372036854775808"),
+             "--tag-bits must be <= 128, got 9223372036854775808"),
+        ],
+    )
+    def test_oversized_flag_is_named(self, argv, line, capsys):
+        # each used to size an allocation and end in a MemoryError traceback
+        code, out, err = run(capsys, "plan", "--db", str(DATA), *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {line}\n"
+
+    def test_oversized_profile_is_named(self, tmp_path, capsys):
+        path = self.profile(
+            tmp_path, stage_count=4611686018427387904, tcam_blocks_per_stage=4,
+            sram_pages_per_stage=4,
+        )
+        err = self.plan_error(capsys, "--profile", path)
+        assert err == (
+            f"error: profile {path}: stage_count must be <= 4096, got 4611686018427387904\n"
+        )
+
     def test_zero_sweep_width(self, capsys):
         code, out, err = run(
             capsys, "sweep-grain", "--db", str(DATA), "--width", "6",

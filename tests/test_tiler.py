@@ -14,17 +14,15 @@ from tcamtree import (
     blocks_for_table,
     build_tree,
     build_unibit_trie,
-    choose_strides,
     compute_lean_levels,
     hybridize,
     oracle_lookup,
     parse_file,
 )
 from tcamtree import tiler
-from tcamtree.errors import BudgetZero, DuplicatePrefix, PrefixExceedsCoverage
+from tcamtree.errors import DuplicatePrefix, PrefixExceedsCoverage
 from tcamtree.tiler import (
     LengthRows,
-    StrideSearchConfig,
     TableEntry,
     TreeTable,
     tree_delete,
@@ -409,50 +407,3 @@ class TestBlocksForTable:
         tree = build_tree(db, StrideList.parse("6"))
         cost = blocks_for_table(tree.root.stride_width, tree.root.entry_count, grain)
         assert cost == single_tcam_baseline(len(db), 6, grain)[0]
-
-
-class TestChooseStrides:
-    def lean(self):
-        db = table1_db()
-        return db, compute_lean_levels(build_unibit_trie(db), len(db), max_depth=6)
-
-    def test_table1_height2_scores(self):
-        db, lean = self.lean()
-        cfg = StrideSearchConfig(height=2, coverage=6, budget=10)
-        result = choose_strides(db, cfg, lean)
-        scored = {str(item.strides): item.overhead for item in result.items}
-        # per-level charge is (ceil((lvl+9)/44)+1)*LL[lvl] plus the final-segment
-        # term with the last chosen level's count: 4*LL[lvl] for every split here
-        assert scored == {"1-5": 4, "2-4": 4, "3-3": 4, "5-1": 4, "4-2": 8}
-        assert [item.overhead for item in result.items] == sorted(
-            item.overhead for item in result.items
-        )
-        assert result.convention_note
-
-    def test_budget_one_rejects_everything(self):
-        db, lean = self.lean()
-        cfg = StrideSearchConfig(height=2, coverage=6, budget=1)
-        assert choose_strides(db, cfg, lean).items == ()
-
-    def test_budget_zero_raises(self):
-        db, lean = self.lean()
-        with pytest.raises(BudgetZero):
-            choose_strides(db, cfg=StrideSearchConfig(height=2, coverage=6, budget=0), lean=lean)
-
-    def test_single_level_config_constructs_but_cannot_search(self):
-        db, lean = self.lean()
-        cfg = StrideSearchConfig(height=1, coverage=6, budget=10)
-        with pytest.raises(ValueError):
-            choose_strides(db, cfg, lean)
-
-    def test_deepest_level_contributes_nothing(self):
-        _, lean = self.lean()
-        assert lean.nonleaf(6) == 0
-
-    def test_height_three_combinations(self):
-        db, lean = self.lean()
-        cfg = StrideSearchConfig(height=3, coverage=6, budget=100)
-        result = choose_strides(db, cfg, lean)
-        assert all(len(item.strides.strides) == 3 for item in result.items)
-        assert all(item.strides.coverage == 6 for item in result.items)
-        assert len(result.items) == 10  # C(5,2) combinations all under budget
