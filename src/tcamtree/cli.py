@@ -32,6 +32,7 @@ from .pipeline import (
 )
 from .prefixdb import (
     PrefixDatabase,
+    address_value,
     dotted_to_bits,
     max_threshold_length,
     oracle_lookup,
@@ -246,8 +247,10 @@ def read_trace(path, width: int):
                 line = dotted_to_bits(line)
             except ValueError as exc:
                 raise MalformedLine(lineno, str(exc)) from None
-        if len(line) != width or line.strip("01"):
-            raise MalformedLine(lineno, f"expected a {width}-bit address")
+        try:
+            address_value(line, width)
+        except ValueError:
+            raise MalformedLine(lineno, f"expected a {width}-bit address") from None
         addresses.append(line)
     return addresses
 
@@ -273,7 +276,10 @@ def verification_addresses(db: PrefixDatabase, mode: str, samples: int, seed: in
                 seen.add(addr)
                 yield addr
     rng = random.Random(seed)
+    space = 1 << width
     for _ in range(samples):
+        if len(seen) == space:
+            return
         addr = format(rng.getrandbits(width), f"0{width}b")
         if addr not in seen:
             seen.add(addr)

@@ -3,12 +3,14 @@
 Placement honors one hard constraint, stated per level: every level's
 blocks and pages sit after every stage of the level above (the RMT stage
 dependency), and `PipelinePlan.place` is the one way to take stage space.
-The walk itself is match/action per level: take the next stride segment,
-look it up, remember the best value seen, descend on the returned child,
-and stop on the first miss or missing child.  Entries that the planned
-structure cannot hold (too long for the stride coverage, or no block space
-left) sit in a small overflow buffer; its matches are compared against the
-tree's by explicit prefix length, overflow winning ties.
+`search` checks an address and turns it into an int once
+(`prefixdb.address_value`).  The walk itself is match/action per level:
+shift the next stride segment out of that int, look it up, remember the
+best value of the matched row, descend on its child, and stop on the first
+miss or missing child.  Entries that the planned structure cannot hold (too
+long for the stride coverage, or no block space left) sit in a small
+overflow buffer; its matches are compared against the tree's by explicit
+prefix length, overflow winning ties, and an empty buffer is not consulted.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ._util import ceil_div, paused_gc
 from .errors import (
     CapacityExceeded,
     DuplicatePrefix,
+    LengthOutOfRange,
     OverflowFull,
     StageDepthExceeded,
 )
@@ -30,7 +33,7 @@ from .packing import (
     sram_rows_for_table,  # noqa: F401 -- perfbench/tracer.py times it through this module
     tag_and_pack,
 )
-from .prefixdb import DEFAULT_NEXT_HOP, Prefix, PrefixDatabase
+from .prefixdb import DEFAULT_NEXT_HOP, Prefix, PrefixDatabase, address_value
 from .tiler import (
     SRAM,
     GrainSpec,
@@ -261,22 +264,22 @@ def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowB
     return overflow
 
 
-def tree_lookup(tree: TcamTree, address: str) -> tuple[Optional[str], int]:
-    """Walk the table tree; returns (value, matched prefix length) or (None, -1)."""
+def tree_lookup(tree: TcamTree, key: int) -> tuple[Optional[str], int]:
+    """Walk the table tree on an address's int value, `key`: (value, matched
+    prefix length) or (None, -1)."""
     table: Optional[TreeTable] = tree.root
     value, vlen = None, -1
-    rest = int(address, 2)
-    rest_len = len(address)
+    rest = key
+    rest_len = tree.address_width
     while table is not None:
         rest_len -= table.stride_width
-        segment = rest >> rest_len
-        rest &= (1 << rest_len) - 1
-        hit, v, local_len, child = table.lookup(segment)
-        if not hit:
+        row = table.lookup(rest >> rest_len)
+        if row is None:
             break
-        if v is not None:
-            value, vlen = v, table.start_bit + local_len
-        table = child
+        rest &= (1 << rest_len) - 1
+        if row.bmp_value is not None:
+            value, vlen = row.bmp_value, table.start_bit + row.bmp_local_len
+        table = row.child
     return value, vlen
 
 
@@ -360,12 +363,11 @@ class PipelineState:
 
     def search(self, address: str) -> str:
         """The next hop of `address`; the overflow buffer wins ties by prefix length."""
-        if len(address) != self.address_width or address.strip("01"):
-            raise ValueError(f"address must be exactly {self.address_width} bits of 0/1")
-        value, length = tree_lookup(self.tree, address)
-        over_value, over_len = self.overflow.lpm(address)
-        if over_value is not None and over_len >= length:
-            value = over_value
+        value, length = tree_lookup(self.tree, address_value(address, self.tree.address_width))
+        if self.overflow.entries:
+            over_value, over_len = self.overflow.lpm(address)
+            if over_value is not None and over_len >= length:
+                value = over_value
         return value if value is not None else DEFAULT_NEXT_HOP
 
     # -- updates -----------------------------------------------------------------
@@ -373,6 +375,10 @@ class PipelineState:
     def insert(self, prefix: Prefix):
         """Add one prefix: insert it into the tree and place the rows it added,
         or roll back and spill it to the overflow buffer."""
+        if prefix.length > self.address_width:
+            raise LengthOutOfRange(
+                f"prefix {prefix} longer than address width {self.address_width}"
+            )
         if self.overflow.contains(prefix.bits):
             raise DuplicatePrefix(f"prefix {prefix} already present")
         if prefix.length > self.coverage:

@@ -197,13 +197,25 @@ def serialize(db: PrefixDatabase) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def address_value(address: str, width: int) -> int:
+    """The int value of `address`, a string of exactly `width` 0/1 characters:
+    the one check every address passes.  `isdigit` rules out what `int` would
+    skip (`_`, whitespace, a sign, `0b`), `isascii` rules out non-ASCII
+    digits, and `int` rules out 2-9."""
+    if len(address) == width and address.isascii() and address.isdigit():
+        try:
+            return int(address, 2)
+        except ValueError:
+            pass
+    raise ValueError(f"address must be exactly {width} bits of 0/1")
+
+
 def oracle_lookup(db: PrefixDatabase, address: str) -> str:
     """Reference longest-prefix-match: the deepest entry whose bits prefix `address`.
 
     Total over valid addresses; returns the default label on no match.
     """
-    if len(address) != db.address_width or address.strip("01"):
-        raise ValueError(f"address must be exactly {db.address_width} bits of 0/1")
+    address_value(address, db.address_width)
     for length, table in db._by_length:
         hop = table.get(address[:length])
         if hop is not None:

@@ -14,9 +14,10 @@ therefore share one lookup: each table keeps one map per specified length,
 keyed by the int value of the specified bits, and a lookup probes them
 longest first with the segment shifted down to each length (per-length
 hashing, as in Waldvogel et al.; int keys as in Srinivasan & Varghese's
-controlled prefix expansion).  Keys and segments are ints throughout; the
-ternary text of a key (`key_text`) is made only for dumps.  The maps are kept
-current by the writes that add or remove a row, so searches are read-only.
+controlled prefix expansion), and returns the first row it hits.  Keys and
+segments are ints throughout; the ternary text of a key (`key_text`) is made
+only for dumps.  The maps are kept current by the writes that add or remove
+a row, so searches are read-only.
 """
 
 from __future__ import annotations
@@ -265,8 +266,8 @@ class TreeTable:
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, segment: int):
-        """(hit, value, value_local_len, child) for one stride segment.
+    def lookup(self, segment: int) -> Optional[TableEntry]:
+        """The row one stride segment matches, or None.
 
         The first hit, longest length first, is the longest local match.  Both
         kinds answer alike: an SRAM table's exact-match rows expand its
@@ -277,9 +278,8 @@ class TreeTable:
         for rows in self._by_length:
             key = segment >> (s - rows.length)
             if key in rows:   # a miss costs no method call
-                e = rows[key]
-                return True, e.bmp_value, e.bmp_local_len, e.child
-        return False, None, None, None
+                return rows[key]
+        return None
 
     def __repr__(self):
         return (

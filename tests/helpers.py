@@ -53,11 +53,17 @@ def ternary_rows(table):
 
 def ordered_scan_lookup(ordered_rows, segment: str):
     """Reference for TreeTable.lookup: the first of the `ternary_rows` whose
-    key matches the segment, don't-cares matching either bit."""
+    key matches the segment, don't-cares matching either bit, or None."""
     for text, e in ordered_rows:
         if all(k in ("*", b) for k, b in zip(text, segment)):
-            return True, e.bmp_value, e.bmp_local_len, e.child
-    return False, None, None, None
+            return e
+    return None
+
+
+def row_view(row):
+    """What a walk reads from a matched row: (value, local length, child),
+    or None for a miss."""
+    return None if row is None else (row.bmp_value, row.bmp_local_len, row.child)
 
 
 def scan_local_lpm(table, key: str):
@@ -84,7 +90,7 @@ def stub_counts(tree, pure: bool = False) -> dict[int, int]:
 
 def tree_search(tree, address: str) -> str:
     """Longest-prefix match through a bare tree, without an overflow buffer."""
-    value, _ = tree_lookup(tree, address)
+    value, _ = tree_lookup(tree, int(address, 2))
     return value if value is not None else DEFAULT_NEXT_HOP
 
 

@@ -15,6 +15,7 @@ from tcamtree import (
     StrideList,
     parse_file,
 )
+from tcamtree import cli
 from tcamtree.cli import PlanConfig, build_plan, main
 from tcamtree.tiler import TCAM
 
@@ -616,6 +617,26 @@ class TestVerify:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_sampled_mode_stops_once_the_space_is_exhausted(self, capsys, monkeypatch):
+        # far more samples than the 64 addresses of a 6-bit space: drawing
+        # stops once every address has been seen, not after 10**12 draws
+        class CappedRandom(random.Random):
+            draws = 0
+
+            def getrandbits(self, k):
+                CappedRandom.draws += 1
+                assert CappedRandom.draws <= 100_000, "still drawing after the space was exhausted"
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(cli.random, "Random", CappedRandom)
+        code, out, _ = run(
+            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
+            "--mode", "sampled", "--samples", "1000000000000",
+        )
+        assert code == 0
+        assert out == "PASS 64/64\n"
+        assert 0 < CappedRandom.draws < 100_000
+
 
 class TestSweep:
     def test_toy_sweep_rows(self, capsys):
@@ -698,6 +719,29 @@ def test_benchmark_tracer_records_the_planning_layers():
     names = {span[0] for span in t.spans}
     assert {"packing.hybridize", "packing.tag_and_pack", "pipeline.map_to_pipeline"} <= names
     assert t.hot_snapshot()["packing.sram_rows_for_table"][0] > 0
+
+
+def test_benchmark_tracer_counts_the_lookup_layers():
+    # tiler.lookup_calls and pipeline.search_self_s read these hot counts: a
+    # search that stops calling TreeTable.lookup per table visited would
+    # quietly change them
+    state = PipelineState.planned(parse_file(DATA, 6), StrideList.parse("3-3"))
+    addresses = [format(v, "06b") for v in range(64)]
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        for address in addresses:
+            state.search(address)
+    finally:
+        t.uninstall()
+    hot = t.hot_snapshot()
+    root = state.tree.root
+    descents = sum(
+        1 for a in addresses if getattr(root.get(3, int(a[:3], 2)), "child", None) is not None
+    )
+    assert descents > 0
+    assert hot["pipeline.search"][0] == 64
+    assert hot["tiler.lookup"][0] == 64 + descents
 
 
 def test_benchmark_counts_the_blocks_the_plan_hands_out(monkeypatch):

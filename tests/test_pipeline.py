@@ -17,6 +17,7 @@ from tcamtree import (
 from tcamtree.errors import (
     CapacityExceeded,
     DuplicatePrefix,
+    LengthOutOfRange,
     NotFound,
     OverflowFull,
     StageDepthExceeded,
@@ -156,6 +157,31 @@ class TestSearch:
         assert state.search("10101010") == "long"
         assert state.search("10111111") == "short"
 
+    def test_overflow_wins_a_tie_with_the_tree(self):
+        # the root's stub `10` inherits `1*`'s value, so addresses under it
+        # that miss the child match the tree at length 1, as the overflow does
+        db = PrefixDatabase(4, [Prefix("1", 1, "tree"), Prefix("1010", 4, "deep")])
+        state = PipelineState.planned(db, StrideList.parse("2-2"))
+        assert state.search("1011") == "tree"
+        state.overflow.add(Prefix("1", 1, "over"))
+        assert state.search("1011") == "over"
+        assert state.search("1100") == "over"
+        assert state.search("1010") == "deep"
+        state.overflow.add(Prefix("1010", 4, "over4"))
+        assert state.search("1010") == "over4"
+        assert state.search("0000") == "default"
+
+    def test_an_empty_overflow_buffer_is_not_searched(self, monkeypatch):
+        state = PipelineState.planned(
+            PrefixDatabase(8, [Prefix("10", 2, "a")]), StrideList.parse("2-2")
+        )
+        state.insert(Prefix("101010", 6, "Z"))
+        assert state.search("10101011") == "Z"
+        state.delete(Prefix("101010", 6, "Z"))
+        assert state.overflow.entries == []
+        monkeypatch.setattr(OverflowBuffer, "lpm", None)   # a call would raise
+        assert state.search("10101011") == "a"
+
 
 class TestInsert:
     def test_insert_gains_priority_over_shorter(self):
@@ -172,6 +198,16 @@ class TestInsert:
         state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         with pytest.raises(DuplicatePrefix):
             state.insert(Prefix("1000", 4, "Z"))
+
+    def test_prefix_longer_than_the_width_is_refused(self):
+        # refused before it reaches the overflow buffer, so searches still answer
+        db = table1_db()
+        state = PipelineState.planned(db, StrideList.parse("3-3"))
+        with pytest.raises(LengthOutOfRange):
+            state.insert(Prefix("1" * 7, 7, "Z"))
+        assert len(state.overflow) == 0
+        for address in all_addresses(6):
+            assert state.search(address) == oracle_lookup(db, address)
 
     def test_long_prefix_goes_to_overflow(self):
         state = PipelineState.planned(table1_db(), StrideList.parse("3-2"))

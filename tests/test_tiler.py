@@ -36,6 +36,7 @@ from tests.helpers import (
     ordered_scan_lookup,
     random_database,
     random_strides,
+    row_view,
     scan_local_lpm,
     stub_counts,
     table1_db,
@@ -276,7 +277,8 @@ def check_index(tree, rng):
             segments = [format(rng.getrandbits(s), f"0{s}b") for _ in range(128)]
             segments += [text.replace("*", pad) for text, _ in ordered for pad in "01"]
         for segment in segments:
-            assert table.lookup(int(segment, 2)) == ordered_scan_lookup(ordered, segment), (
+            row = table.lookup(int(segment, 2))
+            assert row_view(row) == row_view(ordered_scan_lookup(ordered, segment)), (
                 table, segment,
             )
         for text, e in ordered:
