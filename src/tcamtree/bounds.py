@@ -68,10 +68,6 @@ def tiling_condition(
 
 @dataclass(frozen=True)
 class BoundsReport:
-    entry_count: int
-    max_length: int
-    threshold_length: int
-    grain: GrainSpec
     lower_bound_bits: int
     baseline_width: int
     baseline_blocks: int
@@ -89,7 +85,6 @@ class BoundsReport:
 
 def build_report(
     entry_count: int,
-    max_length: int,
     threshold_length: int,
     baseline_width: int,
     grain: GrainSpec,
@@ -105,10 +100,6 @@ def build_report(
     blocks, bits = single_tcam_baseline(entry_count, baseline_width, grain)
     tiling = None if split is None else tiling_condition(threshold_length, split, grain)
     return BoundsReport(
-        entry_count=entry_count,
-        max_length=max_length,
-        threshold_length=threshold_length,
-        grain=grain,
         lower_bound_bits=lower_bound_bits(entry_count, grain),
         baseline_width=baseline_width,
         baseline_blocks=blocks,

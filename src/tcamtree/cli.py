@@ -93,7 +93,6 @@ def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
     split = lean_row(db, cfg.strides.boundaries[0]) if len(cfg.strides) >= 2 else None
     breport = bounds_model.build_report(
         entry_count=len(db),
-        max_length=db.max_length(),
         threshold_length=threshold.length,
         baseline_width=cfg.strides.coverage,
         grain=cfg.grain,
@@ -289,8 +288,8 @@ def verification_addresses(db: PrefixDatabase, mode: str, samples: int, seed: in
 def inject_fault(state: PipelineState):
     """Corrupt every terminal value so the verifier must observe mismatches."""
     for table in state.tree.all_tables():
-        for e in table.raw_entries():
-            if e.is_terminal:
+        for length, _, e in table.rows():
+            if e.bmp_local_len == length:
                 e.bmp_value = e.bmp_value + "?corrupt"
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from ._util import ceil_div
@@ -102,43 +101,27 @@ def sram_rows_for_table(table: TreeTable, ranges: Optional[list[tuple[int, int]]
 class SuperTable:
     """Same-level tables packed onto one block set, told apart by a tag prefix.
 
-    `members` maps each table to its tag.  `total_entries` is kept by the
-    updates that change a member's rows, and the free tags below `_next_tag`
-    sit in the heap `_free_tags`, so neither is recounted over the members.
+    `members` is the tables, in the order they joined: an insertion-ordered
+    dict used as a set.  A `tag_bits`-bit tag tells at most 2**tag_bits
+    members apart, and only that count is modelled, not which tag each one
+    holds.  `total_entries` is kept by the updates that change a member's
+    rows, so it is not recounted over the members.
     """
 
     def __init__(self, level_index: int, tag_bits: int, members, grain: GrainSpec):
         self.level_index = level_index
         self.tag_bits = tag_bits
-        self.members: dict[TreeTable, int] = {t: tag for tag, t in members}
+        self.members: dict[TreeTable, None] = dict.fromkeys(members)
         self.grain = grain
         if len(self.members) > (1 << tag_bits):
             raise TagOverflow(
                 f"{len(self.members)} members cannot be told apart by {tag_bits} tag bits"
             )
-        tags = set(self.members.values())
-        if len(tags) != len(self.members):
-            raise ValueError("tags within a super-table must be unique")
-        self._next_tag = max(tags) + 1
-        self._free_tags = [tag for tag in range(self._next_tag) if tag not in tags]
         # Same-level tables share one stride width.
         self.effective_width = tag_bits + max(t.stride_width for t in self.members)
         self.total_entries = sum(t.entry_count for t in self.members)
         # Entry capacity as mapped; updates may extend it a block row at a time.
         self.allocated_rows = ceil_div(self.total_entries, grain.depth)
-
-    def add(self, table: TreeTable):
-        """Admit `table` under the lowest free tag; the caller counts its rows."""
-        if self._free_tags:
-            tag = heappop(self._free_tags)
-        else:
-            tag = self._next_tag
-            self._next_tag += 1
-        self.members[table] = tag
-
-    def discard(self, table: TreeTable):
-        """Let a member go and free its tag."""
-        heappush(self._free_tags, self.members.pop(table))
 
     @property
     def block_count(self) -> int:
@@ -172,16 +155,16 @@ def _emit_group(level_index, group, tag_bits, grain, out):
     untagged tables cheaper; a lone table never needs a tag (nothing shares
     its block set), which also keeps post-tag <= pre-tag on narrow grains."""
     if len(group) == 1:
-        out.append(SuperTable(level_index, 0, [(0, group[0])], grain))
+        out.append(SuperTable(level_index, 0, group, grain))
         return
-    packed = SuperTable(level_index, tag_bits, list(enumerate(group)), grain)
+    packed = SuperTable(level_index, tag_bits, group, grain)
     separate = sum(
         blocks_for_table(t.stride_width, t.entry_count, grain) for t in group
     )
     if packed.block_count <= separate:
         out.append(packed)
     else:
-        out.extend(SuperTable(level_index, 0, [(0, t)], grain) for t in group)
+        out.extend(SuperTable(level_index, 0, [t], grain) for t in group)
 
 
 def tag_and_pack(tree: TcamTree, grain: GrainSpec, tag_bits: int) -> list[SuperTable]:
@@ -198,7 +181,7 @@ def tag_and_pack(tree: TcamTree, grain: GrainSpec, tag_bits: int) -> list[SuperT
             continue
         if level_index == 0:
             for t in tcams:
-                result.append(SuperTable(0, 0, [(0, t)], grain))
+                result.append(SuperTable(0, 0, [t], grain))
             continue
         ordered = sorted(
             enumerate(tcams), key=lambda it: (-it[1].entry_count, it[0])

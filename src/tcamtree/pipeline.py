@@ -405,7 +405,7 @@ class PipelineState:
                 # allocated until a replan; an emptied super-table stays in
                 # `supertables`, in its planned position, and can be rejoined
                 del self._st_of[table]
-                st.discard(table)
+                del st.members[table]
 
     # -- capacity bookkeeping ------------------------------------------------------
 
@@ -414,8 +414,8 @@ class PipelineState:
 
         Each table in `grown` gained one row, and no two share a level.  A
         packed table's super-table grows a block row at a time; a new table
-        joins the last super-table of its level that has a free tag, growing
-        it if needed, or else opens a super-table of its own.  Memberships
+        joins the last super-table of its level with room for another member,
+        growing it if needed, or else opens a super-table of its own.  Memberships
         and entry counts change only once every block row is placed; if one
         cannot be, the rows taken so far are given back, the stage bounds
         restored, and False returned.  Without a stage map rows are counted,
@@ -441,7 +441,7 @@ class PipelineState:
             if host is not None and self._grow(host, host.total_entries + 1, rows):
                 joins.append((host, table))
                 continue
-            st = SuperTable(table.level_index, self.tag_bits, [(0, table)], self.grain)
+            st = SuperTable(table.level_index, self.tag_bits, [table], self.grain)
             st.allocated_rows = 0   # its first block row is placed like any other
             if not self._grow(st, st.total_entries, rows):
                 break
@@ -457,7 +457,7 @@ class PipelineState:
                 (table,) = st.members
                 self._st_of[table] = st
             for host, table in joins:
-                host.add(table)
+                host.members[table] = None
                 host.total_entries += 1
                 self._st_of[table] = host
             return True

@@ -108,13 +108,22 @@ class MaxThreshold:
     coverage_fraction: Fraction
 
 
+def _decimal(text: str) -> int:
+    """The value of `text`, a run of ASCII digits.  A bare `int` would also
+    take a sign, `_` between digits, surrounding whitespace and non-ASCII
+    digits, and read `1_0` as 10."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
 def dotted_to_bits(token: str) -> str:
     parts = token.split(".")
     if len(parts) != 4:
         raise ValueError("dotted form needs four octets")
     value = 0
     for part in parts:
-        octet = int(part)
+        octet = _decimal(part)
         if not 0 <= octet <= 255:
             raise ValueError(f"octet {octet} out of range")
         value = value * 256 + octet
@@ -157,7 +166,7 @@ def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabas
             if not sep:
                 raise MalformedLine(lineno, "missing '/<len>'")
             try:
-                length = int(len_str)
+                length = _decimal(len_str)
             except ValueError:
                 raise MalformedLine(lineno, f"bad length {len_str!r}") from None
             if not 0 <= length <= address_width:

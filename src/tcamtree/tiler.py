@@ -113,23 +113,22 @@ def blocks_for_table(table_width: int, table_depth: int, grain: GrainSpec) -> in
 
 
 class TableEntry:
-    """One ternary row's payload: optional value (with the local length that
-    produced it), optional child pointer.  `is_terminal` marks values that
-    belong to a database prefix ending in this table, as opposed to values
-    inherited by a stub from the table's own terminals.  The row's key and
-    specified length are where its table files it."""
+    """One ternary row's payload: the value of the longest of its table's
+    terminals that matches the row's key, with that terminal's local length
+    (None, None when none does), and an optional child pointer.  The row's
+    key and specified length are where its table files it, so a row is a
+    terminal, a database prefix ending in this table, exactly when its local
+    length is its own length; any other row is a full-length stub."""
 
-    __slots__ = ("bmp_value", "bmp_local_len", "is_terminal", "child")
+    __slots__ = ("bmp_value", "bmp_local_len", "child")
 
-    def __init__(self, bmp_value, bmp_local_len, is_terminal, child):
+    def __init__(self, bmp_value, bmp_local_len, child):
         self.bmp_value = bmp_value
         self.bmp_local_len = bmp_local_len
-        self.is_terminal = is_terminal
         self.child = child
 
     def __repr__(self):
-        mark = "T" if self.is_terminal else "s"
-        return f"<{mark} {self.bmp_value} child={self.child is not None}>"
+        return f"<{self.bmp_value}/{self.bmp_local_len} child={self.child is not None}>"
 
 
 def key_text(key: int, length: int, width: int) -> str:
@@ -225,16 +224,13 @@ class TreeTable:
         never decides a match."""
         return [(rows.length, k, rows[k]) for rows in self._by_length for k in sorted(rows)]
 
-    def raw_entries(self):
-        return [e for rows in self._by_length for e in rows.values()]
-
     def terminal_prefixes(self) -> list[tuple[int, int, str]]:
         """(key, length, value) for database prefixes that end in this table."""
         return [
             (k, rows.length, e.bmp_value)
             for rows in self._by_length
             for k, e in rows.items()
-            if e.is_terminal
+            if e.bmp_local_len == rows.length
         ]
 
     def stubs(self) -> list[tuple[int, TableEntry]]:
@@ -260,7 +256,7 @@ class TreeTable:
             l = rows.length
             if l <= length:
                 e = rows.get(key >> (length - l))
-                if e is not None and e.is_terminal:
+                if e is not None and e.bmp_local_len == l:
                     return e.bmp_value, l
         return None, None
 
@@ -323,7 +319,11 @@ class TcamTree:
     @property
     def terminal_count(self) -> int:
         return sum(
-            1 for t in self.all_tables() for e in t.raw_entries() if e.is_terminal
+            1
+            for t in self.all_tables()
+            for rows in t._by_length
+            for e in rows.values()
+            if e.bmp_local_len == rows.length
         )
 
     @property
@@ -342,7 +342,7 @@ class TcamTree:
                         key_text(k, l, s),
                         e.bmp_value,
                         e.bmp_local_len,
-                        e.is_terminal,
+                        e.bmp_local_len == l,
                         dump(e.child) if e.child is not None else None,
                     )
                     for l, k, e in table.rows()
@@ -399,25 +399,23 @@ def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
         entry = table.get(s, stub)
         if entry is None:
             inherited_value, inherited_len = table.local_lpm(stub, s)
-            table.rows_for(s)[stub] = TableEntry(inherited_value, inherited_len, False, child)
+            table.rows_for(s)[stub] = TableEntry(inherited_value, inherited_len, child)
             grown.append(table)
         else:
             entry.child = child
         table = child
     entry = table.get(length, key)
-    if entry is not None and entry.is_terminal:
-        raise DuplicatePrefix(f"prefix {bits}/{len(bits)} already present")
-    if entry is not None:
-        entry.is_terminal = True
-        entry.bmp_value = value
-        entry.bmp_local_len = length
-    else:
-        table.rows_for(length)[key] = TableEntry(value, length, True, None)
+    if entry is None:
+        table.rows_for(length)[key] = TableEntry(value, length, None)
         grown.append(table)
+    elif entry.bmp_local_len == length:
+        raise DuplicatePrefix(f"prefix {bits}/{len(bits)} already present")
+    # Rows under the prefix whose best terminal is shorter take its value: a
+    # stub at the prefix's own key becomes the terminal this way.  The
+    # full-length terminals under it are at least as long, so they keep theirs.
     for other in table.rows_under(key, length):
-        if not other.is_terminal and (
-            other.bmp_local_len is None or other.bmp_local_len < length
-        ):
+        local_len = other.bmp_local_len
+        if local_len is None or local_len < length:
             other.bmp_value = value
             other.bmp_local_len = length
     return grown
@@ -431,26 +429,25 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
     """
     path, table, key, length = walk(tree, int(bits or "0", 2), len(bits))
     entry = table.get(length, key)
-    if entry is None or not entry.is_terminal:
+    if entry is None or entry.bmp_local_len != length:
         raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
     shrunk = []
-    if entry.child is not None:
-        entry.is_terminal = False
-    else:
+    if entry.child is None:
         table.remove(length, key)
         shrunk.append(table)
-    # Only stubs under the prefix that inherited from it change, and all of
-    # them fall back to the next shorter terminal above it.
+    # Only rows under the prefix that took its value change, and all of them
+    # fall back to the next shorter terminal above it; a terminal kept for
+    # its child is one of them, and so becomes a stub.
     value, value_len = table.local_lpm(key >> 1, length - 1) if length else (None, None)
     for other in table.rows_under(key, length):
-        if not other.is_terminal and other.bmp_local_len == length:
+        if other.bmp_local_len == length:
             other.bmp_value, other.bmp_local_len = value, value_len
     # lazy upward collection of emptied tables
     while table.entry_count == 0 and path:
         parent, stub, entry = path.pop()
         tree.drop_table(table)
         entry.child = None
-        if not entry.is_terminal:
+        if entry.bmp_local_len != parent.stride_width:   # a stub, not a terminal
             parent.remove(parent.stride_width, stub)
             shrunk.append(parent)
         table = parent
@@ -499,7 +496,7 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
                     continue
                 local = len(bits) - start
                 rows = table.rows_for(local)
-                rows[int(bits[start:] or "0", 2)] = TableEntry(p.next_hop, local, True, None)
+                rows[int(bits[start:] or "0", 2)] = TableEntry(p.next_hop, local, None)
             for j, p in enumerate(deeper):
                 table = deeper_owners[j]
                 key = int(p.bits[start:end], 2)
@@ -508,7 +505,7 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
                 if entry is None:
                     value, length = table.local_lpm(key, s)
                     child = tree.new_table(level_index + 1)
-                    rows[key] = TableEntry(value, length, False, child)
+                    rows[key] = TableEntry(value, length, child)
                 elif entry.child is None:   # a full-length terminal takes the stub's child
                     child = entry.child = tree.new_table(level_index + 1)
                 else:

@@ -44,9 +44,8 @@ class LeanLevelRow:
 class LeanLevelTable:
     """Per-depth non-leaf counts; low counts mark cheap places to cut the trie."""
 
-    def __init__(self, rows: Iterable[LeanLevelRow], total_prefixes: int):
+    def __init__(self, rows: Iterable[LeanLevelRow]):
         self.rows = tuple(rows)
-        self.total_prefixes = total_prefixes
         self._by_depth = {r.depth: r for r in self.rows}
 
     @property
@@ -99,7 +98,7 @@ def compute_lean_levels(
         parents.update(marked[depth])
         nodes = parents
     rows = (LeanLevelRow.counted(depth, n, total_prefixes) for depth, n in enumerate(counts))
-    return LeanLevelTable(rows, total_prefixes)
+    return LeanLevelTable(rows)
 
 
 def lean_row(db: PrefixDatabase, depth: int) -> LeanLevelRow:

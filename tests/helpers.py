@@ -77,13 +77,24 @@ def scan_local_lpm(table, key: str):
     return best_val, best_len
 
 
+def is_terminal(entry, length: int) -> bool:
+    """Whether a row filed at specified length `length` is a database prefix
+    ending in its table: a terminal's local length is its own."""
+    return entry.bmp_local_len == length
+
+
 def stub_counts(tree, pure: bool = False) -> dict[int, int]:
     """Child-bearing rows per level boundary, which equal the unibit trie's
     non-leaf counts at those depths.  With `pure`, only the rows the tree
     holds beyond the database entries: a stub merged with a terminal
     occupies no extra row."""
     return {
-        boundary: sum(1 for t in tables for _, e in t.stubs() if not (pure and e.is_terminal))
+        boundary: sum(
+            1
+            for t in tables
+            for _, e in t.stubs()
+            if not (pure and is_terminal(e, t.stride_width))
+        )
         for boundary, tables in zip(tree.stride_list.boundaries, tree.levels)
     }
 

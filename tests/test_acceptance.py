@@ -41,6 +41,7 @@ from tests.helpers import (
     random_strides,
     state_vector,
     HopIds,
+    is_terminal,
     table1_db,
     ternary_rows,
 )
@@ -64,7 +65,7 @@ def test_criterion_1_table1_end_to_end():
             assert state.search(address) == oracle_lookup(db, address), (spec, address)
     tree = build_tree(db, StrideList.parse("3-3"))
     root_view = {
-        text: (e.bmp_value, e.is_terminal, e.child is not None)
+        text: (e.bmp_value, is_terminal(e, len(text.rstrip("*"))), e.child is not None)
         for text, e in ternary_rows(tree.root)
     }
     assert root_view == {"1**": ("A", True, False), "100": ("A", False, True)}
@@ -323,8 +324,7 @@ def test_criterion_6_closed_form_checkpoints():
     assert single_tcam_baseline(287 * 512, 64, GRAIN)[0] == 574
     lean = LeanLevelTable(
         [LeanLevelRow(d, 0, Fraction(0), Fraction(0)) for d in range(19)]
-        + [LeanLevelRow(19, 450, Fraction(3, 10), Fraction(3, 5))],
-        150000,
+        + [LeanLevelRow(19, 450, Fraction(3, 10), Fraction(3, 5))]
     )
     cond = tiling_condition(48, lean.row(19), GRAIN)
     assert cond.lhs == 38

@@ -31,7 +31,7 @@ def lean_with(level, b, total=150000, max_depth=None):
         frac = Fraction(str(b)) if depth == level else Fraction(0)
         count = int(total * frac / 100)
         rows.append(LeanLevelRow(depth, count, frac, 2 * frac))
-    return LeanLevelTable(rows, total)
+    return LeanLevelTable(rows)
 
 
 class TestLowerBound:
@@ -102,7 +102,6 @@ class TestReport:
         lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=6)
         report = build_report(
             entry_count=len(db),
-            max_length=6,
             threshold_length=6,
             baseline_width=6,
             grain=GRAIN,

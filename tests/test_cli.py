@@ -393,6 +393,10 @@ class TestBadInput:
             ("1.2.3.x", "invalid literal for int() with base 10: 'x'"),
             ("1.2.3.999", "octet 999 out of range"),
             ("1.2.3", "dotted form needs four octets"),
+            # `int` alone reads each of these as a number, 10.0.0.1_0 as 10.0.0.10
+            ("10.0.0.1_0", "invalid literal for int() with base 10: '1_0'"),
+            ("+10.0.0.1", "invalid literal for int() with base 10: '+10'"),
+            ("10.0.0.\u0664", "invalid literal for int() with base 10: '\u0664'"),
         ],
     )
     def test_bad_dotted_trace_line_is_numbered(self, address, reason, tmp_path, capsys):
@@ -404,6 +408,29 @@ class TestBadInput:
         )
         assert code == 2 and out == ""
         assert err == f"error: line 2: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "width, text, line",
+        [
+            (8, "0000/+4 A\n", "line 1: bad length '+4'"),
+            (8, "0000/\u0664 A\n", "line 1: bad length '\u0664'"),
+            (8, "1/1 A\n00000000/0_8 B\n", "line 2: bad length '0_8'"),
+            # read as 10.0.0.10, this line used to make the next a duplicate
+            (32, "10.0.0.1_0/32 A\n10.0.0.10/32 B\n",
+             "line 1: invalid literal for int() with base 10: '1_0'"),
+            (32, "+10.0.0.1/32 A\n", "line 1: invalid literal for int() with base 10: '+10'"),
+        ],
+        ids=["sign-length", "arabic-digit-length", "underscore-length", "underscore-octet",
+             "sign-octet"],
+    )
+    def test_database_numbers_are_ascii_decimal(self, width, text, line, tmp_path, capsys):
+        db = tmp_path / "db.txt"
+        db.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "plan", "--db", str(db), "--width", str(width), "--strides", f"{width}",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {line}\n"
 
     def test_profile_not_json_is_named(self, tmp_path, capsys):
         path = tmp_path / "profile.json"
@@ -744,26 +771,32 @@ def test_benchmark_tracer_counts_the_lookup_layers():
     assert hot["tiler.lookup"][0] == 64 + descents
 
 
-def test_benchmark_counts_the_blocks_the_plan_hands_out(monkeypatch):
-    # perfbench/run.py reports tcam_blocks by reading the stage map's spans; a
-    # PipelinePlan change that breaks that reading must fail here
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/run.py, loaded read-only: no bytecode written, and the `gen`
+    module it imports dropped again unless it was loaded before."""
     import importlib.util
     import sys
-
-    from tcamtree import GrainSpec, Prefix, PrefixDatabase, StrideList
-    from tcamtree.pipeline import PipelineProfile, PipelineState
 
     monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])   # for `gen`
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "perfbench_run", bench)   # its dataclasses look it up
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "perfbench_run", module)   # its dataclasses look it up
     fresh_gen = "gen" not in sys.modules
     try:
-        spec.loader.exec_module(bench)
+        spec.loader.exec_module(module)
     finally:
         if fresh_gen:
             sys.modules.pop("gen", None)
+    return module
+
+
+def test_benchmark_counts_the_blocks_the_plan_hands_out(bench):
+    # perfbench/run.py reports tcam_blocks by reading the stage map's spans; a
+    # PipelinePlan change that breaks that reading must fail here
+    from tcamtree import Prefix, PrefixDatabase
+    from tcamtree.pipeline import PipelineProfile
 
     db = PrefixDatabase(8, [Prefix(format(i, "06b"), 6, f"h{i}") for i in range(4)])
     state = PipelineState.planned(
@@ -776,3 +809,44 @@ def test_benchmark_counts_the_blocks_the_plan_hands_out(monkeypatch):
     assert len(state.overflow) == 0 and state.plan.extra_spans
     blocks = sum(st.allocated_blocks for st in state.supertables)
     assert bench.blocks_in_use(state) == blocks == sum(state.plan._tcam_next)
+
+
+def test_benchmark_reads_the_structure_it_declares(bench):
+    # perfbench/run.py's per-layer structure figures walk the tree and the
+    # super-tables; a change to either that breaks the walk must fail here
+    from tcamtree import Prefix
+    from tcamtree.pipeline import PipelineProfile
+    from tcamtree.tiler import SRAM
+
+    declared = {
+        m["name"]: m["unit"]
+        for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    }
+    # timings and call counts come from the tracer, not from the structure
+    structure = {
+        name for name, unit in declared.items()
+        if name.startswith(("tiler.", "packing.")) and unit not in ("s", "us")
+        and name != "tiler.lookup_calls"
+    }
+    db = parse_file(SYNTHETIC_IPV4, 32)
+    state = PipelineState.planned(
+        db, StrideList.parse("16-4-4-8"), profile=PipelineProfile(),
+        hybrid=HybridizationConfig(factor=Fraction(3)),
+    )
+    # a new level-1 table joins a super-table, and leaves it again
+    new = Prefix("1" * 20, 20, "x")
+    state.insert(new)
+    state.delete(new)
+    state.insert(Prefix("0" * 24, 24, "y"))
+    run = bench.Run("structure", None, 0, 0.0, None)
+    run.quality = {"sram_pages": 1}
+    run.put_structure(state)
+    assert structure <= set(run.metrics)
+    for name, (value, unit) in run.metrics.items():
+        assert unit == declared[name], name
+    tree, sts = state.tree, state.supertables
+    assert run.metrics["tiler.stub_rows"][0] == sum(t.stub_count() for t in tree.all_tables()) > 0
+    assert run.metrics["packing.supertables"][0] == len(sts) > 1
+    sram_tables = sum(t.kind == SRAM for t in tree.all_tables())
+    assert run.metrics["packing.sram_tables"][0] == sram_tables > 0
+    assert 0 < run.metrics["packing.empty_entry_ratio"][0] < 1

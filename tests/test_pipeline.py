@@ -28,6 +28,7 @@ from tcamtree.tiler import TCAM, TableEntry, TcamTree, TreeTable
 from tests.helpers import (
     all_addresses,
     full_space_mismatches,
+    is_terminal,
     random_database,
     random_strides,
     table1_db,
@@ -50,14 +51,14 @@ def synthetic_supertables(level_blocks):
             table = tree.new_table(level) if level else tree.root
             for i in range(blocks * grain.depth):
                 if table.get(8, i % 256) is None:
-                    table.rows_for(8)[i % 256] = TableEntry(f"v{i}", 8, True, None)
+                    table.rows_for(8)[i % 256] = TableEntry(f"v{i}", 8, None)
             tables_here.append(table)
-            supers.append(SuperTable(level, 0, [(0, table)], grain))
+            supers.append(SuperTable(level, 0, [table], grain))
         if prev_tables:
             # chain a dependency: first table of the previous level points here
             parent = prev_tables[0]
             for t in tables_here:
-                parent.rows_for(8)[parent.entry_count % 256] = TableEntry(None, None, False, t)
+                parent.rows_for(8)[parent.entry_count % 256] = TableEntry(None, None, t)
         prev_tables = tables_here
     return supers
 
@@ -120,7 +121,7 @@ class TestMapToPipeline:
                 (i, st_of[e.child])
                 for i, st_ in enumerate(state.supertables)
                 for t in st_.members
-                for e in t.raw_entries()
+                for _, _, e in t.rows()
                 if e.child in st_of
             }
             for parent, child in edges:
@@ -270,8 +271,9 @@ class TestInsert:
         assert state.plan.level_min_stage[1] == state.plan.stages_used() == 2
         assert state.search("11110000") == "c" and state.search("00001111") == "d"
 
-    def test_join_takes_the_lowest_free_tag(self):
-        # the collected table's tag 0 is free again; the 1-bit tag has no 2
+    def test_join_takes_the_room_a_collected_table_left(self):
+        # a 1-bit tag tells two members apart: the new table joins only because
+        # the collected one left
         db = PrefixDatabase(4, [Prefix("0000", 4, "a"), Prefix("0100", 4, "b")])
         profile = PipelineProfile(stage_count=4, tcam_blocks_per_stage=4, sram_pages_per_stage=4)
         state = PipelineState.planned(
@@ -280,7 +282,7 @@ class TestInsert:
         state.delete(Prefix("0000", 4, "a"))
         state.insert(Prefix("1000", 4, "c"))
         (level1,) = [st_ for st_ in state.supertables if st_.level_index == 1]
-        assert sorted(level1.members[t] for t in state.tree.levels[1]) == [0, 1]
+        assert list(level1.members) == list(state.tree.levels[1]) and len(level1.members) == 2
         assert state.search("1000") == "c" and state.search("0100") == "b"
 
     def test_emptied_supertable_keeps_its_place_and_is_rejoined(self):
@@ -360,10 +362,10 @@ class TestDelete:
         db = PrefixDatabase(4, [Prefix("01", 2, "X"), Prefix("0111", 4, "Y")])
         state = PipelineState.planned(db, StrideList.parse("2-2"))
         merged = state.tree.root.get(2, 0b01)
-        assert merged.is_terminal and merged.child is not None
+        assert is_terminal(merged, 2) and merged.child is not None
         state.delete(Prefix("01", 2, "X"))
         merged = state.tree.root.get(2, 0b01)
-        assert merged is not None and not merged.is_terminal
+        assert merged is not None and not is_terminal(merged, 2)
         assert state.search("0111") == "Y"
         assert state.search("0100") == "default"
 
@@ -430,20 +432,24 @@ def audit_tree(tree, levels_before):
     while stack:
         table = stack.pop()
         reachable[table.level_index].add(table)
-        stack.extend(e.child for e in table.raw_entries() if e.child is not None)
+        stack.extend(e.child for _, _, e in table.rows() if e.child is not None)
     for level, before, tables in zip(tree.levels, levels_before, reachable):
         assert len(level) == len(tables) and set(level) == tables
         kept = [t for t in before if t in level]
         assert list(level)[: len(kept)] == kept
     for table in tree.all_tables():
         # a row of length l is a terminal of local length l, or a stub at the
-        # full stride; every key fits its length, and no length's map is empty
+        # full stride that inherits a strictly shorter local length or none,
+        # so reading a row's kind off its local length is unambiguous; every
+        # key fits its length, and no length's map is empty
         lengths = Counter()
         for rows in table._by_length:
             length = rows.length
             for key, e in rows.items():
                 assert 0 <= key < 1 << length
-                assert e.bmp_local_len == length if e.is_terminal else length == table.stride_width
+                if not is_terminal(e, length):
+                    assert length == table.stride_width and e.child is not None
+                    assert e.bmp_local_len is None or e.bmp_local_len < length
                 lengths[length] += 1
         assert [rows.length for rows in table._by_length] == sorted(lengths, reverse=True)
 
@@ -464,14 +470,7 @@ def audit(state, planned_supertables):
     for st_ in state.supertables:
         assert st_.total_entries == sum(t.entry_count for t in st_.members)
         assert st_.entry_capacity >= st_.total_entries
-        tags = list(st_.members.values())
-        assert len(set(tags)) == len(tags)
-        assert all(0 <= tag < 2**st_.tag_bits for tag in tags)
-        # the free tags are the unused ones below the next fresh tag, as a heap
-        heap = st_._free_tags
-        assert sorted(heap) == sorted(set(range(st_._next_tag)) - set(tags))
-        assert all(tag < st_._next_tag for tag in tags)
-        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+        assert len(st_.members) <= 2**st_.tag_bits
     for i, st_ in enumerate(state.supertables):
         spans = plan.extra_spans.get(st_, [])
         if i < n:

@@ -109,6 +109,10 @@ class TestParse:
         with pytest.raises(MalformedLine):
             parse_database("10.0.0.0/8 X\n", 16)
 
+    def test_leading_zeros_are_accepted(self):
+        db = parse_database("010.000.0.1/032 X\n", 32)
+        assert db.entries[0] == Prefix(format((10 << 24) + 1, "032b"), 32, "X")
+
     def test_byte_stream_input(self):
         db = parse_database(TABLE1_TEXT.encode("utf-8"), 6)
         assert len(db) == 6

@@ -33,6 +33,7 @@ from tests.helpers import (
     DATA_DIR,
     all_addresses,
     build_tree_by_inserts,
+    is_terminal,
     ordered_scan_lookup,
     random_database,
     random_strides,
@@ -47,7 +48,7 @@ from tests.helpers import (
 
 def entry_view(table):
     return {
-        text: (e.bmp_value, e.is_terminal, e.child is not None)
+        text: (e.bmp_value, is_terminal(e, len(text.rstrip("*"))), e.child is not None)
         for text, e in ternary_rows(table)
     }
 
@@ -282,7 +283,7 @@ def check_index(tree, rng):
                 table, segment,
             )
         for text, e in ordered:
-            if not e.is_terminal:
+            if not is_terminal(e, len(text.rstrip("*"))):
                 assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, text)
 
 

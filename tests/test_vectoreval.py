@@ -14,6 +14,7 @@ from tests.helpers import (
     all_addresses,
     db_entry_tuples,
     full_space_mismatches,
+    is_terminal,
     random_database,
     random_strides,
     state_vector,
@@ -83,8 +84,8 @@ def test_vector_agrees_on_table1():
 def test_vector_catches_a_planted_fault():
     db = table1_db()
     state = PipelineState.planned(db, StrideList.parse("3-3"))
-    for e in state.tree.root.raw_entries():
-        if e.is_terminal:
+    for length, _, e in state.tree.root.rows():
+        if is_terminal(e, length):
             e.bmp_value = "WRONG"
     count, _ = full_space_mismatches(db_entry_tuples(db), state)
     assert count > 0
