@@ -27,12 +27,23 @@ def fixed_decimal_str(value, places: int = 3) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
+def parse_decimal(text: str) -> int:
+    """The value of `text`, a run of ASCII digits: the one reader of a number
+    in a database, a trace or a flag.  A bare `int` would also take a sign,
+    `_` between digits, surrounding whitespace and non-ASCII digits, and read
+    `1_0` as 10."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
 def parse_wxd(text: str) -> tuple[int, int]:
     """A `WxD` geometry (width x depth), as given on the command line."""
-    w, x, d = text.lower().partition("x")
-    if not (x and w.isdigit() and d.isdigit()):
-        raise ValueError(f"expected a WxD geometry such as 44x512, got {text!r}")
-    return int(w), int(d)
+    w, _, d = text.lower().partition("x")
+    try:
+        return parse_decimal(w), parse_decimal(d)
+    except ValueError:
+        raise ValueError(f"expected a WxD geometry such as 44x512, got {text!r}") from None
 
 
 class _PausedGC:

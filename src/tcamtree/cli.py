@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bounds as bounds_model
-from ._util import fixed_decimal_str, parse_wxd
+from ._util import fixed_decimal_str, parse_decimal, parse_wxd
 from .errors import EmptyDatabase, MalformedLine, PlannerError
 from .packing import (
     HybridizationConfig,
@@ -547,7 +547,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "sweep-grain":
             try:
-                widths = [int(w) for w in args.widths.split(",")]
+                widths = [parse_decimal(w) for w in args.widths.split(",")]
             except ValueError:
                 raise ValueError(
                     f"--widths must be comma-separated integers, got {args.widths!r}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._util import paused_gc
+from ._util import parse_decimal, paused_gc
 from .errors import DuplicatePrefix, EmptyDatabase, LengthOutOfRange, MalformedLine
 
 DEFAULT_NEXT_HOP = "default"
@@ -67,8 +67,10 @@ class PrefixDatabase:
             if p.bits in table:
                 raise DuplicatePrefix(f"duplicate prefix {p}")
             table[p.bits] = p.next_hop
-        # Descending-length probe order for oracle_lookup.
-        self._by_length = [(l, by_length[l]) for l in sorted(by_length, reverse=True)]
+        # The length index, read-only: (length, {bits: next hop}) longest
+        # first, each map in file order.  `oracle_lookup` probes it in this
+        # order, `build_tree` reads it shortest first.
+        self.by_length = tuple((l, by_length[l]) for l in sorted(by_length, reverse=True))
 
     @property
     def entry_count(self) -> int:
@@ -88,7 +90,7 @@ class PrefixDatabase:
         )
 
     def max_length(self) -> int:
-        return self._by_length[0][0] if self._by_length else 0
+        return self.by_length[0][0] if self.by_length else 0
 
     def restricted(self, max_length: int) -> "PrefixDatabase":
         """Entries with length <= max_length, original order preserved.  The
@@ -108,22 +110,13 @@ class MaxThreshold:
     coverage_fraction: Fraction
 
 
-def _decimal(text: str) -> int:
-    """The value of `text`, a run of ASCII digits.  A bare `int` would also
-    take a sign, `_` between digits, surrounding whitespace and non-ASCII
-    digits, and read `1_0` as 10."""
-    if text.isascii() and text.isdigit():
-        return int(text)
-    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-
-
 def dotted_to_bits(token: str) -> str:
     parts = token.split(".")
     if len(parts) != 4:
         raise ValueError("dotted form needs four octets")
     value = 0
     for part in parts:
-        octet = _decimal(part)
+        octet = parse_decimal(part)
         if not 0 <= octet <= 255:
             raise ValueError(f"octet {octet} out of range")
         value = value * 256 + octet
@@ -166,7 +159,7 @@ def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabas
             if not sep:
                 raise MalformedLine(lineno, "missing '/<len>'")
             try:
-                length = _decimal(len_str)
+                length = parse_decimal(len_str)
             except ValueError:
                 raise MalformedLine(lineno, f"bad length {len_str!r}") from None
             if not 0 <= length <= address_width:
@@ -225,7 +218,7 @@ def oracle_lookup(db: PrefixDatabase, address: str) -> str:
     Total over valid addresses; returns the default label on no match.
     """
     address_value(address, db.address_width)
-    for length, table in db._by_length:
+    for length, table in db.by_length:
         hop = table.get(address[:length])
         if hop is not None:
             return hop
@@ -242,12 +235,9 @@ def max_threshold_length(db: PrefixDatabase, coverage=Fraction(99, 100)) -> MaxT
         raise ValueError("coverage must lie in (0, 1]")
     if len(db) == 0:
         raise EmptyDatabase("cannot compute a threshold length for an empty database")
-    counts = [0] * (db.address_width + 1)
-    for p in db.entries:
-        counts[p.length] += 1
     cumulative = 0
-    for m in range(db.address_width + 1):
-        cumulative += counts[m]
+    for length, prefixes in reversed(db.by_length):
+        cumulative += len(prefixes)
         if Fraction(cumulative, len(db)) >= coverage:
-            return MaxThreshold(m, coverage)
+            return MaxThreshold(length, coverage)
     raise AssertionError("unreachable: full cumulative count covers every fraction")

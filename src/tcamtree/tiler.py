@@ -5,7 +5,8 @@ that ends inside a level becomes a terminal entry padded with trailing
 don't-cares; a prefix that crosses the level boundary is represented by a
 fully-specified stub entry that carries a pointer to a child table and
 inherits the value of the stub key's best match among the table's own
-terminal entries.
+terminal entries.  One descent (`descend`) makes the stub entries and child
+tables a prefix needs, for the bulk build and for an insert alike.
 
 Keys are unique within a table and prefix-shaped, so at most one entry of
 each specified length matches a segment, and the longest such entry is the
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._util import ceil_div, ceil_log2, paused_gc
+from ._util import ceil_div, ceil_log2, parse_decimal, paused_gc
 from .errors import DuplicatePrefix, NotFound, PrefixExceedsCoverage
 from .prefixdb import PrefixDatabase
 
@@ -96,7 +97,7 @@ class StrideList:
     @classmethod
     def parse(cls, text: str) -> "StrideList":
         try:
-            strides = tuple(int(part) for part in text.split("-"))
+            strides = tuple(parse_decimal(part) for part in text.split("-"))
         except ValueError:
             raise ValueError(f"strides must be dash-separated integers, got {text!r}") from None
         return cls(strides)
@@ -361,7 +362,9 @@ def walk(tree: TcamTree, key: int, length: int):
 
     The walk stops at the table where the prefix ends (the bits left fit its
     stride) or at the first missing stub row or child (they do not).  `path`
-    holds the (table, stub key, stub row) triples passed through.
+    holds the (table, stub key, stub row) triples passed through, for
+    `tree_delete` to collect emptied tables; unlike `descend`, it makes
+    nothing.
     """
     path: list[tuple[TreeTable, int, TableEntry]] = []
     table = tree.root
@@ -376,9 +379,40 @@ def walk(tree: TcamTree, key: int, length: int):
     return path, table, key, length
 
 
+def descend(tree: TcamTree, key: int, length: int, grown: Optional[list]):
+    """Follow the `length`-bit prefix `key` down from the root, making each
+    missing stub row and child table on the way: (table, key, length), the
+    last two being the bits left where the prefix ends.
+
+    A new stub row inherits its key's longest terminal in its table, from one
+    `local_lpm` call; a full-length terminal in its place takes the child.
+    Each table that gains a stub row is appended to `grown`, unless it is
+    None.
+    """
+    table = tree.root
+    while length > table.stride_width:
+        s = table.stride_width
+        length -= s
+        stub, key = key >> length, key & ((1 << length) - 1)
+        rows = table.rows_for(s)
+        entry = rows.get(stub)
+        if entry is None:
+            value, local_len = table.local_lpm(stub, s)
+            child = tree.new_table(table.level_index + 1)
+            rows[stub] = TableEntry(value, local_len, child)
+            if grown is not None:
+                grown.append(table)
+        elif entry.child is None:
+            child = entry.child = tree.new_table(table.level_index + 1)
+        else:
+            child = entry.child
+        table = child
+    return table, key, length
+
+
 def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
-    """Insert one prefix, creating stub/child chains as needed: the update
-    path of a built tree (`build_tree` builds a whole database in one sweep).
+    """Insert one prefix into a built tree: the update path.  `descend` makes
+    the stub rows and child tables it needs, as it does for `build_tree`.
 
     Returns the tables that gained a row, shallowest first.  Safe under
     arbitrary insertion order: a new terminal refreshes the inherited values
@@ -389,21 +423,8 @@ def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
         raise PrefixExceedsCoverage(
             f"prefix of length {len(bits)} exceeds coverage {tree.coverage}"
         )
-    _, table, key, length = walk(tree, int(bits or "0", 2), len(bits))
-    grown = []
-    while length > table.stride_width:
-        s = table.stride_width
-        length -= s
-        stub, key = key >> length, key & ((1 << length) - 1)
-        child = tree.new_table(table.level_index + 1)
-        entry = table.get(s, stub)
-        if entry is None:
-            inherited_value, inherited_len = table.local_lpm(stub, s)
-            table.rows_for(s)[stub] = TableEntry(inherited_value, inherited_len, child)
-            grown.append(table)
-        else:
-            entry.child = child
-        table = child
+    grown: list[TreeTable] = []
+    table, key, length = descend(tree, int(bits or "0", 2), len(bits), grown)
     entry = table.get(length, key)
     if entry is None:
         table.rows_for(length)[key] = TableEntry(value, length, None)
@@ -455,62 +476,34 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
 
 
 def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
-    """Build the fixed-stride tree for a whole database, one sweep per level.
+    """Build the fixed-stride tree for a whole database: each prefix in
+    (length, file) order goes down by `descend` and becomes a terminal row
+    where it ends.
 
-    The sweep runs over the prefixes stably sorted by length, so (length,
-    file) order.  At each level, the prefixes that end there become terminal
-    rows of their table; each longer one keys a child table by its bits up to
-    the level's end, created at that key's first occurrence.  So each level's
-    tables come out in (length, file) order of their first prefix, which
-    packing follows, and the tree equals the one `tree_insert` grows from the
-    same order.  All of a table's terminals come before any of its stubs in
-    that order, so each new stub row takes its inherited value from one
-    `local_lpm` call and no row is ever refreshed.
+    The database's length index, read shortest first, gives that order, and
+    the tree equals the one `tree_insert` grows from it: each level's tables
+    come out in (length, file) order of their first prefix, which packing
+    follows.  All of a table's terminals are shorter than any prefix that
+    passes through it, so they come before any of its stubs: each new stub
+    row takes its inherited value from one `local_lpm` call, no terminal
+    lands on an existing row, and no row is ever refreshed.
     """
     with paused_gc:
-        if strides.coverage > db.address_width:
+        coverage = strides.coverage
+        if coverage > db.address_width:
             raise ValueError(
-                f"strides cover {strides.coverage} bits but addresses have {db.address_width}"
+                f"strides cover {coverage} bits but addresses have {db.address_width}"
             )
-        for p in db.entries:
-            if p.length > strides.coverage:
-                beyond = len(db) - len(db.restricted(strides.coverage))
-                raise PrefixExceedsCoverage(
-                    f"{beyond} entries exceed coverage {strides.coverage} (first: {p})"
-                )
+        if db.max_length() > coverage:
+            for p in db.entries:
+                if p.length > coverage:
+                    beyond = len(db) - len(db.restricted(coverage))
+                    raise PrefixExceedsCoverage(
+                        f"{beyond} entries exceed coverage {coverage} (first: {p})"
+                    )
         tree = TcamTree(strides, db.address_width)
-        # The prefixes still alive at a level, and beside them the table each
-        # one has reached: two parallel lists, not a tuple per prefix, so the
-        # sweep allocates no object per prefix beyond the rows themselves.
-        alive = sorted(db.entries, key=lambda p: p.length)
-        owners = [tree.root] * len(alive)
-        end = 0
-        for level_index, s in enumerate(strides.strides):
-            start, end = end, end + s
-            deeper, deeper_owners = [], []
-            for p, table in zip(alive, owners):
-                bits = p.bits
-                if len(bits) > end:
-                    deeper.append(p)
-                    deeper_owners.append(table)
-                    continue
-                local = len(bits) - start
-                rows = table.rows_for(local)
-                rows[int(bits[start:] or "0", 2)] = TableEntry(p.next_hop, local, None)
-            for j, p in enumerate(deeper):
-                table = deeper_owners[j]
-                key = int(p.bits[start:end], 2)
-                rows = table.rows_for(s)
-                entry = rows.get(key)
-                if entry is None:
-                    value, length = table.local_lpm(key, s)
-                    child = tree.new_table(level_index + 1)
-                    rows[key] = TableEntry(value, length, child)
-                elif entry.child is None:   # a full-length terminal takes the stub's child
-                    child = entry.child = tree.new_table(level_index + 1)
-                else:
-                    child = entry.child
-                deeper_owners[j] = child
-            alive, owners = deeper, deeper_owners
+        for length, prefixes in reversed(db.by_length):
+            for bits, value in prefixes.items():
+                table, key, local_len = descend(tree, int(bits or "0", 2), length, None)
+                table.rows_for(local_len)[key] = TableEntry(value, local_len, None)
         return tree
-

@@ -359,6 +359,32 @@ class TestBadInput:
         err = self.plan_error(capsys, "--strides", "16-x")
         assert err == "error: strides must be dash-separated integers, got '16-x'\n"
 
+    # `int` alone reads each of these as 16-4-4-8
+    @pytest.mark.parametrize(
+        "value", ["1_6-4-4-8", "+16-4-4-8", " 16-4-4-8", "\u0661\u0666-4-4-8"]
+    )
+    def test_strides_are_ascii_decimal(self, value, capsys):
+        err = self.plan_error(capsys, "--strides", value)
+        assert err == f"error: strides must be dash-separated integers, got {value!r}\n"
+
+    # `isdigit` takes non-ASCII digits: `int` reads Arabic-Indic ones as
+    # ASCII and fails on superscripts with its own message
+    @pytest.mark.parametrize(
+        "flag, value", [("--grain", "\u0664\u0664x512"), ("--grain", "44x5\u00b9\u00b2"),
+                        ("--sram-page", "\u0666\u0664x256"), ("--sram-page", "64x\u00b2")],
+    )
+    def test_geometries_are_ascii_decimal(self, flag, value, capsys):
+        err = self.plan_error(capsys, "--hybridize", flag, value)
+        assert err == f"error: expected a WxD geometry such as 44x512, got {value!r}\n"
+
+    def test_sweep_widths_are_ascii_decimal(self, capsys):
+        code, out, err = run(
+            capsys, "sweep-grain", "--db", str(DATA), "--width", "6",
+            "--strides", "3-3", "--widths", "4_4,+18",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --widths must be comma-separated integers, got '4_4,+18'\n"
+
     @pytest.mark.parametrize("value", ["1/0", "abc"])
     @pytest.mark.parametrize(
         "command, flag, extra",

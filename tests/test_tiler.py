@@ -160,7 +160,7 @@ def build_view(tree):
 
 
 def edge_case_database(rng, width, strides):
-    """A random database plus the cases a level sweep can get wrong: a
+    """A random database plus the cases a build can get wrong: a
     length-0 prefix, a prefix ending on each stride boundary, and a longer
     prefix under each of those, whose stub merges with that full-length
     terminal.  File order is shuffled."""
@@ -180,8 +180,9 @@ def edge_case_database(rng, width, strides):
 
 
 class TestBulkBuild:
-    """`build_tree` sweeps each level once; `tree_insert`, the update path,
-    is its oracle."""
+    """`build_tree` and `tree_insert` share one descent, so the insert-built
+    tree alone would pass a defect in it: the oracle judges both trees'
+    answers too."""
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -192,11 +193,13 @@ class TestBulkBuild:
         db = edge_case_database(rng, width, strides)
         bulk, reference = build_tree(db, strides), build_tree_by_inserts(db, strides)
         assert build_view(bulk) == build_view(reference)
-        live = {p.bits for p in db.entries}
+        for address in all_addresses(width):
+            assert tree_search(bulk, address) == oracle_lookup(db, address)
+        live = {p.bits: p.next_hop for p in db.entries}
         for _ in range(30):
             if live and rng.random() < 0.5:
                 bits = rng.choice(sorted(live))
-                live.discard(bits)
+                del live[bits]
                 for tree in (bulk, reference):
                     tree_delete(tree, bits)
             else:
@@ -204,11 +207,13 @@ class TestBulkBuild:
                 bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
                 if bits in live:
                     continue
-                live.add(bits)
-                hop = f"u{rng.randint(0, 9)}"
+                hop = live[bits] = f"u{rng.randint(0, 9)}"
                 for tree in (bulk, reference):
                     tree_insert(tree, bits, hop)
         assert build_view(bulk) == build_view(reference)
+        final = PrefixDatabase(width, [Prefix(b, len(b), h) for b, h in live.items()])
+        for address in all_addresses(width):
+            assert tree_search(bulk, address) == oracle_lookup(final, address)
 
     def test_build_walks_no_prefix_and_refreshes_no_row(self, monkeypatch):
         calls = Counter()
@@ -220,14 +225,15 @@ class TestBulkBuild:
 
             return counted
 
-        monkeypatch.setattr(tiler, "tree_insert", counting("tree_insert", tiler.tree_insert))
-        monkeypatch.setattr(tiler, "walk", counting("walk", tiler.walk))
+        for name in ("tree_insert", "walk", "descend"):
+            monkeypatch.setattr(tiler, name, counting(name, getattr(tiler, name)))
         for name in ("rows_under", "local_lpm"):
             monkeypatch.setattr(TreeTable, name, counting(name, getattr(TreeTable, name)))
         db = parse_file(DATA_DIR / "synthetic-ipv4-500.txt", 32)
         tree = build_tree(db, StrideList.parse("16-4-4-8"))
         stubs = sum(stub_counts(tree, pure=True).values())
         assert stubs > 0
+        assert calls["descend"] == len(db) == 500
         assert calls["tree_insert"] == calls["walk"] == calls["rows_under"] == 0
         assert calls["local_lpm"] <= stubs
 
