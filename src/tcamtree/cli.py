@@ -199,8 +199,10 @@ def _render_report(db, cfg, state, resources, breport, threshold) -> dict:
         },
         "tree": {
             "levels": levels,
-            "terminal_entries": state.tree.terminal_count,
-            "total_entries": state.tree.total_entries,
+            # The tree holds exactly the entries within coverage, and the
+            # overflow buffer the rest, so neither count walks a row.
+            "terminal_entries": len(db) - len(state.overflow),
+            "total_entries": sum(level["entries"] for level in levels),
         },
         "pipeline": pipeline,
         "notes": notes,

@@ -24,10 +24,6 @@ class EmptyDatabase(PlannerError):
     pass
 
 
-class TargetTooShort(PlannerError):
-    pass
-
-
 class PrefixExceedsCoverage(PlannerError):
     pass
 

@@ -3,13 +3,16 @@
 Hybridization trades ternary rows for exact-match rows: a table whose
 controlled prefix expansion stays within a conversion-factor budget is
 re-marked as SRAM, and its expanded rows are pooled into page accounting.
+The expansion is counted from the rows the table already holds: its
+outermost terminals (those no shorter terminal covers) expand to the
+table's longest length, and each stub that no terminal covers adds one
+exact row of its own.
 Packing groups the remaining TCAM tables of each level into tagged
 super-tables so that fragmentation is amortized over whole block sets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -17,7 +20,6 @@ from typing import Iterable, Optional
 from ._util import ceil_div
 from .errors import TagOverflow
 from .tiler import SRAM, TCAM, GrainSpec, TcamTree, TreeTable, blocks_for_table
-from .trie import covered_ranges
 
 
 @dataclass(frozen=True)
@@ -53,49 +55,53 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
     """Re-mark eligible tables as SRAM, in place; returns the pooled rows per
     level.
 
-    Runs before tagging.  A table qualifies when the expansion of its own
-    terminal entries to the local maximum length is at most factor times its
-    current row count, and an expanded row (`tag_bits` + key + `VALUE_BITS`)
-    fits the page width.  Tables with no terminal entries stay TCAM: expanding
-    pure pointer tables saves nothing.  A parent row reaches its child's
-    `kind` through its `child` pointer, so a walk knows which lookup the next
-    stage runs.
+    Runs before tagging.  A table qualifies when an expanded row (`tag_bits`
+    + key + `VALUE_BITS`) fits the page width and the expansion of its
+    outermost terminals to the local maximum length is at most factor times
+    its current row count.  `sram_rows_for_table` counts each such table
+    once; a table with no terminal expands to nothing and stays TCAM:
+    expanding pure pointer tables saves nothing.  A parent row reaches its
+    child's `kind` through its `child` pointer, so a walk knows which lookup
+    the next stage runs.
     """
     level_rows = [0] * len(tree.levels)
     # expanded <= factor * rows, in integers
     num, den = cfg.factor.numerator, cfg.factor.denominator
     for level_index, tables in enumerate(tree.levels):
         for table in tables:
-            terminals = table.terminal_prefixes()
-            if not terminals:
+            if tag_bits + table.max_local_length() + VALUE_BITS > cfg.sram_spec.page_width:
                 continue
-            target = table.max_local_length()
-            if tag_bits + target + VALUE_BITS > cfg.sram_spec.page_width:
-                continue
-            # The one expansion per table: its size decides the conversion
-            # and its ranges count the pooled rows.
-            ranges = covered_ranges(terminals, target)
-            if sum(hi - lo for lo, hi in ranges) * den > num * table.entry_count:
+            expanded, rows = sram_rows_for_table(table)
+            if expanded == 0 or expanded * den > num * table.entry_count:
                 continue
             table.kind = SRAM
-            level_rows[level_index] += sram_rows_for_table(table, ranges)
+            level_rows[level_index] += rows
     return level_rows
 
 
-def sram_rows_for_table(table: TreeTable, ranges: Optional[list[tuple[int, int]]] = None) -> int:
-    """Exact-match rows a converted table occupies: the expanded terminal keys
-    plus any stub keys the expansion does not already cover.  Uses the live
-    expansion width, matching the lookup path; `ranges`, when given, are that
-    expansion's covered ranges, already computed."""
-    if ranges is None:
-        ranges = covered_ranges(table.terminal_prefixes(), table.max_local_length())
-    starts = [lo for lo, _ in ranges]
-    rows = sum(hi - lo for lo, hi in ranges)
-    for key, _ in table.stubs():
-        i = bisect_right(starts, key) - 1
-        if i < 0 or key >= ranges[i][1]:
-            rows += 1
-    return rows
+def sram_rows_for_table(table: TreeTable) -> tuple[int, int]:
+    """(expanded, rows) for the table's controlled prefix expansion to its
+    live expansion width, `max_local_length()`, the one the lookup path uses,
+    counted in one pass over its length maps with no key listed or sorted.
+
+    A table's keys are prefixes, nested or disjoint, so the expansion is the
+    union of its outermost terminals' ranges: `expanded` sums `2 ** (target
+    - l)` over each terminal `(key, l)` that no shorter terminal covers, one
+    `local_lpm` probe of its key less one bit.  `rows`, the exact-match rows
+    a converted table occupies, adds the stubs no terminal covers, those
+    whose `bmp_local_len` is None."""
+    target = table.max_local_length()
+    expanded = uncovered = 0
+    for rows in table.by_length:
+        l = rows.length
+        for key, e in rows.items():
+            local_len = e.bmp_local_len
+            if local_len == l:
+                if l == 0 or table.local_lpm(key >> 1, l - 1)[1] is None:
+                    expanded += 1 << (target - l)
+            elif local_len is None:
+                uncovered += 1
+    return expanded, expanded + uncovered
 
 
 class SuperTable:

@@ -72,10 +72,6 @@ class PrefixDatabase:
         # order, `build_tree` reads it shortest first.
         self.by_length = tuple((l, by_length[l]) for l in sorted(by_length, reverse=True))
 
-    @property
-    def entry_count(self) -> int:
-        return len(self.entries)
-
     def __len__(self):
         return len(self.entries)
 

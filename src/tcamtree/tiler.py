@@ -148,26 +148,27 @@ class LengthRows(dict):
 class TreeTable:
     """One node of the tree: a ternary table over `stride_width` bits.
 
-    The lookup index is `_by_length`, one `LengthRows` map per specified
-    length present, longest first.  A length enters with its first row and
-    leaves when its map empties, so no write counts or probes anything to
-    keep the index current.  Stubs are full-length rows, so they all sit in
-    the stride's own map.
+    The lookup index is `by_length`, one `LengthRows` map per specified
+    length present, longest first.  It is read-only: writes go through
+    `rows_for` and `remove`.  A length enters with its first row and leaves
+    when its map empties, so no write counts or probes anything to keep the
+    index current.  Stubs are full-length rows, so they all sit in the
+    stride's own map.
     """
 
-    __slots__ = ("level_index", "stride_width", "start_bit", "kind", "_by_length")
+    __slots__ = ("level_index", "stride_width", "start_bit", "kind", "by_length")
 
     def __init__(self, level_index: int, stride_width: int, start_bit: int):
         self.level_index = level_index
         self.stride_width = stride_width
         self.start_bit = start_bit
         self.kind = TCAM
-        self._by_length: tuple[LengthRows, ...] = ()
+        self.by_length: tuple[LengthRows, ...] = ()
 
     # -- structure ---------------------------------------------------------
 
     def _rows_of(self, length: int) -> Optional[LengthRows]:
-        for rows in self._by_length:
+        for rows in self.by_length:
             if rows.length == length:
                 return rows
         return None
@@ -175,7 +176,7 @@ class TreeTable:
     def rows_for(self, length: int) -> LengthRows:
         """The map of `length`, added to the index if missing; the caller
         stores a row in it, so no map is left empty."""
-        maps = self._by_length
+        maps = self.by_length
         i = 0
         while i < len(maps) and maps[i].length > length:
             i += 1
@@ -183,14 +184,14 @@ class TreeTable:
             return maps[i]
         rows = LengthRows()
         rows.length = length
-        self._by_length = (*maps[:i], rows, *maps[i:])
+        self.by_length = (*maps[:i], rows, *maps[i:])
         return rows
 
     def remove(self, length: int, key: int):
         rows = self._rows_of(length)
         del rows[key]
         if not rows:
-            self._by_length = tuple(filter(None, self._by_length))
+            self.by_length = tuple(filter(None, self.by_length))
 
     def get(self, length: int, key: int) -> Optional[TableEntry]:
         rows = self._rows_of(length)
@@ -217,22 +218,13 @@ class TreeTable:
 
     @property
     def entry_count(self) -> int:
-        return sum(map(len, self._by_length))
+        return sum(map(len, self.by_length))
 
     def rows(self) -> list[tuple[int, int, TableEntry]]:
         """(length, key, entry) in match priority order: descending specified
         length, then key.  Same-length keys are disjoint, so the key order
         never decides a match."""
-        return [(rows.length, k, rows[k]) for rows in self._by_length for k in sorted(rows)]
-
-    def terminal_prefixes(self) -> list[tuple[int, int, str]]:
-        """(key, length, value) for database prefixes that end in this table."""
-        return [
-            (k, rows.length, e.bmp_value)
-            for rows in self._by_length
-            for k, e in rows.items()
-            if e.bmp_local_len == rows.length
-        ]
+        return [(rows.length, k, rows[k]) for rows in self.by_length for k in sorted(rows)]
 
     def stubs(self) -> list[tuple[int, TableEntry]]:
         """(key, entry) for the child-bearing rows, all of them full length."""
@@ -247,13 +239,13 @@ class TreeTable:
         """Expansion target for SRAM conversion: the longest specified length,
         which is the full stride when any stub exists (stub keys must stay
         exact), else the longest terminal."""
-        return self._by_length[0].length if self._by_length else 0
+        return self.by_length[0].length if self.by_length else 0
 
     def local_lpm(self, key: int, length: int):
         """Longest terminal entry matching the `length`-bit `key`, the first
         bits of a segment: (value, local length), or (None, None) when
         nothing does."""
-        for rows in self._by_length:
+        for rows in self.by_length:
             l = rows.length
             if l <= length:
                 e = rows.get(key >> (length - l))
@@ -272,7 +264,7 @@ class TreeTable:
         matching its key, which is what the expansion stores there.
         """
         s = self.stride_width
-        for rows in self._by_length:
+        for rows in self.by_length:
             key = segment >> (s - rows.length)
             if key in rows:   # a miss costs no method call
                 return rows[key]
@@ -286,7 +278,7 @@ class TreeTable:
 
 
 class TcamTree:
-    """The built tree: root table, per-level tables, entry accounting.
+    """The built tree: root table and per-level tables.
 
     Each level is an insertion-ordered dict used as a set, so iterating it
     gives the tables in creation order and dropping one is O(1).
@@ -316,20 +308,6 @@ class TcamTree:
     @property
     def coverage(self) -> int:
         return self.stride_list.coverage
-
-    @property
-    def terminal_count(self) -> int:
-        return sum(
-            1
-            for t in self.all_tables()
-            for rows in t._by_length
-            for e in rows.values()
-            if e.bmp_local_len == rows.length
-        )
-
-    @property
-    def total_entries(self) -> int:
-        return sum(t.entry_count for t in self.all_tables())
 
     def structure(self):
         """Deterministic nested dump, used for equality and report assertions."""

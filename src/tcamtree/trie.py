@@ -1,4 +1,4 @@
-"""Lean-level statistics of the unibit trie, and controlled prefix expansion.
+"""Lean-level statistics of the unibit trie.
 
 The lean levels are the per-depth counts of trie nodes with a child.  They
 are counted bottom-up over sets of ints, one depth at a time, from the
@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._util import fixed_decimal_str
-from .errors import EmptyDatabase, LevelOutOfRange, TargetTooShort
+from .errors import EmptyDatabase, LevelOutOfRange
 from .prefixdb import PrefixDatabase
 
 
@@ -57,9 +57,6 @@ class LeanLevelTable:
             return self._by_depth[depth]
         except KeyError:
             raise LevelOutOfRange(f"no lean-level row for depth {depth}") from None
-
-    def nonleaf(self, depth: int) -> int:
-        return self.row(depth).nonleaf_count
 
     def to_csv(self, min_level: int = 1, max_level: Optional[int] = None) -> str:
         if max_level is None:
@@ -111,27 +108,3 @@ def lean_row(db: PrefixDatabase, depth: int) -> LeanLevelRow:
         raise LevelOutOfRange(f"no lean-level row for depth {depth}")
     nonleaf = len({p.bits[:depth] for p in db.entries if p.length > depth})
     return LeanLevelRow.counted(depth, nonleaf, len(db))
-
-
-def covered_ranges(
-    entries: Iterable[tuple[int, int, str]], target_length: int
-) -> list[tuple[int, int]]:
-    """Disjoint ascending [lo, hi) ranges of the keys that the expansion of the
-    (key, length, value) entries to `target_length` bits covers, computed
-    without enumerating keys."""
-    intervals = []
-    for key, length, _ in entries:
-        if length > target_length:
-            raise TargetTooShort(
-                f"entry of length {length} cannot expand to {target_length} bits"
-            )
-        base = key << (target_length - length)
-        intervals.append((base, base + (1 << (target_length - length))))
-    intervals.sort()
-    merged: list[tuple[int, int]] = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged

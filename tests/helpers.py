@@ -11,18 +11,23 @@ based on range assignment in ascending length order.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from tcamtree import Prefix, PrefixDatabase, StrideList, blocks_for_table, parse_database
-from tcamtree.errors import DuplicatePrefix, TargetTooShort
+from tcamtree.errors import DuplicatePrefix, PlannerError
 from tcamtree.pipeline import PipelineState, tree_lookup
 from tcamtree.prefixdb import DEFAULT_NEXT_HOP
 from tcamtree.tiler import TCAM, TcamTree, key_text, tree_insert
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+class TargetTooShort(PlannerError):
+    """An expansion asked for a target shorter than one of its entries."""
 
 TABLE1_TEXT = (DATA_DIR / "table1.txt").read_text()
 
@@ -70,7 +75,7 @@ def scan_local_lpm(table, key: str):
     """Reference for a stub's inherited value: the longest of the table's
     terminal rows matching `key`, found by scanning every row."""
     best_val, best_len = None, None
-    for bits, length, value in table.terminal_prefixes():
+    for bits, length, value in terminal_prefixes(table):
         bits = key_text(bits, length, length)
         if (best_len is None or length > best_len) and key.startswith(bits):
             best_val, best_len = value, length
@@ -81,6 +86,62 @@ def is_terminal(entry, length: int) -> bool:
     """Whether a row filed at specified length `length` is a database prefix
     ending in its table: a terminal's local length is its own."""
     return entry.bmp_local_len == length
+
+
+def terminal_prefixes(table) -> list[tuple[int, int, str]]:
+    """(key, length, value) for database prefixes that end in `table`."""
+    return [
+        (k, rows.length, e.bmp_value)
+        for rows in table.by_length
+        for k, e in rows.items()
+        if is_terminal(e, rows.length)
+    ]
+
+
+def terminal_count(tree) -> int:
+    """Terminal rows over the whole tree, by walking every row."""
+    return sum(len(terminal_prefixes(t)) for t in tree.all_tables())
+
+
+def total_entries(tree) -> int:
+    """Rows over the whole tree, terminals and stubs alike."""
+    return sum(t.entry_count for t in tree.all_tables())
+
+
+def covered_ranges(entries, target_length: int) -> list[tuple[int, int]]:
+    """Disjoint ascending [lo, hi) ranges of the keys that the expansion of the
+    (key, length, value) entries to `target_length` bits covers, computed
+    without enumerating keys."""
+    intervals = []
+    for key, length, _ in entries:
+        if length > target_length:
+            raise TargetTooShort(
+                f"entry of length {length} cannot expand to {target_length} bits"
+            )
+        base = key << (target_length - length)
+        intervals.append((base, base + (1 << (target_length - length))))
+    intervals.sort()
+    merged: list[tuple[int, int]] = []
+    for lo, hi in intervals:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def reference_sram_rows(table) -> int:
+    """Reference for `sram_rows_for_table`'s rows: the merged ranges of the
+    table's terminals expanded to `max_local_length()`, plus each stub that
+    bisects into no range."""
+    ranges = covered_ranges(terminal_prefixes(table), table.max_local_length())
+    starts = [lo for lo, _ in ranges]
+    rows = sum(hi - lo for lo, hi in ranges)
+    for key, _ in table.stubs():
+        i = bisect_right(starts, key) - 1
+        if i < 0 or key >= ranges[i][1]:
+            rows += 1
+    return rows
 
 
 def stub_counts(tree, pure: bool = False) -> dict[int, int]:

@@ -297,7 +297,7 @@ def test_criterion_5_two_level_construction_bound():
             db, k = planted_database(rng, pivot_depth, max_length, 2000, b)
             n = len(db)
             lean = compute_lean_levels(build_unibit_trie(db), n, max_depth=max_length)
-            assert lean.nonleaf(pivot_depth) == k, "construction must plant the lean level"
+            assert lean.row(pivot_depth).nonleaf_count == k, "construction must plant the lean level"
             cond = tiling_condition(max_length, lean.row(pivot_depth), GRAIN)
             assert cond.lhs == max_length - pivot_depth + 9 < GRAIN.width
             assert cond.feasible

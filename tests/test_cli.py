@@ -17,9 +17,9 @@ from tcamtree import (
 )
 from tcamtree import cli
 from tcamtree.cli import PlanConfig, build_plan, main
-from tcamtree.tiler import TCAM
+from tcamtree.tiler import TCAM, LengthRows
 
-from tests.helpers import random_database, random_strides
+from tests.helpers import random_database, random_strides, terminal_count, total_entries
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data" / "table1.txt"
@@ -254,6 +254,45 @@ class TestTagWidth:
         blocks = sum(st.block_count for st in state.supertables)
         assert blocks == report["resources"]["tcam_blocks_post_tag"]
         assert state.tag_bits == report["config"]["tag_bits"]
+        assert report["tree"]["terminal_entries"] == terminal_count(cli_state.tree)
+        assert report["tree"]["total_entries"] == total_entries(cli_state.tree)
+
+
+class TestReportWork:
+    """The report reads the counts the plan already holds: once the state is
+    planned, no row map is walked."""
+
+    @pytest.mark.parametrize(
+        "db_path, width, strides, hybridize",
+        [
+            (SYNTHETIC_IPV4, 32, "16-4-4-8", True),
+            (Path(__file__).parent / "data" / "overflow.txt", 6, "2-2", False),
+        ],
+        ids=["ipv4-hybrid", "overflow"],
+    )
+    def test_render_report_walks_no_row(self, db_path, width, strides, hybridize, monkeypatch):
+        planned = PipelineState.planned.__func__
+
+        def no_walk(rows):
+            raise AssertionError("the report walked a row map")
+
+        def planned_then_no_walk(cls, *args, **kwargs):
+            state = planned(cls, *args, **kwargs)
+            monkeypatch.setattr(LengthRows, "items", no_walk)
+            monkeypatch.setattr(LengthRows, "values", no_walk)
+            return state
+
+        db = parse_file(db_path, width)
+        cfg = PlanConfig(
+            db_path=str(db_path), address_width=width, strides=StrideList.parse(strides),
+            hybridize=hybridize, factor=Fraction(3), tag_bits=14,
+        )
+        monkeypatch.setattr(PipelineState, "planned", classmethod(planned_then_no_walk))
+        state, report = build_plan(db, cfg)
+        monkeypatch.undo()
+        assert report["tree"]["terminal_entries"] == terminal_count(state.tree)
+        assert report["tree"]["total_entries"] == total_entries(state.tree)
+        assert len(state.overflow) == (1 if db_path.name == "overflow.txt" else 0)
 
 
 class TestBadInput:

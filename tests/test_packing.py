@@ -16,17 +16,20 @@ from tcamtree import (
     resource_totals,
     tag_and_pack,
 )
-from tcamtree import packing, trie
-from tcamtree.packing import sram_rows_for_table
-from tcamtree.tiler import SRAM, TCAM, TcamTree, TableEntry
+from tcamtree import Prefix, PrefixDatabase, packing
+from tcamtree.packing import VALUE_BITS, sram_rows_for_table
+from tcamtree.tiler import SRAM, TCAM, TcamTree, TableEntry, TreeTable, tree_delete, tree_insert
 
 from tests.helpers import (
     DATA_DIR,
     all_addresses,
+    covered_ranges,
     pre_tag_blocks,
     random_database,
     random_strides,
+    reference_sram_rows,
     table1_db,
+    terminal_prefixes,
     tree_search,
 )
 
@@ -51,22 +54,32 @@ class TestHybridize:
         # child expands to 8 exact keys; the root (4 keys incl. the stub) converts too
         assert rows == [4, 8]
 
-    def test_each_candidate_is_expanded_once(self, monkeypatch):
-        calls = []
-        covered_ranges = trie.covered_ranges
-
-        def counted(entries, target):
-            calls.append(target)
-            return covered_ranges(entries, target)
-
-        for module in (packing, trie):
-            monkeypatch.setattr(module, "covered_ranges", counted)
+    def test_each_candidate_is_counted_once_from_its_maps(self, monkeypatch):
+        # one count per table past the width gate, at most one probe per
+        # terminal row, and no table's keys listed in sorted order
         db = parse_file(DATA_DIR / "synthetic-ipv4-500.txt", 32)
         tree = build_tree(db, StrideList.parse("16-4-4-8"))
-        hybridize(tree, HybridizationConfig(factor=3), 14)
-        candidates = sum(1 for t in tree.all_tables() if t.terminal_prefixes())
+        cfg, tag = HybridizationConfig(factor=3), 14
+        width = cfg.sram_spec.page_width
+        candidates = [
+            t for t in tree.all_tables() if tag + t.max_local_length() + VALUE_BITS <= width
+        ]
+        terminals = sum(len(terminal_prefixes(t)) for t in candidates)
+        counted, probes = [], []
+        count, local_lpm = packing.sram_rows_for_table, TreeTable.local_lpm
+
+        def no_rows(table):
+            raise AssertionError("hybridize sorted a table's keys")
+
+        monkeypatch.setattr(packing, "sram_rows_for_table", lambda t: counted.append(t) or count(t))
+        monkeypatch.setattr(
+            TreeTable, "local_lpm", lambda t, key, length: probes.append(t) or local_lpm(t, key, length)
+        )
+        monkeypatch.setattr(TreeTable, "rows", no_rows)
+        hybridize(tree, cfg, tag)
         assert any(t.kind == SRAM for t in tree.all_tables())
-        assert 0 < len(calls) <= candidates
+        assert len(counted) == len(candidates) and set(counted) == set(candidates)
+        assert 0 < len(probes) <= terminals
 
     def test_factor_1_5_keeps_child_ternary(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
@@ -112,11 +125,65 @@ class TestHybridize:
         rows = hybridize(hybrid, HybridizationConfig(factor=factor), 9)
         assert pre_tag_blocks(hybrid, grain) <= plain_blocks
         assert rows == [
-            sum(sram_rows_for_table(t) for t in tables if t.kind == SRAM)
+            sum(sram_rows_for_table(t)[1] for t in tables if t.kind == SRAM)
             for tables in hybrid.levels
         ]
         for address in all_addresses(width):
             assert tree_search(hybrid, address) == oracle_lookup(db, address)
+
+
+def check_sram_counts(tree):
+    """Every table's one-pass count equals the merged ranges of its
+    terminals and the stubs bisected into them; a table with no terminal
+    expands to nothing and keeps each stub as a row of its own."""
+    for t in tree.all_tables():
+        terminals = terminal_prefixes(t)
+        if terminals:
+            ranges = covered_ranges(terminals, t.max_local_length())
+            want = (sum(hi - lo for lo, hi in ranges), reference_sram_rows(t))
+        else:
+            want = (0, sum(1 for _, e in t.stubs() if e.bmp_local_len is None))
+        assert sram_rows_for_table(t) == want
+
+
+class TestSramRows:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_equals_ranges_through_updates(self, seed):
+        # short prefixes nest terminals and a /0 covers everything, while
+        # long ones leave stubs that no terminal covers
+        rng = random.Random(seed)
+        width = rng.randint(1, 10)
+        db = random_database(rng, width, max_entries=40)
+        if rng.random() < 0.5 and all(p.length for p in db.entries):
+            db = PrefixDatabase(width, [*db.entries, Prefix("", 0, "root")])
+        tree = build_tree(db, random_strides(rng, width))
+        check_sram_counts(tree)
+        live = {p.bits for p in db.entries}
+        for _ in range(30):
+            if live and rng.random() < 0.4:
+                bits = rng.choice(sorted(live))
+                tree_delete(tree, bits)
+                live.remove(bits)
+            else:
+                length = rng.randint(0, width)
+                bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
+                if bits in live:
+                    continue
+                tree_insert(tree, bits, f"h{rng.randint(0, 30)}")
+                live.add(bits)
+            check_sram_counts(tree)
+
+    def test_outermost_terminals_and_uncovered_stubs(self):
+        # in a 3-bit root, 0/1 covers 01/2 and 001/3, and 11/2 covers the
+        # stub 110: the expansion is 4 + 2 rows, and the stub 100 adds one
+        db = PrefixDatabase(
+            6, [Prefix(b, len(b), "v") for b in ("0", "01", "11", "001", "100101", "110101")]
+        )
+        tree = build_tree(db, StrideList.parse("3-3"))
+        assert sram_rows_for_table(tree.root) == (6, 7)
+        for child in tree.levels[1]:
+            assert sram_rows_for_table(child) == (1, 1)
 
 
 class TestTagAndPack:

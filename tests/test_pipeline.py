@@ -443,7 +443,7 @@ def audit_tree(tree, levels_before):
         # so reading a row's kind off its local length is unambiguous; every
         # key fits its length, and no length's map is empty
         lengths = Counter()
-        for rows in table._by_length:
+        for rows in table.by_length:
             length = rows.length
             for key, e in rows.items():
                 assert 0 <= key < 1 << length
@@ -451,7 +451,7 @@ def audit_tree(tree, levels_before):
                     assert length == table.stride_width and e.child is not None
                     assert e.bmp_local_len is None or e.bmp_local_len < length
                 lengths[length] += 1
-        assert [rows.length for rows in table._by_length] == sorted(lengths, reverse=True)
+        assert [rows.length for rows in table.by_length] == sorted(lengths, reverse=True)
 
 
 def audit(state, planned_supertables):

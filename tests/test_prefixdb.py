@@ -59,7 +59,7 @@ class TestParse:
     def test_empty_input_gives_empty_database(self):
         db = parse_database("", 6)
         assert len(db) == 0
-        assert parse_database("# only comments\n\n", 6).entry_count == 0
+        assert len(parse_database("# only comments\n\n", 6)) == 0
 
     def test_duplicate_prefix_rejected(self):
         with pytest.raises(DuplicatePrefix):

@@ -41,7 +41,9 @@ from tests.helpers import (
     scan_local_lpm,
     stub_counts,
     table1_db,
+    terminal_count,
     ternary_rows,
+    total_entries,
     tree_search,
 )
 
@@ -112,7 +114,7 @@ class TestBuildTree:
         db = table1_db()
         for spec in ("6", "3-3", "2-2-2", "1-1-1-1-1-1"):
             tree = build_tree(db, StrideList.parse(spec))
-            assert tree.terminal_count == len(db)
+            assert terminal_count(tree) == len(db)
 
     def test_stub_counts_match_lean_levels(self):
         db = table1_db()
@@ -121,7 +123,7 @@ class TestBuildTree:
             tree = build_tree(db, StrideList.parse(spec))
             for boundary, stubs in stub_counts(tree).items():
                 if boundary < tree.coverage:
-                    assert stubs == lean.nonleaf(boundary), (spec, boundary)
+                    assert stubs == lean.row(boundary).nonleaf_count, (spec, boundary)
                 else:
                     assert stubs == 0
 
@@ -139,12 +141,12 @@ class TestBuildTree:
         db = random_database(rng, width, max_entries=40)
         strides = random_strides(rng, width)
         tree = build_tree(db, strides)
-        assert tree.terminal_count == len(db)
-        assert tree.total_entries == len(db) + sum(stub_counts(tree, pure=True).values())
+        assert terminal_count(tree) == len(db)
+        assert total_entries(tree) == len(db) + sum(stub_counts(tree, pure=True).values())
         lean = compute_lean_levels(build_unibit_trie(db), max(len(db), 1), max_depth=width)
         for boundary, stubs in stub_counts(tree).items():
             if boundary < strides.coverage:
-                assert stubs == lean.nonleaf(boundary)
+                assert stubs == lean.row(boundary).nonleaf_count
         for address in all_addresses(width):
             assert tree_search(tree, address) == oracle_lookup(db, address)
 
@@ -154,7 +156,7 @@ def build_view(tree):
     creation order, each table's length index with each length's sorted keys."""
     return (
         tree.structure(),
-        [[[(rows.length, sorted(rows)) for rows in t._by_length] for t in level]
+        [[[(rows.length, sorted(rows)) for rows in t.by_length] for t in level]
          for level in tree.levels],
     )
 
@@ -263,11 +265,11 @@ class CountingDict(LengthRows):
 def counting_maps(table) -> list[CountingDict]:
     """Swap each of the table's row maps for a CountingDict; returns them."""
     maps = []
-    for rows in table._by_length:
+    for rows in table.by_length:
         counting = CountingDict(rows)
         counting.length = rows.length
         maps.append(counting)
-    table._by_length = tuple(maps)
+    table.by_length = tuple(maps)
     return maps
 
 

@@ -11,11 +11,12 @@ from tcamtree import (
     compute_lean_levels,
     lean_row,
 )
-from tcamtree.errors import EmptyDatabase, LevelOutOfRange, TargetTooShort
-from tcamtree.trie import covered_ranges
+from tcamtree.errors import EmptyDatabase, LevelOutOfRange
 
 from tests.helpers import (
+    TargetTooShort,
     build_pointer_trie,
+    covered_ranges,
     dfs_nonleaf_counts,
     expand_prefixes,
     table1_db,
@@ -111,7 +112,7 @@ class TestLeanLevels:
 
     def test_deepest_level_has_no_nonleaves(self):
         lean = compute_lean_levels(table1_trie(), 6, max_depth=6)
-        assert lean.nonleaf(6) == 0
+        assert lean.row(6).nonleaf_count == 0
 
     def test_level_out_of_range(self):
         lean = compute_lean_levels(table1_trie(), 6, max_depth=6)
