@@ -29,13 +29,15 @@ from .pipeline import (
     SYNTHETIC_PROFILE_NOTE,
     PipelineProfile,
     PipelineState,
+    tree_lookup,
 )
 from .prefixdb import (
+    DEFAULT_NEXT_HOP,
     PrefixDatabase,
     address_value,
     dotted_to_bits,
     max_threshold_length,
-    oracle_lookup,
+    oracle_lookup_value,
     parse_file,
     read_text,
 )
@@ -257,8 +259,9 @@ def read_trace(path, width: int):
 
 
 def verification_addresses(db: PrefixDatabase, mode: str, samples: int, seed: int):
-    """Exhaustive for small widths; otherwise seeded samples plus every prefix
-    padded with zeros and with ones."""
+    """Addresses as int values: exhaustive for small widths; otherwise every
+    prefix padded with zeros and with ones, in file order, then seeded
+    samples."""
     width = db.address_width
     if mode == "exhaustive" and width > 24:
         raise PlannerError(
@@ -266,25 +269,24 @@ def verification_addresses(db: PrefixDatabase, mode: str, samples: int, seed: in
             " use --mode sampled"
         )
     if mode == "exhaustive" or (mode == "auto" and width <= 16):
-        for value in range(1 << width):
-            yield format(value, f"0{width}b")
+        yield from range(1 << width)
         return
     seen = set()
-    for p in db.entries:
-        for pad in ("0", "1"):
-            addr = p.bits + pad * (width - p.length)
-            if addr not in seen:
-                seen.add(addr)
-                yield addr
+    for length, value, _ in db.in_order():
+        low = width - length
+        for address in (value << low, ((value + 1) << low) - 1):
+            if address not in seen:
+                seen.add(address)
+                yield address
     rng = random.Random(seed)
     space = 1 << width
     for _ in range(samples):
         if len(seen) == space:
             return
-        addr = format(rng.getrandbits(width), f"0{width}b")
-        if addr not in seen:
-            seen.add(addr)
-            yield addr
+        address = rng.getrandbits(width)
+        if address not in seen:
+            seen.add(address)
+            yield address
 
 
 def inject_fault(state: PipelineState):
@@ -300,20 +302,27 @@ def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,
     state, _ = build_plan(db, cfg, map_stages=False)
     if fault:
         inject_fault(state)
+    width = db.address_width
     if trace is not None:
-        addresses = read_trace(trace, db.address_width)
+        addresses = [address_value(a, width) for a in read_trace(trace, width)]
     else:
         addresses = verification_addresses(db, mode, samples, cfg.seed)
+    tree, overflow = state.tree, state.overflow
     mismatches = []
     checked = total = 0
     for address in addresses:
         checked += 1
-        got = state.search(address)
-        expected = oracle_lookup(db, address)
+        if overflow.entries:   # the buffer matches bit strings
+            got = state.search(format(address, f"0{width}b"))
+        else:
+            got = tree_lookup(tree, address)[0]
+            if got is None:
+                got = DEFAULT_NEXT_HOP
+        expected = oracle_lookup_value(db, address)
         if got != expected:
             total += 1
             if len(mismatches) < max_mismatches:
-                mismatches.append((address, got, expected))
+                mismatches.append((format(address, f"0{width}b"), got, expected))
     return checked, total, mismatches
 
 

@@ -33,7 +33,7 @@ from .packing import (
     sram_rows_for_table,  # noqa: F401 -- perfbench/tracer.py times it through this module
     tag_and_pack,
 )
-from .prefixdb import DEFAULT_NEXT_HOP, Prefix, PrefixDatabase, address_value
+from .prefixdb import DEFAULT_NEXT_HOP, Prefix, PrefixDatabase, address_value, bits_of
 from .tiler import (
     SRAM,
     GrainSpec,
@@ -258,9 +258,10 @@ class OverflowBuffer:
 def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowBuffer:
     """An overflow buffer holding the entries longer than the stride coverage."""
     overflow = OverflowBuffer(capacity)
-    for p in db.entries:
-        if p.length > coverage:
-            overflow.add(p)
+    if db.max_length() > coverage:
+        for length, value, hop in db.in_order():
+            if length > coverage:
+                overflow.add(Prefix(bits_of(value, length), length, hop))
     return overflow
 
 

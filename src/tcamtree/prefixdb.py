@@ -14,9 +14,11 @@ emits zero-padded full-width bits with LF endings.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ._util import parse_decimal, paused_gc
 from .errors import DuplicatePrefix, EmptyDatabase, LengthOutOfRange, MalformedLine
@@ -49,31 +51,77 @@ class Prefix:
         return f"{self.bits}/{self.length}"
 
 
+def bits_of(value: int, length: int) -> str:
+    """The `length`-bit string of a prefix's int value, leading zeros kept."""
+    return format(value, f"0{length}b") if length else ""
+
+
+def _length_array(address_width: int) -> array:
+    """An empty array for prefix lengths up to `address_width`."""
+    return array("B" if address_width < 256 else "L")
+
+
 class PrefixDatabase:
-    """An ordered, duplicate-free collection of prefixes at a fixed address width."""
+    """An ordered, duplicate-free collection of prefixes at a fixed address width.
+
+    The store is columnar.  `by_length` holds (length, {value: next hop})
+    longest first, each map keyed by the prefix's bits as an int and kept in
+    file order, and an array of lengths keeps the whole file order beside
+    it.  No `Prefix` is kept: `entries` makes one per entry on its first
+    read and caches them.
+    """
 
     def __init__(self, address_width: int, entries: Iterable[Prefix] = ()):
         if address_width < 1:
             raise ValueError("address_width must be >= 1")
-        self.address_width = address_width
-        self.entries: tuple[Prefix, ...] = tuple(entries)
-        by_length: dict[int, dict[str, str]] = {}
-        for p in self.entries:
+        maps: defaultdict[int, dict[int, str]] = defaultdict(dict)
+        lengths = _length_array(address_width)
+        for p in entries:
             if p.length > address_width:
                 raise LengthOutOfRange(
                     f"prefix {p} longer than address width {address_width}"
                 )
-            table = by_length.setdefault(p.length, {})
-            if p.bits in table:
+            table = maps[p.length]
+            value = int(p.bits or "0", 2)
+            if value in table:
                 raise DuplicatePrefix(f"duplicate prefix {p}")
-            table[p.bits] = p.next_hop
-        # The length index, read-only: (length, {bits: next hop}) longest
-        # first, each map in file order.  `oracle_lookup` probes it in this
+            table[value] = p.next_hop
+            lengths.append(p.length)
+        self._store(address_width, maps, lengths)
+
+    def _store(self, address_width: int, maps: dict, lengths: array):
+        self.address_width = address_width
+        # The length index, read-only: `oracle_lookup` probes it in this
         # order, `build_tree` reads it shortest first.
-        self.by_length = tuple((l, by_length[l]) for l in sorted(by_length, reverse=True))
+        self.by_length = tuple((l, maps[l]) for l in sorted(maps, reverse=True))
+        self._lengths = lengths
+        self._entries: Optional[tuple[Prefix, ...]] = None
+
+    @classmethod
+    def _from_columns(cls, address_width: int, maps: dict, lengths: array) -> "PrefixDatabase":
+        db = cls.__new__(cls)
+        db._store(address_width, maps, lengths)
+        return db
+
+    def in_order(self) -> Iterator[tuple[int, int, str]]:
+        """(length, value, next hop) of each entry, in file order."""
+        items = {length: iter(table.items()) for length, table in self.by_length}
+        for length in self._lengths:
+            value, hop = next(items[length])
+            yield length, value, hop
+
+    @property
+    def entries(self) -> tuple[Prefix, ...]:
+        """The entries in file order, one `Prefix` each, made on first read."""
+        if self._entries is None:
+            self._entries = tuple(
+                Prefix(bits_of(value, length), length, hop)
+                for length, value, hop in self.in_order()
+            )
+        return self._entries
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._lengths)
 
     def __iter__(self):
         return iter(self.entries)
@@ -82,7 +130,7 @@ class PrefixDatabase:
         return (
             isinstance(other, PrefixDatabase)
             and self.address_width == other.address_width
-            and self.entries == other.entries
+            and list(self.in_order()) == list(other.in_order())
         )
 
     def max_length(self) -> int:
@@ -90,12 +138,14 @@ class PrefixDatabase:
 
     def restricted(self, max_length: int) -> "PrefixDatabase":
         """Entries with length <= max_length, original order preserved.  The
-        database is immutable, so when nothing is cut it is its own answer."""
+        database is immutable, so when nothing is cut it is its own answer,
+        and the maps it keeps are shared."""
         if self.max_length() <= max_length:
             return self
-        return PrefixDatabase(
-            self.address_width, [p for p in self.entries if p.length <= max_length]
-        )
+        lengths = _length_array(self.address_width)
+        lengths.extend(l for l in self._lengths if l <= max_length)
+        maps = {l: table for l, table in self.by_length if l <= max_length}
+        return PrefixDatabase._from_columns(self.address_width, maps, lengths)
 
 
 @dataclass(frozen=True)
@@ -119,7 +169,8 @@ def dotted_to_bits(token: str) -> str:
     return format(value, "032b")
 
 
-def _parse_bits(token: str, length: int, address_width: int) -> str:
+def _parse_value(token: str, length: int, address_width: int) -> int:
+    """The int value of a prefix's significant bits."""
     if "." in token:
         if address_width != 32:
             raise ValueError("dotted form requires address width 32")
@@ -133,21 +184,34 @@ def _parse_bits(token: str, length: int, address_width: int) -> str:
         raise ValueError("significant bits may contain only 0 and 1")
     if padding.strip("0*"):
         raise ValueError("padding beyond the stated length must be 0 or *")
-    return significant
+    return int(significant or "0", 2)
+
+
+def _lines(text: str, piece: int = 1 << 16) -> Iterator[str]:
+    """The lines `text.split("\n")` gives, without a list of them all: the
+    text is split a piece of about `piece` characters at a time."""
+    start = 0
+    while True:
+        end = text.find("\n", start + piece)
+        if end < 0:
+            yield from text[start:].split("\n")
+            return
+        yield from text[start:end].split("\n")
+        start = end + 1
 
 
 def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabase:
-    """Parse the canonical text format, preserving file order and rejecting duplicates."""
+    """Parse the canonical text format, preserving file order and rejecting
+    duplicates.  Each line goes straight into the database's columns."""
     with paused_gc:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        entries: list[Prefix] = []
-        seen: set[str] = set()
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        maps: defaultdict[int, dict[int, str]] = defaultdict(dict)
+        lengths = _length_array(address_width)
+        for lineno, raw in enumerate(_lines(text), start=1):
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
                 continue
-            fields = line.split()
             if len(fields) != 2:
                 raise MalformedLine(lineno, f"expected '<prefix>/<len> <next_hop>', got {raw!r}")
             spec, next_hop = fields
@@ -163,14 +227,17 @@ def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabas
                     f"line {lineno}: length {length} outside 0..{address_width}"
                 )
             try:
-                bits = _parse_bits(head, length, address_width)
+                value = _parse_value(head, length, address_width)
             except ValueError as exc:
                 raise MalformedLine(lineno, str(exc)) from None
-            if bits in seen:
-                raise DuplicatePrefix(f"line {lineno}: duplicate prefix {bits}/{length}")
-            seen.add(bits)
-            entries.append(Prefix(bits, length, next_hop))
-        return PrefixDatabase(address_width, entries)
+            table = maps[length]
+            if value in table:
+                raise DuplicatePrefix(
+                    f"line {lineno}: duplicate prefix {bits_of(value, length)}/{length}"
+                )
+            table[value] = next_hop
+            lengths.append(length)
+        return PrefixDatabase._from_columns(address_width, maps, lengths)
 
 
 def read_text(path) -> str:
@@ -189,10 +256,11 @@ def parse_file(path, address_width: int) -> PrefixDatabase:
 
 def serialize(db: PrefixDatabase) -> str:
     """Canonical form: zero-padded full-width bits, LF line endings."""
-    lines = [
-        f"{p.padded(db.address_width)}/{p.length} {p.next_hop}" for p in db.entries
-    ]
-    return "".join(line + "\n" for line in lines)
+    width = db.address_width
+    return "".join(
+        f"{value << (width - length):0{width}b}/{length} {hop}\n"
+        for length, value, hop in db.in_order()
+    )
 
 
 def address_value(address: str, width: int) -> int:
@@ -213,9 +281,14 @@ def oracle_lookup(db: PrefixDatabase, address: str) -> str:
 
     Total over valid addresses; returns the default label on no match.
     """
-    address_value(address, db.address_width)
+    return oracle_lookup_value(db, address_value(address, db.address_width))
+
+
+def oracle_lookup_value(db: PrefixDatabase, value: int) -> str:
+    """`oracle_lookup` of an address given as its int value, unchecked."""
+    width = db.address_width
     for length, table in db.by_length:
-        hop = table.get(address[:length])
+        hop = table.get(value >> (width - length))
         if hop is not None:
             return hop
     return DEFAULT_NEXT_HOP

@@ -28,7 +28,7 @@ from typing import Optional
 
 from ._util import ceil_div, ceil_log2, parse_decimal, paused_gc
 from .errors import DuplicatePrefix, NotFound, PrefixExceedsCoverage
-from .prefixdb import PrefixDatabase
+from .prefixdb import PrefixDatabase, bits_of
 
 TCAM = "tcam"
 SRAM = "sram"
@@ -473,15 +473,16 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
                 f"strides cover {coverage} bits but addresses have {db.address_width}"
             )
         if db.max_length() > coverage:
-            for p in db.entries:
-                if p.length > coverage:
+            for length, value, _ in db.in_order():
+                if length > coverage:
                     beyond = len(db) - len(db.restricted(coverage))
                     raise PrefixExceedsCoverage(
-                        f"{beyond} entries exceed coverage {coverage} (first: {p})"
+                        f"{beyond} entries exceed coverage {coverage}"
+                        f" (first: {bits_of(value, length)}/{length})"
                     )
         tree = TcamTree(strides, db.address_width)
         for length, prefixes in reversed(db.by_length):
-            for bits, value in prefixes.items():
-                table, key, local_len = descend(tree, int(bits or "0", 2), length, None)
-                table.rows_for(local_len)[key] = TableEntry(value, local_len, None)
+            for prefix, hop in prefixes.items():
+                table, key, local_len = descend(tree, prefix, length, None)
+                table.rows_for(local_len)[key] = TableEntry(hop, local_len, None)
         return tree

@@ -23,8 +23,8 @@ def build_unibit_trie(db: PrefixDatabase) -> list[list[int]]:
     closure of these nodes; `compute_lean_levels` counts it without a node
     object."""
     marked: list[list[int]] = [[] for _ in range(db.max_length() + 1)]
-    for p in db.entries:
-        marked[p.length].append(int(p.bits or "0", 2))
+    for length, table in db.by_length:
+        marked[length] = list(table)
     return marked
 
 
@@ -106,5 +106,9 @@ def lean_row(db: PrefixDatabase, depth: int) -> LeanLevelRow:
         raise EmptyDatabase("lean levels need at least one prefix")
     if depth < 0:
         raise LevelOutOfRange(f"no lean-level row for depth {depth}")
-    nonleaf = len({p.bits[:depth] for p in db.entries if p.length > depth})
+    nonleaf = len({
+        value >> (length - depth)
+        for length, table in db.by_length if length > depth
+        for value in table
+    })
     return LeanLevelRow.counted(depth, nonleaf, len(db))

@@ -11,6 +11,7 @@ from tcamtree import (
     GrainSpec,
     HybridizationConfig,
     PipelineState,
+    Prefix,
     SramPageSpec,
     StrideList,
     parse_file,
@@ -293,6 +294,27 @@ class TestReportWork:
         assert report["tree"]["terminal_entries"] == terminal_count(state.tree)
         assert report["tree"]["total_entries"] == total_entries(state.tree)
         assert len(state.overflow) == (1 if db_path.name == "overflow.txt" else 0)
+
+
+class TestParseWork:
+    """Parsing and planning read the database's columns: no `Prefix` is made."""
+
+    def test_parse_and_plan_make_no_prefix(self, monkeypatch):
+        def no_prefix(self, *args, **kwargs):
+            raise AssertionError("a Prefix was made")
+
+        monkeypatch.chdir(ROOT)
+        db_path = "tests/data/synthetic-ipv4-500.txt"
+        cfg = PlanConfig(
+            db_path=db_path, address_width=32, strides=StrideList.parse("16-4-4-8"),
+            hybridize=True, factor=Fraction(3), tag_bits=14,
+        )
+        monkeypatch.setattr(Prefix, "__init__", no_prefix)
+        db = parse_file(db_path, 32)
+        _, report = build_plan(db, cfg)
+        monkeypatch.undo()
+        golden = GOLDEN / "synthetic-ipv4-500-16-4-4-8-hybridize.json"
+        assert cli.render_json(report).encode() == golden.read_bytes()
 
 
 class TestBadInput:

@@ -49,6 +49,38 @@ def databases(draw, max_width=8, max_entries=24):
     return PrefixDatabase(width, entries)
 
 
+@st.composite
+def nested_entries(draw, max_width=16):
+    """(width, prefixes, lines): distinct prefixes at widths 1-16, with a
+    /0 now and then, and the parent and the sibling of a drawn prefix often
+    present too; `lines` writes each one bare, 0-padded or *-padded."""
+    width = draw(st.integers(1, max_width))
+    seeds = draw(st.lists(st.tuples(st.integers(0, width), st.integers(0, (1 << width) - 1)),
+                          max_size=12))
+    bits_list = [""] if draw(st.booleans()) else []
+    for length, value in seeds:
+        bits = format(value >> (width - length), f"0{length}b") if length else ""
+        bits_list.append(bits)
+        if bits and draw(st.booleans()):
+            bits_list.append(bits[:-1])                                   # its parent
+        if bits and draw(st.booleans()):
+            bits_list.append(bits[:-1] + ("1" if bits[-1] == "0" else "0"))   # its sibling
+    bits_list = list(dict.fromkeys(draw(st.permutations(bits_list))))
+    prefixes = [Prefix(bits, len(bits), f"h{i % 3}") for i, bits in enumerate(bits_list)]
+    pads = draw(st.lists(st.sampled_from(["", "0", "*"]), min_size=len(prefixes),
+                         max_size=len(prefixes)))
+    lines = "".join(
+        f"{p.bits + pad * (width - p.length)}/{p.length} {p.next_hop}\n"
+        for p, pad in zip(prefixes, pads)
+    )
+    return width, prefixes, lines
+
+
+def length_index(db):
+    """`by_length` item for item, in order."""
+    return [(length, list(table.items())) for length, table in db.by_length]
+
+
 class TestParse:
     def test_table1_parses_to_six_entries(self):
         db = parse_database(TABLE1_TEXT, 6)
@@ -73,6 +105,9 @@ class TestParse:
             parse_database("1000/4 B\n1000/4 C\n", 6)
         with pytest.raises(DuplicatePrefix, match=r"^duplicate prefix 10/2$"):
             PrefixDatabase(6, [Prefix("10", 2, "a"), Prefix("10", 2, "b")])
+        # the int key is rendered back with its leading zeros
+        with pytest.raises(DuplicatePrefix, match=r"^line 2: duplicate prefix 0001/4$"):
+            parse_database("0001/4 a\n0001****/4 b\n", 8)
 
     def test_length_out_of_range(self):
         with pytest.raises(LengthOutOfRange):
@@ -127,6 +162,38 @@ class TestSerialize:
     @settings(max_examples=60)
     def test_parse_serialize_identity(self, db):
         assert parse_database(serialize(db), db.address_width) == db
+
+    @given(nested_entries())
+    @settings(max_examples=100)
+    def test_parsed_columns_equal_constructed_ones(self, case):
+        width, prefixes, lines = case
+        parsed, built = parse_database(lines, width), PrefixDatabase(width, prefixes)
+        expected: dict[int, list] = {}
+        for p in prefixes:
+            expected.setdefault(p.length, []).append((int(p.bits or "0", 2), p.next_hop))
+        assert length_index(parsed) == length_index(built) == sorted(expected.items(), reverse=True)
+        assert parsed.entries == built.entries == tuple(prefixes)
+        assert parsed.entries is parsed.entries
+        assert len(parsed) == len(built) == len(prefixes)
+        assert parsed == built
+        for k in range(width + 1):
+            cut_parsed, cut_built = parsed.restricted(k), built.restricted(k)
+            assert length_index(cut_parsed) == length_index(cut_built)
+            assert cut_parsed.entries == tuple(p for p in prefixes if p.length <= k)
+            assert cut_parsed == cut_built and len(cut_parsed) == len(cut_built)
+            assert serialize(cut_parsed) == serialize(cut_built)
+        canonical = "".join(
+            f"{p.bits.ljust(width, '0')}/{p.length} {p.next_hop}\n" for p in prefixes
+        )
+        assert serialize(parsed) == serialize(built) == canonical
+
+    def test_order_matters_to_equality(self):
+        a = PrefixDatabase(4, [Prefix("1", 1, "x"), Prefix("01", 2, "y")])
+        b = PrefixDatabase(4, [Prefix("01", 2, "y"), Prefix("1", 1, "x")])
+        c = PrefixDatabase(4, [Prefix("1", 1, "x"), Prefix("00", 2, "y"), Prefix("01", 2, "y")])
+        d = PrefixDatabase(4, [Prefix("1", 1, "x"), Prefix("01", 2, "y"), Prefix("00", 2, "y")])
+        assert a != b and c != d
+        assert a == PrefixDatabase(4, a.entries)
 
     def test_serializer_emits_lf_and_padding(self):
         text = serialize(parse_database("1/1 A\n", 6))
