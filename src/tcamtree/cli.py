@@ -29,10 +29,8 @@ from .pipeline import (
     SYNTHETIC_PROFILE_NOTE,
     PipelineProfile,
     PipelineState,
-    tree_lookup,
 )
 from .prefixdb import (
-    DEFAULT_NEXT_HOP,
     PrefixDatabase,
     address_value,
     dotted_to_bits,
@@ -237,7 +235,8 @@ def render_csv(report: dict) -> str:
 
 
 def read_trace(path, width: int):
-    """Trace replay input: one address per line, binary or dotted-quad."""
+    """Trace replay input: one address per line, binary or dotted-quad, as
+    int values."""
     addresses = []
     for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -251,10 +250,9 @@ def read_trace(path, width: int):
             except ValueError as exc:
                 raise MalformedLine(lineno, str(exc)) from None
         try:
-            address_value(line, width)
+            addresses.append(address_value(line, width))
         except ValueError:
             raise MalformedLine(lineno, f"expected a {width}-bit address") from None
-        addresses.append(line)
     return addresses
 
 
@@ -304,20 +302,14 @@ def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,
         inject_fault(state)
     width = db.address_width
     if trace is not None:
-        addresses = [address_value(a, width) for a in read_trace(trace, width)]
+        addresses = read_trace(trace, width)
     else:
         addresses = verification_addresses(db, mode, samples, cfg.seed)
-    tree, overflow = state.tree, state.overflow
     mismatches = []
     checked = total = 0
     for address in addresses:
         checked += 1
-        if overflow.entries:   # the buffer matches bit strings
-            got = state.search(format(address, f"0{width}b"))
-        else:
-            got = tree_lookup(tree, address)[0]
-            if got is None:
-                got = DEFAULT_NEXT_HOP
+        got = state.search_value(address)
         expected = oracle_lookup_value(db, address)
         if got != expected:
             total += 1

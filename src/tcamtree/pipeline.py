@@ -364,8 +364,15 @@ class PipelineState:
 
     def search(self, address: str) -> str:
         """The next hop of `address`; the overflow buffer wins ties by prefix length."""
-        value, length = tree_lookup(self.tree, address_value(address, self.tree.address_width))
+        return self.search_value(address_value(address, self.tree.address_width))
+
+    def search_value(self, key: int) -> str:
+        """`search` of an address given as its int value, unchecked.  The
+        overflow buffer matches bit strings, so one is made only when the
+        buffer holds entries."""
+        value, length = tree_lookup(self.tree, key)
         if self.overflow.entries:
+            address = format(key, f"0{self.tree.address_width}b")
             over_value, over_len = self.overflow.lpm(address)
             if over_value is not None and over_len >= length:
                 value = over_value

@@ -61,6 +61,22 @@ def _length_array(address_width: int) -> array:
     return array("B" if address_width < 256 else "L")
 
 
+def _columns(address_width: int, rows: Iterable[tuple[Optional[int], int, int, str]]):
+    """The store filled from (line number or None, length, value, next hop)
+    rows in file order: the length index, longest first, and the length
+    column.  A repeated prefix is refused, named by its line if it has one."""
+    maps: defaultdict[int, dict[int, str]] = defaultdict(dict)
+    lengths = _length_array(address_width)
+    for lineno, length, value, hop in rows:
+        table = maps[length]
+        if value in table:
+            where = "" if lineno is None else f"line {lineno}: "
+            raise DuplicatePrefix(f"{where}duplicate prefix {bits_of(value, length)}/{length}")
+        table[value] = hop
+        lengths.append(length)
+    return tuple((l, maps[l]) for l in sorted(maps, reverse=True)), lengths
+
+
 class PrefixDatabase:
     """An ordered, duplicate-free collection of prefixes at a fixed address width.
 
@@ -74,33 +90,18 @@ class PrefixDatabase:
     def __init__(self, address_width: int, entries: Iterable[Prefix] = ()):
         if address_width < 1:
             raise ValueError("address_width must be >= 1")
-        maps: defaultdict[int, dict[int, str]] = defaultdict(dict)
-        lengths = _length_array(address_width)
-        for p in entries:
-            if p.length > address_width:
-                raise LengthOutOfRange(
-                    f"prefix {p} longer than address width {address_width}"
-                )
-            table = maps[p.length]
-            value = int(p.bits or "0", 2)
-            if value in table:
-                raise DuplicatePrefix(f"duplicate prefix {p}")
-            table[value] = p.next_hop
-            lengths.append(p.length)
-        self._store(address_width, maps, lengths)
-
-    def _store(self, address_width: int, maps: dict, lengths: array):
         self.address_width = address_width
         # The length index, read-only: `oracle_lookup` probes it in this
         # order, `build_tree` reads it shortest first.
-        self.by_length = tuple((l, maps[l]) for l in sorted(maps, reverse=True))
-        self._lengths = lengths
+        self.by_length, self._lengths = _columns(
+            address_width, _prefix_rows(entries, address_width)
+        )
         self._entries: Optional[tuple[Prefix, ...]] = None
 
     @classmethod
-    def _from_columns(cls, address_width: int, maps: dict, lengths: array) -> "PrefixDatabase":
-        db = cls.__new__(cls)
-        db._store(address_width, maps, lengths)
+    def _from_columns(cls, address_width: int, by_length: tuple, lengths: array) -> "PrefixDatabase":
+        db = cls(address_width)
+        db.by_length, db._lengths = by_length, lengths
         return db
 
     def in_order(self) -> Iterator[tuple[int, int, str]]:
@@ -144,8 +145,16 @@ class PrefixDatabase:
             return self
         lengths = _length_array(self.address_width)
         lengths.extend(l for l in self._lengths if l <= max_length)
-        maps = {l: table for l, table in self.by_length if l <= max_length}
-        return PrefixDatabase._from_columns(self.address_width, maps, lengths)
+        by_length = tuple((l, table) for l, table in self.by_length if l <= max_length)
+        return PrefixDatabase._from_columns(self.address_width, by_length, lengths)
+
+
+def _prefix_rows(entries: Iterable[Prefix], address_width: int):
+    """The store's rows of `Prefix` entries, each checked against the width."""
+    for p in entries:
+        if p.length > address_width:
+            raise LengthOutOfRange(f"prefix {p} longer than address width {address_width}")
+        yield None, p.length, int(p.bits or "0", 2), p.next_hop
 
 
 @dataclass(frozen=True)
@@ -206,38 +215,36 @@ def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabas
     with paused_gc:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        maps: defaultdict[int, dict[int, str]] = defaultdict(dict)
-        lengths = _length_array(address_width)
-        for lineno, raw in enumerate(_lines(text), start=1):
-            fields = raw.split("#", 1)[0].split()
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise MalformedLine(lineno, f"expected '<prefix>/<len> <next_hop>', got {raw!r}")
-            spec, next_hop = fields
-            head, sep, len_str = spec.rpartition("/")
-            if not sep:
-                raise MalformedLine(lineno, "missing '/<len>'")
-            try:
-                length = parse_decimal(len_str)
-            except ValueError:
-                raise MalformedLine(lineno, f"bad length {len_str!r}") from None
-            if not 0 <= length <= address_width:
-                raise LengthOutOfRange(
-                    f"line {lineno}: length {length} outside 0..{address_width}"
-                )
-            try:
-                value = _parse_value(head, length, address_width)
-            except ValueError as exc:
-                raise MalformedLine(lineno, str(exc)) from None
-            table = maps[length]
-            if value in table:
-                raise DuplicatePrefix(
-                    f"line {lineno}: duplicate prefix {bits_of(value, length)}/{length}"
-                )
-            table[value] = next_hop
-            lengths.append(length)
-        return PrefixDatabase._from_columns(address_width, maps, lengths)
+        return PrefixDatabase._from_columns(
+            address_width, *_columns(address_width, _parsed_rows(text, address_width))
+        )
+
+
+def _parsed_rows(text: str, address_width: int):
+    """The store's rows of the text's entry lines, each validated once."""
+    for lineno, raw in enumerate(_lines(text), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != 2:
+            raise MalformedLine(lineno, f"expected '<prefix>/<len> <next_hop>', got {raw!r}")
+        spec, next_hop = fields
+        head, sep, len_str = spec.rpartition("/")
+        if not sep:
+            raise MalformedLine(lineno, "missing '/<len>'")
+        try:
+            length = parse_decimal(len_str)
+        except ValueError:
+            raise MalformedLine(lineno, f"bad length {len_str!r}") from None
+        if not 0 <= length <= address_width:
+            raise LengthOutOfRange(
+                f"line {lineno}: length {length} outside 0..{address_width}"
+            )
+        try:
+            value = _parse_value(head, length, address_width)
+        except ValueError as exc:
+            raise MalformedLine(lineno, str(exc)) from None
+        yield lineno, length, value, next_hop
 
 
 def read_text(path) -> str:

@@ -42,7 +42,7 @@ def trace_file(tmp_path_factory):
 
     def read(line: str, width: int):
         path.write_text(line + "\n", encoding="utf-8")
-        return read_trace(path, width)
+        return [format(value, f"0{width}b") for value in read_trace(path, width)]
 
     return read
 

@@ -24,6 +24,7 @@ from tests.helpers import random_database, random_strides, terminal_count, total
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data" / "table1.txt"
+OVERFLOW = Path(__file__).parent / "data" / "overflow.txt"
 GOLDEN = Path(__file__).parent / "data" / "golden"
 SYNTHETIC_IPV4 = Path(__file__).parent / "data" / "synthetic-ipv4-500.txt"
 
@@ -702,6 +703,28 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0] == f"FAIL 32 of 64 addresses mismatch; first {listed}:"
         assert len(lines) == 1 + listed
+
+    def test_pass_with_an_overflow_buffer(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--db", str(OVERFLOW), "--width", "6", "--strides", "2-2"
+        )
+        assert code == 0
+        assert out == "PASS 64/64\n"
+
+    def test_fault_injection_with_an_overflow_buffer(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--db", str(OVERFLOW), "--width", "6", "--strides", "2-2",
+            "--inject-fault", "--max-mismatches", "64",
+        )
+        # the tree's terminals under 0000/4 and 01/2 are corrupted; 111111/6
+        # lives in the overflow buffer, which wins its tie and stays right
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL 20 of 64 addresses mismatch; first 20:"
+        assert lines[1:] == [
+            f"({value:06b}, {hop}?corrupt, {hop})"
+            for value, hop in [(v, "A") for v in range(4)] + [(v, "C") for v in range(16, 32)]
+        ]
 
     def test_trace_replay(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
