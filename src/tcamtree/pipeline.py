@@ -305,7 +305,9 @@ class PipelineState:
         self.plan = plan
         self.sram_rows = 0
         self._st_of: dict[TreeTable, SuperTable] = {}
+        self._level_supertables: dict[int, list[SuperTable]] = {}   # each in `supertables` order
         for st in supertables:
+            self._level_supertables.setdefault(st.level_index, []).append(st)
             for t in st.members:
                 self._st_of[t] = st
 
@@ -462,6 +464,7 @@ class PipelineState:
                 st.total_entries += 1
             for st in opened:
                 self.supertables.append(st)
+                self._level_supertables.setdefault(st.level_index, []).append(st)
                 (table,) = st.members
                 self._st_of[table] = st
             for host, table in joins:
@@ -490,10 +493,9 @@ class PipelineState:
         return True
 
     def _host_for_level(self, level: int) -> Optional[SuperTable]:
-        candidates = [
-            st
-            for st in self.supertables
-            if st.level_index == level and len(st.members) < (1 << st.tag_bits)
-        ]
-        return candidates[-1] if candidates else None
+        """The last of the level's super-tables with room for another member."""
+        for st in reversed(self._level_supertables.get(level, ())):
+            if len(st.members) < (1 << st.tag_bits):
+                return st
+        return None
 

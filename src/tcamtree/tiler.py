@@ -19,12 +19,21 @@ controlled prefix expansion), and returns the first row it hits.  Keys and
 segments are ints throughout; the ternary text of a key (`key_text`) is made
 only for dumps.  The maps are kept current by the writes that add or remove
 a row, so searches are read-only.
+
+An update changes inherited values only in the full-length rows under its
+prefix, and of those only the stubs: a full-length terminal matches itself
+at the full stride, so no shorter prefix takes its place.  Each table keeps
+the sorted keys of its child-bearing rows, `stub_keys`, and an update reads
+the stubs in its prefix's key range, found by two bisections: its work
+follows the rows it can change, not the table's size (update work bounded by
+what changes, as in Shah & Gupta's TCAM update algorithms).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ._util import ceil_div, ceil_log2, parse_decimal, paused_gc
 from .errors import DuplicatePrefix, NotFound, PrefixExceedsCoverage
@@ -154,9 +163,16 @@ class TreeTable:
     when its map empties, so no write counts or probes anything to keep the
     index current.  Stubs are full-length rows, so they all sit in the
     stride's own map.
+
+    `stub_keys` holds the sorted keys of the child-bearing rows, and only
+    `set_child` and `clear_child` write a row's child, so it stays exact.
+    Full-length terminals without a child are left out: no update above
+    them changes their value, so `rows_under` never needs to read them.  A
+    table that never had a stub, as every last-level table, holds the
+    shared empty tuple instead of a list of its own.
     """
 
-    __slots__ = ("level_index", "stride_width", "start_bit", "kind", "by_length")
+    __slots__ = ("level_index", "stride_width", "start_bit", "kind", "by_length", "stub_keys")
 
     def __init__(self, level_index: int, stride_width: int, start_bit: int):
         self.level_index = level_index
@@ -164,6 +180,7 @@ class TreeTable:
         self.start_bit = start_bit
         self.kind = TCAM
         self.by_length: tuple[LengthRows, ...] = ()
+        self.stub_keys: Sequence[int] = ()   # a list from the first stub on
 
     # -- structure ---------------------------------------------------------
 
@@ -197,24 +214,35 @@ class TreeTable:
         rows = self._rows_of(length)
         return None if rows is None else rows.get(key)
 
-    def rows_under(self, key: int, length: int):
-        """Full-length rows whose keys start with the `length`-bit `key`:
-        probes each candidate key, or scans the full-length rows when there
-        are fewer of them than candidates."""
-        rows = self._rows_of(self.stride_width)
-        if not rows:
-            return
-        free = self.stride_width - length
-        if (1 << free) <= len(rows):
-            low = key << free
-            for k in range(low, low + (1 << free)):
-                e = rows.get(k)
-                if e is not None:
-                    yield e
+    def set_child(self, key: int, entry: TableEntry, child: TreeTable):
+        """Point the full-length row `entry`, filed at `key`, at `child`."""
+        entry.child = child
+        if self.stub_keys:
+            insort(self.stub_keys, key)
         else:
-            for k, e in rows.items():
-                if k >> free == key:
-                    yield e
+            self.stub_keys = [key]
+
+    def clear_child(self, key: int, entry: TableEntry):
+        """Drop the child pointer of the full-length row at `key`."""
+        entry.child = None
+        keys = self.stub_keys
+        del keys[bisect_left(keys, key)]
+
+    def rows_under(self, key: int, length: int) -> list[TableEntry]:
+        """The stubs whose keys start with the `length`-bit `key`: those of
+        `stub_keys` in `[key << free, (key + 1) << free)`, `free` being the
+        stride's bits below the prefix, found by bisection (at full length,
+        the row at `key` when it is a stub)."""
+        keys = self.stub_keys
+        if not keys:
+            return []
+        free = self.stride_width - length
+        low = key << free
+        rows = self._rows_of(self.stride_width)
+        return [
+            rows[k]
+            for k in keys[bisect_left(keys, low) : bisect_left(keys, low + (1 << free))]
+        ]
 
     @property
     def entry_count(self) -> int:
@@ -228,12 +256,12 @@ class TreeTable:
 
     def stubs(self) -> list[tuple[int, TableEntry]]:
         """(key, entry) for the child-bearing rows, all of them full length."""
-        rows = self._rows_of(self.stride_width) or {}
-        return [(k, e) for k, e in rows.items() if e.child is not None]
+        rows = self._rows_of(self.stride_width)
+        return [(k, rows[k]) for k in self.stub_keys]
 
     def stub_count(self) -> int:
         """Child-bearing entries: the pointer overhead charged to this table."""
-        return len(self.stubs())
+        return len(self.stub_keys)
 
     def max_local_length(self) -> int:
         """Expansion target for SRAM conversion: the longest specified length,
@@ -376,15 +404,12 @@ def descend(tree: TcamTree, key: int, length: int, grown: Optional[list]):
         entry = rows.get(stub)
         if entry is None:
             value, local_len = table.local_lpm(stub, s)
-            child = tree.new_table(table.level_index + 1)
-            rows[stub] = TableEntry(value, local_len, child)
+            rows[stub] = entry = TableEntry(value, local_len, None)
             if grown is not None:
                 grown.append(table)
-        elif entry.child is None:
-            child = entry.child = tree.new_table(table.level_index + 1)
-        else:
-            child = entry.child
-        table = child
+        if entry.child is None:
+            table.set_child(stub, entry, tree.new_table(table.level_index + 1))
+        table = entry.child
     return table, key, length
 
 
@@ -445,7 +470,7 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
     while table.entry_count == 0 and path:
         parent, stub, entry = path.pop()
         tree.drop_table(table)
-        entry.child = None
+        parent.clear_child(stub, entry)
         if entry.bmp_local_len != parent.stride_width:   # a stub, not a terminal
             parent.remove(parent.stride_width, stub)
             shrunk.append(parent)

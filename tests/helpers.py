@@ -98,6 +98,12 @@ def terminal_prefixes(table) -> list[tuple[int, int, str]]:
     ]
 
 
+def recounted_stub_keys(table) -> list[int]:
+    """Reference for `TreeTable.stub_keys`: the sorted keys of the rows with
+    a child, read from every length map."""
+    return sorted(k for rows in table.by_length for k, e in rows.items() if e.child is not None)
+
+
 def terminal_count(tree) -> int:
     """Terminal rows over the whole tree, by walking every row."""
     return sum(len(terminal_prefixes(t)) for t in tree.all_tables())

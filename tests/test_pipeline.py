@@ -31,6 +31,7 @@ from tests.helpers import (
     is_terminal,
     random_database,
     random_strides,
+    recounted_stub_keys,
     table1_db,
     ternary_rows,
 )
@@ -58,7 +59,9 @@ def synthetic_supertables(level_blocks):
             # chain a dependency: first table of the previous level points here
             parent = prev_tables[0]
             for t in tables_here:
-                parent.rows_for(8)[parent.entry_count % 256] = TableEntry(None, None, t)
+                key = parent.entry_count % 256
+                parent.rows_for(8)[key] = row = TableEntry(None, None, None)
+                parent.set_child(key, row, t)
         prev_tables = tables_here
     return supers
 
@@ -426,7 +429,7 @@ UPDATE_EVENTS = ("grew", "joined", "opened", "spilled", "collected")
 def audit_tree(tree, levels_before):
     """`tree.levels` holds exactly the tables reachable from the root, the
     survivors of `levels_before` first and in their order; each table's
-    length index equals a recount of its per-length maps."""
+    length index and stub keys equal a recount of its per-length maps."""
     reachable = [set() for _ in tree.levels]
     stack = [tree.root]
     while stack:
@@ -452,6 +455,7 @@ def audit_tree(tree, levels_before):
                     assert e.bmp_local_len is None or e.bmp_local_len < length
                 lengths[length] += 1
         assert [rows.length for rows in table.by_length] == sorted(lengths, reverse=True)
+        assert list(table.stub_keys) == recounted_stub_keys(table)
 
 
 def audit(state, planned_supertables):
@@ -467,6 +471,15 @@ def audit(state, planned_supertables):
     live = [t for t in state.tree.all_tables() if t.kind == TCAM]
     assert len(owners) == len(live) and all(owners[t] == 1 for t in live)
     assert state._st_of == {t: st_ for st_ in state.supertables for t in st_.members}
+    # each level's host for a new table is the last of its super-tables, in
+    # `supertables` order, with room for another member
+    by_level = {}
+    for st_ in state.supertables:
+        by_level.setdefault(st_.level_index, []).append(st_)
+    assert state._level_supertables == by_level
+    for level, sts in by_level.items():
+        room = [st_ for st_ in sts if len(st_.members) < 2**st_.tag_bits]
+        assert state._host_for_level(level) is (room[-1] if room else None)
     for st_ in state.supertables:
         assert st_.total_entries == sum(t.entry_count for t in st_.members)
         assert st_.entry_capacity >= st_.total_entries
@@ -565,6 +578,38 @@ def test_update_bookkeeping_matches_a_recount():
 
     check()
     assert all(seen[event] > 0 for event in UPDATE_EVENTS), seen
+
+
+def test_opening_a_table_reads_no_supertable_of_another_level():
+    # The root's full-length terminal 0000 gains a child, so the insert adds
+    # no root row and opens one level-1 table, which joins the level-1
+    # super-table: finding that host reads no super-table of level 0.
+    from tcamtree.packing import SuperTable
+
+    db = PrefixDatabase(8, [Prefix("0000", 4, "a")] + [
+        Prefix(format(i, "04b") + "0000", 8, f"h{i}") for i in range(1, 4)
+    ])
+    state = PipelineState.planned(
+        db, StrideList.parse("4-4"), grain=GrainSpec(8, 4), tag_bits=2,
+        profile=PipelineProfile(),
+    )
+    (level1,) = [st_ for st_ in state.supertables if st_.level_index == 1]
+    others = [st_ for st_ in state.supertables if st_.level_index != 1]
+    assert others and len(level1.members) == 3
+    reads = []
+
+    class WatchedSuperTable(SuperTable):
+        def __getattribute__(self, name):
+            reads.append(name)
+            return object.__getattribute__(self, name)
+
+    for st_ in others:
+        st_.__class__ = WatchedSuperTable
+    state.insert(Prefix("00001111", 8, "new"))
+    assert reads == []
+    new = state.tree.root.get(4, 0b0000).child
+    assert new in level1.members and len(level1.members) == 4
+    assert state.search("00001111") == "new" and state.search("00000000") == "a"
 
 
 @pytest.mark.parametrize("tag_bits", [2, 4])

@@ -37,6 +37,7 @@ from tests.helpers import (
     ordered_scan_lookup,
     random_database,
     random_strides,
+    recounted_stub_keys,
     row_view,
     scan_local_lpm,
     stub_counts,
@@ -153,10 +154,12 @@ class TestBuildTree:
 
 def build_view(tree):
     """What a build must reproduce: the nested rows, and per level, in table
-    creation order, each table's length index with each length's sorted keys."""
+    creation order, each table's length index with each length's sorted keys,
+    and its stub keys as stored."""
     return (
         tree.structure(),
-        [[[(rows.length, sorted(rows)) for rows in t.by_length] for t in level]
+        [[([(rows.length, sorted(rows)) for rows in t.by_length], list(t.stub_keys))
+          for t in level]
          for level in tree.levels],
     )
 
@@ -241,9 +244,12 @@ class TestBulkBuild:
 
 
 class CountingDict(LengthRows):
-    """One length's row map that counts the rows a lookup or an update reads."""
+    """One length's row map that counts the rows a lookup or an update reads.
+    Every probe and every read of a row counts, except that `rows[key]` right
+    after `key in rows` reads the row that probe found, and counts with it."""
 
     reads = 0
+    probed = None   # the key of the last `in` probe, until a read follows it
 
     def get(self, key, default=None):
         self.reads += 1
@@ -251,7 +257,14 @@ class CountingDict(LengthRows):
 
     def __contains__(self, key):
         self.reads += 1
+        self.probed = key
         return super().__contains__(key)
+
+    def __getitem__(self, key):
+        if self.probed != key:
+            self.reads += 1
+        self.probed = None
+        return super().__getitem__(key)
 
     def values(self):
         self.reads += len(self)
@@ -275,8 +288,9 @@ def counting_maps(table) -> list[CountingDict]:
 
 def check_index(tree, rng):
     """Every table's lookup equals the ordered ternary scan (on every segment
-    up to 8 bits, else on sampled ones), and every stub's inherited value
-    equals a from-scratch longest local match."""
+    up to 8 bits, else on sampled ones), every stub's inherited value
+    equals a from-scratch longest local match, and the stub keys equal a
+    recount of the child-bearing rows."""
     for table in tree.all_tables():
         ordered = ternary_rows(table)
         s = table.stride_width
@@ -293,6 +307,7 @@ def check_index(tree, rng):
         for text, e in ordered:
             if not is_terminal(e, len(text.rstrip("*"))):
                 assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, text)
+        assert list(table.stub_keys) == recounted_stub_keys(table)
 
 
 class TestProbeIndex:
@@ -342,13 +357,74 @@ class TestProbeIndex:
         tree_delete(tree, "101010")
         reads = sum(rows.reads for rows in maps)
         after = {text: (e.bmp_value, e.bmp_local_len) for text, e in ternary_rows(root)}
-        # One fallback match for all inheriting stubs; reads cover the walk,
-        # that match and the 2**6 keys under the prefix, never the 1,200 rows.
+        # One fallback match for all inheriting stubs; reads cover the
+        # deleted row, that match and the stubs under the prefix, never the
+        # 1,200 rows or the 2**6 keys a probe of the range would try.
         assert len(calls) == 1
-        assert reads <= 2 + 12 + 2**6
+        assert reads <= 2 + len(inherited)
         changed = {k for k, v in after.items() if v != before[k]}
         assert changed == inherited
         assert all(after[k] == ("outer", 2) for k in changed)
+
+    def test_short_prefix_update_reads_only_the_stubs_in_its_range(self):
+        # 1,100 full-length root terminals and a few stubs, in and out of
+        # 10**********: withdrawing 10/2 and announcing it again reads each
+        # stub in its range once, and none of its 2**10 candidate keys or
+        # the table's 1,100 terminals.
+        rng = random.Random(11)
+        heads = set(rng.sample(range(1 << 12), 1100))
+        under_10 = range(0b10 << 10, 0b11 << 10)
+        merged = [k for k in under_10 if k in heads][:2]   # terminals with a child
+        pure = [k for k in under_10 if k not in heads][:2]
+        outside = [k for k in range(0b11 << 10, 1 << 12) if k not in heads][:1]
+        outside += [k for k in range(0b01 << 10, 0b10 << 10) if k in heads][:1]
+        entries = [Prefix(format(h, "012b"), 12, f"t{h}") for h in heads]
+        entries += [
+            Prefix(format(k, "012b") + "0110", 16, f"s{k}") for k in merged + pure + outside
+        ]
+        entries += [Prefix("1", 1, "outer"), Prefix("10", 2, "short")]
+        tree = build_tree(PrefixDatabase(16, entries), StrideList.parse("12-4"))
+        root = tree.root
+        assert root.stub_keys == sorted(merged + pure + outside)
+        maps = counting_maps(root)
+        (full,) = [rows for rows in maps if rows.length == 12]
+
+        def values(keys):
+            return [(dict.__getitem__(full, k).bmp_value, dict.__getitem__(full, k).bmp_local_len)
+                    for k in keys]
+
+        kept = values(heads) + values(outside)
+        for bits, hop, pure_value in (("10", None, ("outer", 1)), ("10", "again", ("again", 2))):
+            for rows in maps:
+                rows.reads = 0
+            if hop is None:
+                tree_delete(tree, bits)
+            else:
+                tree_insert(tree, bits, hop)
+            assert full.reads == len(merged + pure)
+            assert sum(rows.reads for rows in maps) <= 2 + len(merged + pure)
+            assert values(pure) == [pure_value] * len(pure)
+            assert values(heads) + values(outside) == kept
+
+    def test_insert_reads_no_full_length_row_without_a_stub_under_it(self):
+        # A 4-bit prefix has 2**8 candidate keys at the 12-bit root; with more
+        # than 256 full-length rows, some under the prefix, and stubs only
+        # elsewhere, its insert reads no row of the full-length map.
+        rng = random.Random(13)
+        heads = set(rng.sample(range(1 << 12), 600))
+        under = range(0b0110 << 8, 0b0111 << 8)
+        stubs = [h for h in sorted(heads) if h not in under][:5]
+        entries = [Prefix(format(h, "012b"), 12, f"t{h}") for h in heads]
+        entries += [Prefix(format(h, "012b") + "0110", 16, f"s{h}") for h in stubs]
+        tree = build_tree(PrefixDatabase(16, entries), StrideList.parse("12-4"))
+        assert tree.root.stub_keys == stubs
+        maps = counting_maps(tree.root)
+        (full,) = [rows for rows in maps if rows.length == 12]
+        tree_insert(tree, "0110", "new")
+        assert full.reads == 0
+        for k in (min(k for k in under if k in heads), min(k for k in under if k not in heads)):
+            want = f"t{k}" if k in heads else "new"
+            assert tree_search(tree, format(k, "012b") + "1111") == want
 
     def test_removing_a_row_reads_no_row_of_another_length(self, monkeypatch):
         # A length leaves the index when its own rows run out: neither a
