@@ -95,11 +95,10 @@ def sram_rows_for_table(table: TreeTable) -> tuple[int, int]:
     for rows in table.by_length:
         l = rows.length
         for key, e in rows.items():
-            local_len = e.bmp_local_len
-            if local_len == l:
+            if e.__class__ is str or e.bmp_local_len == l:
                 if l == 0 or table.local_lpm(key >> 1, l - 1)[1] is None:
                     expanded += 1 << (target - l)
-            elif local_len is None:
+            elif e.bmp_local_len is None:
                 uncovered += 1
     return expanded, expanded + uncovered
 

@@ -7,8 +7,8 @@ dependency), and `PipelinePlan.place` is the one way to take stage space.
 (`prefixdb.address_value`).  The walk itself is match/action per level:
 shift the next stride segment out of that int, look it up, remember the
 best value of the matched row, descend on its child, and stop on the first
-miss or missing child.  Entries that the planned structure cannot hold (too
-long for the stride coverage, or no block space left) sit in a small
+miss or childless terminal.  Entries that the planned structure cannot hold
+(too long for the stride coverage, or no block space left) sit in a small
 overflow buffer; its matches are compared against the tree's by explicit
 prefix length, overflow winning ties, and an empty buffer is not consulted.
 """
@@ -267,21 +267,23 @@ def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowB
 
 def tree_lookup(tree: TcamTree, key: int) -> tuple[Optional[str], int]:
     """Walk the table tree on an address's int value, `key`: (value, matched
-    prefix length) or (None, -1)."""
-    table: Optional[TreeTable] = tree.root
+    prefix length) or (None, -1).  A childless terminal, a next hop, ends
+    the walk with its own value; a stub passes its inherited one down."""
+    table = tree.root
     value, vlen = None, -1
     rest = key
     rest_len = tree.address_width
-    while table is not None:
+    while True:
         rest_len -= table.stride_width
-        row = table.lookup(rest >> rest_len)
+        row, length = table.lookup(rest >> rest_len)
         if row is None:
-            break
+            return value, vlen
+        if row.__class__ is str:
+            return row, table.start_bit + length
         rest &= (1 << rest_len) - 1
         if row.bmp_value is not None:
             value, vlen = row.bmp_value, table.start_bit + row.bmp_local_len
         table = row.child
-    return value, vlen
 
 
 class PipelineState:
@@ -385,19 +387,20 @@ class PipelineState:
     def insert(self, prefix: Prefix):
         """Add one prefix: insert it into the tree and place the rows it added,
         or roll back and spill it to the overflow buffer."""
-        if prefix.length > self.address_width:
+        tree = self.tree
+        if prefix.length > tree.address_width:
             raise LengthOutOfRange(
-                f"prefix {prefix} longer than address width {self.address_width}"
+                f"prefix {prefix} longer than address width {tree.address_width}"
             )
-        if self.overflow.contains(prefix.bits):
+        if self.overflow.entries and self.overflow.contains(prefix.bits):
             raise DuplicatePrefix(f"prefix {prefix} already present")
-        if prefix.length > self.coverage:
+        if prefix.length > tree.coverage:
             self.overflow.add(prefix)
             return
-        grown = tree_insert(self.tree, prefix.bits, prefix.next_hop)
+        grown = tree_insert(tree, prefix.bits, prefix.next_hop)
         if self._place(grown):
             return
-        tree_delete(self.tree, prefix.bits)
+        tree_delete(tree, prefix.bits)
         self.overflow.add(prefix)
 
     def delete(self, prefix: Prefix):

@@ -64,15 +64,18 @@ def _length_array(address_width: int) -> array:
 def _columns(address_width: int, rows: Iterable[tuple[Optional[int], int, int, str]]):
     """The store filled from (line number or None, length, value, next hop)
     rows in file order: the length index, longest first, and the length
-    column.  A repeated prefix is refused, named by its line if it has one."""
+    column.  Each distinct next hop is kept once, the first `str` seen
+    with its text, so the maps and the trees built from them share it.  A
+    repeated prefix is refused, named by its line if it has one."""
     maps: defaultdict[int, dict[int, str]] = defaultdict(dict)
     lengths = _length_array(address_width)
+    hops: dict[str, str] = {}
     for lineno, length, value, hop in rows:
         table = maps[length]
         if value in table:
             where = "" if lineno is None else f"line {lineno}: "
             raise DuplicatePrefix(f"{where}duplicate prefix {bits_of(value, length)}/{length}")
-        table[value] = hop
+        table[value] = hops.setdefault(hop, hop)
         lengths.append(length)
     return tuple((l, maps[l]) for l in sorted(maps, reverse=True)), lengths
 
@@ -83,8 +86,9 @@ class PrefixDatabase:
     The store is columnar.  `by_length` holds (length, {value: next hop})
     longest first, each map keyed by the prefix's bits as an int and kept in
     file order, and an array of lengths keeps the whole file order beside
-    it.  No `Prefix` is kept: `entries` makes one per entry on its first
-    read and caches them.
+    it.  Entries with equal next hops share one `str` (as DXR keeps each
+    distinct next hop once).  No `Prefix` is kept: `entries` makes one per
+    entry on its first read and caches them.
     """
 
     def __init__(self, address_width: int, entries: Iterable[Prefix] = ()):

@@ -20,20 +20,30 @@ segments are ints throughout; the ternary text of a key (`key_text`) is made
 only for dumps.  The maps are kept current by the writes that add or remove
 a row, so searches are read-only.
 
+A row is one of two kinds.  A terminal with no child is stored as its next
+hop alone, a `str`: its local length is the length of the map that files
+it, so nothing else needs keeping (results kept out of the trie's nodes, as
+in Eatherton et al.'s Tree Bitmap).  A row with a child is a `Stub` object
+that carries the child, the value it inherits and that value's local
+length; a terminal that gains a child becomes a `Stub` whose local length
+is its own, and turns back into its next hop when the child is collected.
+Most rows are childless terminals, and the database keeps each distinct
+next hop once, so those rows cost one map slot each.
+
 An update changes inherited values only in the full-length rows under its
 prefix, and of those only the stubs: a full-length terminal matches itself
 at the full stride, so no shorter prefix takes its place.  Each table keeps
-the sorted keys of its child-bearing rows, `stub_keys`, and an update reads
-the stubs in its prefix's key range, found by two bisections: its work
-follows the rows it can change, not the table's size (update work bounded by
-what changes, as in Shah & Gupta's TCAM update algorithms).
+the sorted keys of its `Stub` rows, `stub_keys`, and an update reads the
+stubs in its prefix's key range, found by two bisections: its work follows
+the rows it can change, not the table's size (update work bounded by what
+changes, as in Shah & Gupta's TCAM update algorithms).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from ._util import ceil_div, ceil_log2, parse_decimal, paused_gc
 from .errors import DuplicatePrefix, NotFound, PrefixExceedsCoverage
@@ -122,23 +132,27 @@ def blocks_for_table(table_width: int, table_depth: int, grain: GrainSpec) -> in
     return ceil_div(table_width, grain.width) * ceil_div(table_depth, grain.depth)
 
 
-class TableEntry:
-    """One ternary row's payload: the value of the longest of its table's
-    terminals that matches the row's key, with that terminal's local length
-    (None, None when none does), and an optional child pointer.  The row's
-    key and specified length are where its table files it, so a row is a
-    terminal, a database prefix ending in this table, exactly when its local
-    length is its own length; any other row is a full-length stub."""
+class Stub:
+    """A full-length row with a child: the child table, and the value of the
+    longest of its table's terminals that matches the row's key, with that
+    terminal's local length (None, None when none does).  The row is itself
+    a terminal, a database prefix ending in this table, exactly when that
+    local length is the stride.  Every other row is a childless terminal,
+    stored as its next-hop `str`."""
 
     __slots__ = ("bmp_value", "bmp_local_len", "child")
 
-    def __init__(self, bmp_value, bmp_local_len, child):
+    def __init__(self, bmp_value, bmp_local_len, child: TreeTable):
         self.bmp_value = bmp_value
         self.bmp_local_len = bmp_local_len
         self.child = child
 
     def __repr__(self):
-        return f"<{self.bmp_value}/{self.bmp_local_len} child={self.child is not None}>"
+        return f"<Stub {self.bmp_value}/{self.bmp_local_len}>"
+
+
+# A row: a childless terminal's next hop, a `Stub`, or None for no row.
+Row = Union[str, Stub, None]
 
 
 def key_text(key: int, length: int, width: int) -> str:
@@ -149,7 +163,7 @@ def key_text(key: int, length: int, width: int) -> str:
 
 class LengthRows(dict):
     """The rows of one specified length, `length`: the int value of each
-    row's specified bits mapped to the row."""
+    row's specified bits mapped to the row, a next-hop `str` or a `Stub`."""
 
     __slots__ = ("length",)
 
@@ -164,12 +178,14 @@ class TreeTable:
     index current.  Stubs are full-length rows, so they all sit in the
     stride's own map.
 
-    `stub_keys` holds the sorted keys of the child-bearing rows, and only
-    `set_child` and `clear_child` write a row's child, so it stays exact.
-    Full-length terminals without a child are left out: no update above
-    them changes their value, so `rows_under` never needs to read them.  A
-    table that never had a stub, as every last-level table, holds the
-    shared empty tuple instead of a list of its own.
+    A row is a `Stub` exactly when its key is in `stub_keys`, the sorted
+    keys of the child-bearing rows: `add_stub` files a stub and its key,
+    and `clear_child` takes both back; no other code files or drops a
+    `Stub`.  Every other row is a childless terminal, stored as its next
+    hop; no update above a full-length one changes its value, so
+    `rows_under` never needs to read it.  A table that never had a stub, as
+    every last-level table, holds the shared empty tuple instead of a list
+    of its own.
     """
 
     __slots__ = ("level_index", "stride_width", "start_bit", "kind", "by_length", "stub_keys")
@@ -210,25 +226,35 @@ class TreeTable:
         if not rows:
             self.by_length = tuple(filter(None, self.by_length))
 
-    def get(self, length: int, key: int) -> Optional[TableEntry]:
+    def get(self, length: int, key: int) -> Row:
         rows = self._rows_of(length)
         return None if rows is None else rows.get(key)
 
-    def set_child(self, key: int, entry: TableEntry, child: TreeTable):
-        """Point the full-length row `entry`, filed at `key`, at `child`."""
-        entry.child = child
-        if self.stub_keys:
-            insort(self.stub_keys, key)
-        else:
+    def add_stub(self, rows: LengthRows, key: int, stub: Stub, in_order: bool):
+        """File `stub` at `key` in `rows`, the stride's own map, over the
+        terminal there if any, and index its key: in place when `in_order`,
+        else appended, for `build_tree` to sort once."""
+        rows[key] = stub
+        keys = self.stub_keys
+        if not keys:
             self.stub_keys = [key]
+        elif in_order:
+            insort(keys, key)
+        else:
+            keys.append(key)
 
-    def clear_child(self, key: int, entry: TableEntry):
-        """Drop the child pointer of the full-length row at `key`."""
-        entry.child = None
+    def clear_child(self, key: int, stub: Stub):
+        """Drop the child of `stub`, filed at `key`: a terminal stub turns
+        back into its next hop, any other leaves the table."""
         keys = self.stub_keys
         del keys[bisect_left(keys, key)]
+        s = self.stride_width
+        if stub.bmp_local_len == s:
+            self._rows_of(s)[key] = stub.bmp_value
+        else:
+            self.remove(s, key)
 
-    def rows_under(self, key: int, length: int) -> list[TableEntry]:
+    def rows_under(self, key: int, length: int) -> list[Stub]:
         """The stubs whose keys start with the `length`-bit `key`: those of
         `stub_keys` in `[key << free, (key + 1) << free)`, `free` being the
         stride's bits below the prefix, found by bisection (at full length,
@@ -248,14 +274,14 @@ class TreeTable:
     def entry_count(self) -> int:
         return sum(map(len, self.by_length))
 
-    def rows(self) -> list[tuple[int, int, TableEntry]]:
-        """(length, key, entry) in match priority order: descending specified
+    def rows(self) -> list[tuple[int, int, Row]]:
+        """(length, key, row) in match priority order: descending specified
         length, then key.  Same-length keys are disjoint, so the key order
         never decides a match."""
         return [(rows.length, k, rows[k]) for rows in self.by_length for k in sorted(rows)]
 
-    def stubs(self) -> list[tuple[int, TableEntry]]:
-        """(key, entry) for the child-bearing rows, all of them full length."""
+    def stubs(self) -> list[tuple[int, Stub]]:
+        """(key, stub) for the child-bearing rows, all of them full length."""
         rows = self._rows_of(self.stride_width)
         return [(k, rows[k]) for k in self.stub_keys]
 
@@ -277,14 +303,18 @@ class TreeTable:
             l = rows.length
             if l <= length:
                 e = rows.get(key >> (length - l))
-                if e is not None and e.bmp_local_len == l:
-                    return e.bmp_value, l
+                if e is not None:
+                    if e.__class__ is str:
+                        return e, l
+                    if e.bmp_local_len == l:
+                        return e.bmp_value, l
         return None, None
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, segment: int) -> Optional[TableEntry]:
-        """The row one stride segment matches, or None.
+    def lookup(self, segment: int) -> tuple[Row, int]:
+        """The row one stride segment matches and the specified length it
+        is filed at, or (None, 0).
 
         The first hit, longest length first, is the longest local match.  Both
         kinds answer alike: an SRAM table's exact-match rows expand its
@@ -293,10 +323,11 @@ class TreeTable:
         """
         s = self.stride_width
         for rows in self.by_length:
-            key = segment >> (s - rows.length)
+            l = rows.length
+            key = segment >> (s - l)
             if key in rows:   # a miss costs no method call
-                return rows[key]
-        return None
+                return rows[key], l
+        return None, 0
 
     def __repr__(self):
         return (
@@ -310,11 +341,13 @@ class TcamTree:
 
     Each level is an insertion-ordered dict used as a set, so iterating it
     gives the tables in creation order and dropping one is O(1).
+    `coverage` is the strides' sum, the longest prefix the tree holds.
     """
 
     def __init__(self, stride_list: StrideList, address_width: int):
         self.stride_list = stride_list
         self.address_width = address_width
+        self.coverage = stride_list.coverage
         self.levels: list[dict[TreeTable, None]] = [{} for _ in stride_list.strides]
         self.root = self.new_table(0)
 
@@ -333,27 +366,21 @@ class TcamTree:
     def all_tables(self) -> list[TreeTable]:
         return [t for level in self.levels for t in level]
 
-    @property
-    def coverage(self) -> int:
-        return self.stride_list.coverage
-
     def structure(self):
-        """Deterministic nested dump, used for equality and report assertions."""
+        """Deterministic nested dump, used for equality and report assertions:
+        (key text, value, local length, is terminal, child dump) per row, a
+        childless terminal and a stub alike."""
+
+        def row(text, l, e):
+            if e.__class__ is str:
+                return text, e, l, True, None
+            return text, e.bmp_value, e.bmp_local_len, e.bmp_local_len == l, dump(e.child)
 
         def dump(table):
             s = table.stride_width
             return {
                 "kind": table.kind,
-                "entries": [
-                    (
-                        key_text(k, l, s),
-                        e.bmp_value,
-                        e.bmp_local_len,
-                        e.bmp_local_len == l,
-                        dump(e.child) if e.child is not None else None,
-                    )
-                    for l, k, e in table.rows()
-                ],
+                "entries": [row(key_text(k, l, s), l, e) for l, k, e in table.rows()],
             }
 
         return dump(self.root)
@@ -367,55 +394,58 @@ def walk(tree: TcamTree, key: int, length: int):
     key, length), the last two being the bits left at `table`.
 
     The walk stops at the table where the prefix ends (the bits left fit its
-    stride) or at the first missing stub row or child (they do not).  `path`
-    holds the (table, stub key, stub row) triples passed through, for
-    `tree_delete` to collect emptied tables; unlike `descend`, it makes
+    stride) or at the first row that is missing or has no child (they do
+    not).  `path` holds the (table, stub key, stub) triples passed through,
+    for `tree_delete` to collect emptied tables; unlike `descend`, it makes
     nothing.
     """
-    path: list[tuple[TreeTable, int, TableEntry]] = []
+    path: list[tuple[TreeTable, int, Stub]] = []
     table = tree.root
     while length > table.stride_width:
         rest = length - table.stride_width
-        stub = key >> rest
-        entry = table.get(table.stride_width, stub)
-        if entry is None or entry.child is None:
+        key_at = key >> rest
+        stub = table.get(table.stride_width, key_at)
+        if stub is None or stub.__class__ is str:
             break
-        path.append((table, stub, entry))
-        table, key, length = entry.child, key & ((1 << rest) - 1), rest
+        path.append((table, key_at, stub))
+        table, key, length = stub.child, key & ((1 << rest) - 1), rest
     return path, table, key, length
 
 
 def descend(tree: TcamTree, key: int, length: int, grown: Optional[list]):
     """Follow the `length`-bit prefix `key` down from the root, making each
-    missing stub row and child table on the way: (table, key, length), the
-    last two being the bits left where the prefix ends.
+    missing stub and child table on the way: (table, key, length), the last
+    two being the bits left where the prefix ends.
 
-    A new stub row inherits its key's longest terminal in its table, from one
-    `local_lpm` call; a full-length terminal in its place takes the child.
-    Each table that gains a stub row is appended to `grown`, unless it is
-    None.
+    A new stub inherits its key's longest terminal in its table, from one
+    `local_lpm` call; a full-length terminal in its place becomes a stub
+    that keeps its own value.  Each table that gains a row is appended to
+    `grown`; when `grown` is None, as in the bulk build, stub keys are
+    appended unsorted for `build_tree` to sort.
     """
     table = tree.root
     while length > table.stride_width:
         s = table.stride_width
         length -= s
-        stub, key = key >> length, key & ((1 << length) - 1)
+        key_at, key = key >> length, key & ((1 << length) - 1)
         rows = table.rows_for(s)
-        entry = rows.get(stub)
-        if entry is None:
-            value, local_len = table.local_lpm(stub, s)
-            rows[stub] = entry = TableEntry(value, local_len, None)
+        row = rows.get(key_at)
+        if row is None:
+            value, local_len = table.local_lpm(key_at, s)
+            row = Stub(value, local_len, tree.new_table(table.level_index + 1))
+            table.add_stub(rows, key_at, row, grown is not None)
             if grown is not None:
                 grown.append(table)
-        if entry.child is None:
-            table.set_child(stub, entry, tree.new_table(table.level_index + 1))
-        table = entry.child
+        elif row.__class__ is str:
+            row = Stub(row, s, tree.new_table(table.level_index + 1))
+            table.add_stub(rows, key_at, row, grown is not None)
+        table = row.child
     return table, key, length
 
 
 def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
     """Insert one prefix into a built tree: the update path.  `descend` makes
-    the stub rows and child tables it needs, as it does for `build_tree`.
+    the stubs and child tables it needs, as it does for `build_tree`.
 
     Returns the tables that gained a row, shallowest first.  Safe under
     arbitrary insertion order: a new terminal refreshes the inherited values
@@ -428,20 +458,20 @@ def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
         )
     grown: list[TreeTable] = []
     table, key, length = descend(tree, int(bits or "0", 2), len(bits), grown)
-    entry = table.get(length, key)
-    if entry is None:
-        table.rows_for(length)[key] = TableEntry(value, length, None)
+    row = table.get(length, key)
+    if row is None:
+        table.rows_for(length)[key] = value
         grown.append(table)
-    elif entry.bmp_local_len == length:
+    elif row.__class__ is str or row.bmp_local_len == length:
         raise DuplicatePrefix(f"prefix {bits}/{len(bits)} already present")
-    # Rows under the prefix whose best terminal is shorter take its value: a
+    # Stubs under the prefix whose best terminal is shorter take its value: a
     # stub at the prefix's own key becomes the terminal this way.  The
     # full-length terminals under it are at least as long, so they keep theirs.
-    for other in table.rows_under(key, length):
-        local_len = other.bmp_local_len
+    for stub in table.rows_under(key, length):
+        local_len = stub.bmp_local_len
         if local_len is None or local_len < length:
-            other.bmp_value = value
-            other.bmp_local_len = length
+            stub.bmp_value = value
+            stub.bmp_local_len = length
     return grown
 
 
@@ -452,27 +482,26 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
     rows, other than the root, are the collected ones.
     """
     path, table, key, length = walk(tree, int(bits or "0", 2), len(bits))
-    entry = table.get(length, key)
-    if entry is None or entry.bmp_local_len != length:
-        raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
+    row = table.get(length, key)
     shrunk = []
-    if entry.child is None:
+    if row.__class__ is str:
         table.remove(length, key)
         shrunk.append(table)
-    # Only rows under the prefix that took its value change, and all of them
+    elif row is None or row.bmp_local_len != length:
+        raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
+    # Only stubs under the prefix that took its value change, and all of them
     # fall back to the next shorter terminal above it; a terminal kept for
-    # its child is one of them, and so becomes a stub.
+    # its child is one of them, and so becomes a pure stub.
     value, value_len = table.local_lpm(key >> 1, length - 1) if length else (None, None)
-    for other in table.rows_under(key, length):
-        if other.bmp_local_len == length:
-            other.bmp_value, other.bmp_local_len = value, value_len
+    for stub in table.rows_under(key, length):
+        if stub.bmp_local_len == length:
+            stub.bmp_value, stub.bmp_local_len = value, value_len
     # lazy upward collection of emptied tables
     while table.entry_count == 0 and path:
-        parent, stub, entry = path.pop()
+        parent, key_at, stub = path.pop()
         tree.drop_table(table)
-        parent.clear_child(stub, entry)
-        if entry.bmp_local_len != parent.stride_width:   # a stub, not a terminal
-            parent.remove(parent.stride_width, stub)
+        parent.clear_child(key_at, stub)
+        if stub.bmp_local_len != parent.stride_width:   # a pure stub, not a terminal
             shrunk.append(parent)
         table = parent
     return shrunk
@@ -480,16 +509,18 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
 
 def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
     """Build the fixed-stride tree for a whole database: each prefix in
-    (length, file) order goes down by `descend` and becomes a terminal row
-    where it ends.
+    (length, file) order goes down by `descend` and becomes a terminal row,
+    its next hop, where it ends.
 
     The database's length index, read shortest first, gives that order, and
     the tree equals the one `tree_insert` grows from it: each level's tables
     come out in (length, file) order of their first prefix, which packing
     follows.  All of a table's terminals are shorter than any prefix that
     passes through it, so they come before any of its stubs: each new stub
-    row takes its inherited value from one `local_lpm` call, no terminal
-    lands on an existing row, and no row is ever refreshed.
+    takes its inherited value from one `local_lpm` call, no terminal lands
+    on an existing row, and no row is ever refreshed.  Stub keys are
+    appended as the stubs are made and each table's are sorted once at the
+    end.
     """
     with paused_gc:
         coverage = strides.coverage
@@ -509,5 +540,9 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
         for length, prefixes in reversed(db.by_length):
             for prefix, hop in prefixes.items():
                 table, key, local_len = descend(tree, prefix, length, None)
-                table.rows_for(local_len)[key] = TableEntry(hop, local_len, None)
+                table.rows_for(local_len)[key] = hop
+        for level in tree.levels[:-1]:
+            for table in level:
+                if table.stub_keys:
+                    table.stub_keys.sort()
         return tree

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,10 +50,33 @@ def linear_scan_lookup(db: PrefixDatabase, address: str) -> str:
     return best
 
 
+class RowView(NamedTuple):
+    """What a walk reads from a row: its value, that value's local length
+    and its child, for a childless terminal (a next-hop `str`) and a `Stub`
+    alike."""
+
+    bmp_value: Optional[str]
+    bmp_local_len: Optional[int]
+    child: object
+
+
+def row_fields(row, length: int) -> Optional[RowView]:
+    """The `RowView` of a row filed at specified length `length`, or None
+    for no row: a next hop is a terminal of that length with no child."""
+    if row is None:
+        return None
+    if row.__class__ is str:
+        return RowView(row, length, None)
+    return RowView(row.bmp_value, row.bmp_local_len, row.child)
+
+
 def ternary_rows(table):
-    """(key text, entry) for every row of `table`, in the priority order of
-    `TreeTable.rows()`: the ternary view the int-keyed index stands for."""
-    return [(key_text(key, length, table.stride_width), e) for length, key, e in table.rows()]
+    """(key text, row view) for every row of `table`, in the priority order
+    of `TreeTable.rows()`: the ternary view the int-keyed index stands for."""
+    return [
+        (key_text(key, length, table.stride_width), row_fields(e, length))
+        for length, key, e in table.rows()
+    ]
 
 
 def ordered_scan_lookup(ordered_rows, segment: str):
@@ -63,12 +86,6 @@ def ordered_scan_lookup(ordered_rows, segment: str):
         if all(k in ("*", b) for k, b in zip(text, segment)):
             return e
     return None
-
-
-def row_view(row):
-    """What a walk reads from a matched row: (value, local length, child),
-    or None for a miss."""
-    return None if row is None else (row.bmp_value, row.bmp_local_len, row.child)
 
 
 def scan_local_lpm(table, key: str):
@@ -83,15 +100,16 @@ def scan_local_lpm(table, key: str):
 
 
 def is_terminal(entry, length: int) -> bool:
-    """Whether a row filed at specified length `length` is a database prefix
-    ending in its table: a terminal's local length is its own."""
-    return entry.bmp_local_len == length
+    """Whether a row or row view filed at specified length `length` is a
+    database prefix ending in its table: a next hop is, and any other
+    terminal's local length is its own."""
+    return entry.__class__ is str or entry.bmp_local_len == length
 
 
 def terminal_prefixes(table) -> list[tuple[int, int, str]]:
     """(key, length, value) for database prefixes that end in `table`."""
     return [
-        (k, rows.length, e.bmp_value)
+        (k, rows.length, row_fields(e, rows.length).bmp_value)
         for rows in table.by_length
         for k, e in rows.items()
         if is_terminal(e, rows.length)
@@ -101,7 +119,12 @@ def terminal_prefixes(table) -> list[tuple[int, int, str]]:
 def recounted_stub_keys(table) -> list[int]:
     """Reference for `TreeTable.stub_keys`: the sorted keys of the rows with
     a child, read from every length map."""
-    return sorted(k for rows in table.by_length for k, e in rows.items() if e.child is not None)
+    return sorted(
+        k
+        for rows in table.by_length
+        for k, e in rows.items()
+        if row_fields(e, rows.length).child is not None
+    )
 
 
 def terminal_count(tree) -> int:
@@ -392,7 +415,8 @@ def state_vector(state: PipelineState, hops: HopIds) -> np.ndarray:
         row_of = np.full(n_tables, -1, dtype=np.int64)
         for row, t in enumerate(tables):
             row_of[gid[id(t)]] = row
-            for p, key, e in reversed(t.rows()):
+            for p, key, stored in reversed(t.rows()):
+                e = row_fields(stored, p)
                 lo = key << (s - p)
                 hi = lo + (1 << (s - p))
                 H[row, lo:hi] = 1

@@ -47,15 +47,15 @@ def test_parse_and_plan_run_no_collection(collections):
 
     collections.clear()
     db = parse_database(text, 32)
-    assert collections == [] and len(db) == 500
+    assert not collections and len(db) == 500
 
     collections.clear()
     tree = build_tree(db, STRIDES)
-    assert collections == [] and tree.root.entry_count > 0
+    assert not collections and tree.root.entry_count > 0
 
     collections.clear()
     state = planned(db, STRIDES, hybrid=HYBRID, profile=profile)
-    assert collections == [] and state.plan is not None
+    assert not collections and state.plan is not None
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from tcamtree import (
 )
 from tcamtree import Prefix, PrefixDatabase, packing
 from tcamtree.packing import VALUE_BITS, sram_rows_for_table
-from tcamtree.tiler import SRAM, TCAM, TcamTree, TableEntry, TreeTable, tree_delete, tree_insert
+from tcamtree.tiler import SRAM, TCAM, TcamTree, TreeTable, tree_delete, tree_insert
 
 from tests.helpers import (
     DATA_DIR,
@@ -40,7 +40,7 @@ def synthetic_level(sizes, stride, level_index=1):
     for n in sizes:
         t = tree.new_table(1)
         for i in range(n):
-            t.rows_for(stride)[i] = TableEntry(f"v{i}", stride, None)
+            t.rows_for(stride)[i] = f"v{i}"
     return tree, tree.levels[1]
 
 

@@ -23,7 +23,7 @@ from tcamtree.errors import (
     StageDepthExceeded,
 )
 from tcamtree.pipeline import OverflowBuffer, PipelineProfile, PipelineState
-from tcamtree.tiler import TCAM, TableEntry, TcamTree, TreeTable
+from tcamtree.tiler import TCAM, Stub, TcamTree, TreeTable
 
 from tests.helpers import (
     all_addresses,
@@ -52,7 +52,7 @@ def synthetic_supertables(level_blocks):
             table = tree.new_table(level) if level else tree.root
             for i in range(blocks * grain.depth):
                 if table.get(8, i % 256) is None:
-                    table.rows_for(8)[i % 256] = TableEntry(f"v{i}", 8, None)
+                    table.rows_for(8)[i % 256] = f"v{i}"
             tables_here.append(table)
             supers.append(SuperTable(level, 0, [table], grain))
         if prev_tables:
@@ -60,8 +60,7 @@ def synthetic_supertables(level_blocks):
             parent = prev_tables[0]
             for t in tables_here:
                 key = parent.entry_count % 256
-                parent.rows_for(8)[key] = row = TableEntry(None, None, None)
-                parent.set_child(key, row, t)
+                parent.add_stub(parent.rows_for(8), key, Stub(None, None, t), True)
         prev_tables = tables_here
     return supers
 
@@ -124,7 +123,7 @@ class TestMapToPipeline:
                 (i, st_of[e.child])
                 for i, st_ in enumerate(state.supertables)
                 for t in st_.members
-                for _, _, e in t.rows()
+                for _, e in t.stubs()
                 if e.child in st_of
             }
             for parent, child in edges:
@@ -435,7 +434,7 @@ def audit_tree(tree, levels_before):
     while stack:
         table = stack.pop()
         reachable[table.level_index].add(table)
-        stack.extend(e.child for _, _, e in table.rows() if e.child is not None)
+        stack.extend(e.child for _, e in ternary_rows(table) if e.child is not None)
     for level, before, tables in zip(tree.levels, levels_before, reachable):
         assert len(level) == len(tables) and set(level) == tables
         kept = [t for t in before if t in level]

@@ -152,6 +152,19 @@ class TestParse:
         db = parse_database(TABLE1_TEXT.encode("utf-8"), 6)
         assert len(db) == 6
 
+    def test_equal_next_hops_are_one_object(self):
+        # Each line's hop is a fresh string; the database keeps the first.
+        db = parse_database("0000/4 via-a\n0001/4 via-b\n0010/4 via-a\n01/2 via-a\n", 4)
+        hops = {length: list(table.values()) for length, table in db.by_length}
+        first, other, again = hops[4]
+        (shorter,) = hops[2]
+        assert (first, other) == ("via-a", "via-b")
+        assert again is first and shorter is first
+        built = PrefixDatabase(4, [Prefix("0", 1, "".join(["x", "y"])), Prefix("1", 1, "xy")])
+        (_, table), = built.by_length
+        left, right = table.values()
+        assert left is right
+
 
 class TestSerialize:
     def test_round_trip_on_table1(self):

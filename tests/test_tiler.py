@@ -23,7 +23,7 @@ from tcamtree import tiler
 from tcamtree.errors import DuplicatePrefix, PrefixExceedsCoverage
 from tcamtree.tiler import (
     LengthRows,
-    TableEntry,
+    Stub,
     TreeTable,
     tree_delete,
     tree_insert,
@@ -38,7 +38,7 @@ from tests.helpers import (
     random_database,
     random_strides,
     recounted_stub_keys,
-    row_view,
+    row_fields,
     scan_local_lpm,
     stub_counts,
     table1_db,
@@ -221,6 +221,7 @@ class TestBulkBuild:
             assert tree_search(bulk, address) == oracle_lookup(final, address)
 
     def test_build_walks_no_prefix_and_refreshes_no_row(self, monkeypatch):
+        # nor keeps a stub key list sorted while it grows: each is sorted once
         calls = Counter()
 
         def counting(name, fn):
@@ -230,7 +231,7 @@ class TestBulkBuild:
 
             return counted
 
-        for name in ("tree_insert", "walk", "descend"):
+        for name in ("tree_insert", "walk", "descend", "insort"):
             monkeypatch.setattr(tiler, name, counting(name, getattr(tiler, name)))
         for name in ("rows_under", "local_lpm"):
             monkeypatch.setattr(TreeTable, name, counting(name, getattr(TreeTable, name)))
@@ -240,6 +241,7 @@ class TestBulkBuild:
         assert stubs > 0
         assert calls["descend"] == len(db) == 500
         assert calls["tree_insert"] == calls["walk"] == calls["rows_under"] == 0
+        assert calls["insort"] == 0
         assert calls["local_lpm"] <= stubs
 
 
@@ -275,11 +277,40 @@ class CountingDict(LengthRows):
         return super().items()
 
 
-def counting_maps(table) -> list[CountingDict]:
-    """Swap each of the table's row maps for a CountingDict; returns them."""
+class WatchedRows(LengthRows):
+    """One length's row map that counts the rows it hands out, probes that
+    miss aside."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        row = super().get(key, default)
+        self.reads += row is not None
+        return row
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+def counting_maps(table, kind=CountingDict) -> list[LengthRows]:
+    """Swap each of the table's row maps for a counting `kind` of map;
+    returns them."""
     maps = []
     for rows in table.by_length:
-        counting = CountingDict(rows)
+        counting = kind(rows)
         counting.length = rows.length
         maps.append(counting)
     table.by_length = tuple(maps)
@@ -289,8 +320,9 @@ def counting_maps(table) -> list[CountingDict]:
 def check_index(tree, rng):
     """Every table's lookup equals the ordered ternary scan (on every segment
     up to 8 bits, else on sampled ones), every stub's inherited value
-    equals a from-scratch longest local match, and the stub keys equal a
-    recount of the child-bearing rows."""
+    equals a from-scratch longest local match, the stub keys equal a
+    recount of the child-bearing rows, and the rows that are objects are
+    exactly those: each a `Stub` with a child, every other row a `str`."""
     for table in tree.all_tables():
         ordered = ternary_rows(table)
         s = table.stride_width
@@ -300,14 +332,18 @@ def check_index(tree, rng):
             segments = [format(rng.getrandbits(s), f"0{s}b") for _ in range(128)]
             segments += [text.replace("*", pad) for text, _ in ordered for pad in "01"]
         for segment in segments:
-            row = table.lookup(int(segment, 2))
-            assert row_view(row) == row_view(ordered_scan_lookup(ordered, segment)), (
-                table, segment,
-            )
+            row = row_fields(*table.lookup(int(segment, 2)))
+            assert row == ordered_scan_lookup(ordered, segment), (table, segment)
         for text, e in ordered:
             if not is_terminal(e, len(text.rstrip("*"))):
                 assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, text)
         assert list(table.stub_keys) == recounted_stub_keys(table)
+        for rows in table.by_length:
+            for key, row in rows.items():
+                if row.__class__ is str:
+                    continue
+                assert type(row) is Stub and row.child is not None
+                assert rows.length == table.stride_width and key in table.stub_keys
 
 
 class TestProbeIndex:
@@ -390,8 +426,7 @@ class TestProbeIndex:
         (full,) = [rows for rows in maps if rows.length == 12]
 
         def values(keys):
-            return [(dict.__getitem__(full, k).bmp_value, dict.__getitem__(full, k).bmp_local_len)
-                    for k in keys]
+            return [row_fields(dict.__getitem__(full, k), 12)[:2] for k in keys]
 
         kept = values(heads) + values(outside)
         for bits, hop, pure_value in (("10", None, ("outer", 1)), ("10", "again", ("again", 2))):
@@ -426,7 +461,7 @@ class TestProbeIndex:
             want = f"t{k}" if k in heads else "new"
             assert tree_search(tree, format(k, "012b") + "1111") == want
 
-    def test_removing_a_row_reads_no_row_of_another_length(self, monkeypatch):
+    def test_removing_a_row_reads_no_row_of_another_length(self):
         # A length leaves the index when its own rows run out: neither a
         # collected child's stub nor a deleted full-length terminal may make
         # the root read its rows of other lengths.
@@ -435,27 +470,16 @@ class TestProbeIndex:
         db = PrefixDatabase(16, [Prefix(format(h, "012b") + "0110", 16, f"h{h}") for h in heads])
         tree = build_tree(db, StrideList.parse("12-4"))
         assert tree.root.stub_count() == 1100
-
-        class WatchedEntry(TableEntry):
-            __slots__ = ()
-            reads = 0
-
-            def __getattribute__(self, name):
-                WatchedEntry.reads += 1
-                return object.__getattribute__(self, name)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(tiler, "TableEntry", WatchedEntry)
-            for bits in ("1", "110", "11110"):
-                tree_insert(tree, bits, "short")
+        for bits in ("1", "110", "11110"):
+            tree_insert(tree, bits, "short")
         free = format(next(h for h in range(1 << 11) if h not in heads), "012b")
         tree_insert(tree, free, "full")
-        WatchedEntry.reads = 0
+        maps = counting_maps(tree.root, WatchedRows)
         tree_delete(tree, format(heads[0], "012b") + "0110")
         assert len(tree.levels[1]) == 1099
         tree_delete(tree, free)
         assert tree.root.entry_count == 1099 + 3
-        assert WatchedEntry.reads == 0
+        assert sum(rows.reads for rows in maps if rows.length != 12) == 0
 
     def test_lookup_probes_once_per_distinct_length(self):
         rng = random.Random(5)
@@ -471,6 +495,22 @@ class TestProbeIndex:
                     rows.reads = 0
                 table.lookup(v)
                 assert sum(rows.reads for rows in maps) <= len(lengths)
+
+
+class TestRowKinds:
+    def test_terminal_that_gains_and_loses_a_child_is_its_next_hop_again(self):
+        db = PrefixDatabase(6, [Prefix("1", 1, "outer"), Prefix("101", 3, "T")])
+        tree = build_tree(db, StrideList.parse("3-3"))
+        root = tree.root
+        hop = root.get(3, 0b101)
+        assert hop.__class__ is str and hop == "T"
+        tree_insert(tree, "10111", "deep")
+        stub = root.get(3, 0b101)
+        assert type(stub) is Stub and (stub.bmp_value, stub.bmp_local_len) == ("T", 3)
+        assert root.stub_keys == [0b101]
+        tree_delete(tree, "10111")
+        assert root.get(3, 0b101) is hop
+        assert list(root.stub_keys) == [] and not tree.levels[1]
 
 
 class TestBlocksForTable:

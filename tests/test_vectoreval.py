@@ -84,9 +84,12 @@ def test_vector_agrees_on_table1():
 def test_vector_catches_a_planted_fault():
     db = table1_db()
     state = PipelineState.planned(db, StrideList.parse("3-3"))
-    for length, _, e in state.tree.root.rows():
-        if is_terminal(e, length):
-            e.bmp_value = "WRONG"
+    for rows in state.tree.root.by_length:
+        for key, e in rows.items():
+            if e.__class__ is str:
+                rows[key] = "WRONG"
+            elif is_terminal(e, rows.length):
+                e.bmp_value = "WRONG"
     count, _ = full_space_mismatches(db_entry_tuples(db), state)
     assert count > 0
 
