@@ -290,12 +290,12 @@ def verification_addresses(db: PrefixDatabase, mode: str, samples: int, seed: in
 def inject_fault(state: PipelineState):
     """Corrupt every terminal value so the verifier must observe mismatches."""
     for table in state.tree.all_tables():
-        for rows in table.by_length:
-            for key, e in rows.items():
-                if e.__class__ is str:
-                    rows[key] = e + "?corrupt"
-                elif e.bmp_local_len == rows.length:
-                    e.bmp_value = e.bmp_value + "?corrupt"
+        rows = table.by_key
+        for tagged, e in rows.items():
+            if e.__class__ is str:
+                rows[tagged] = e + "?corrupt"
+            elif e.bmp_local_len == table.stride_width:
+                e.bmp_value = e.bmp_value + "?corrupt"
 
 
 def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,

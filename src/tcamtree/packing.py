@@ -60,9 +60,9 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
     outermost terminals to the local maximum length is at most factor times
     its current row count.  `sram_rows_for_table` counts each such table
     once; a table with no terminal expands to nothing and stays TCAM:
-    expanding pure pointer tables saves nothing.  A parent row reaches its
-    child's `kind` through its `child` pointer, so a walk knows which lookup
-    the next stage runs.
+    expanding pure pointer tables saves nothing.  A row with a child is the
+    child table itself, so a walk reads the next stage's lookup off its
+    `kind`.
     """
     level_rows = [0] * len(tree.levels)
     # expanded <= factor * rows, in integers
@@ -82,24 +82,23 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
 def sram_rows_for_table(table: TreeTable) -> tuple[int, int]:
     """(expanded, rows) for the table's controlled prefix expansion to its
     live expansion width, `max_local_length()`, the one the lookup path uses,
-    counted in one pass over its length maps with no key listed or sorted.
+    counted in one pass over its rows with no key listed or sorted.
 
     A table's keys are prefixes, nested or disjoint, so the expansion is the
     union of its outermost terminals' ranges: `expanded` sums `2 ** (target
-    - l)` over each terminal `(key, l)` that no shorter terminal covers, one
-    `local_lpm` probe of its key less one bit.  `rows`, the exact-match rows
-    a converted table occupies, adds the stubs no terminal covers, those
-    whose `bmp_local_len` is None."""
+    - l)` over each terminal of length `l` that no shorter terminal covers,
+    one `local_lpm` probe of its tagged key less one bit.  `rows`, the
+    exact-match rows a converted table occupies, adds the rows with a child
+    that no terminal covers, those whose child's `bmp_local_len` is None."""
     target = table.max_local_length()
     expanded = uncovered = 0
-    for rows in table.by_length:
-        l = rows.length
-        for key, e in rows.items():
-            if e.__class__ is str or e.bmp_local_len == l:
-                if l == 0 or table.local_lpm(key >> 1, l - 1)[1] is None:
-                    expanded += 1 << (target - l)
-            elif e.bmp_local_len is None:
-                uncovered += 1
+    for tagged, e in table.by_key.items():
+        l = tagged.bit_length() - 1
+        if e.__class__ is str or e.bmp_local_len == l:
+            if l == 0 or table.local_lpm(tagged >> 1, l - 1)[1] is None:
+                expanded += 1 << (target - l)
+        elif e.bmp_local_len is None:
+            uncovered += 1
     return expanded, expanded + uncovered
 
 

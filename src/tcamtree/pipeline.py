@@ -268,22 +268,26 @@ def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowB
 def tree_lookup(tree: TcamTree, key: int) -> tuple[Optional[str], int]:
     """Walk the table tree on an address's int value, `key`: (value, matched
     prefix length) or (None, -1).  A childless terminal, a next hop, ends
-    the walk with its own value; a stub passes its inherited one down."""
+    the walk with its own value; a row with a child is that child table,
+    which passes the row's inherited value down."""
     table = tree.root
     value, vlen = None, -1
     rest = key
     rest_len = tree.address_width
+    start = 0   # the bits consumed above `table`
     while True:
-        rest_len -= table.stride_width
+        s = table.stride_width
+        rest_len -= s
         row, length = table.lookup(rest >> rest_len)
         if row is None:
             return value, vlen
         if row.__class__ is str:
-            return row, table.start_bit + length
+            return row, start + length
         rest &= (1 << rest_len) - 1
         if row.bmp_value is not None:
-            value, vlen = row.bmp_value, table.start_bit + row.bmp_local_len
-        table = row.child
+            value, vlen = row.bmp_value, start + row.bmp_local_len
+        start += s
+        table = row
 
 
 class PipelineState:
@@ -450,11 +454,12 @@ class PipelineState:
                     break
                 gained.append(st)
                 continue
-            host = self._host_for_level(table.level_index)
+            level = self.tree.level_of(table)
+            host = self._host_for_level(level)
             if host is not None and self._grow(host, host.total_entries + 1, rows):
                 joins.append((host, table))
                 continue
-            st = SuperTable(table.level_index, self.tag_bits, [table], self.grain)
+            st = SuperTable(level, self.tag_bits, [table], self.grain)
             st.allocated_rows = 0   # its first block row is placed like any other
             if not self._grow(st, st.total_entries, rows):
                 break

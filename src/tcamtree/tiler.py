@@ -3,7 +3,7 @@
 A tree table holds ternary entries of its stride width.  An original prefix
 that ends inside a level becomes a terminal entry padded with trailing
 don't-cares; a prefix that crosses the level boundary is represented by a
-fully-specified stub entry that carries a pointer to a child table and
+fully-specified stub entry, filed as the child table it points to, that
 inherits the value of the stub key's best match among the table's own
 terminal entries.  One descent (`descend`) makes the stub entries and child
 tables a prefix needs, for the bulk build and for an insert alike.
@@ -11,32 +11,35 @@ tables a prefix needs, for the bulk build and for an insert alike.
 Keys are unique within a table and prefix-shaped, so at most one entry of
 each specified length matches a segment, and the longest such entry is the
 first match of a priority-ordered ternary scan.  TCAM and SRAM tables
-therefore share one lookup: each table keeps one map per specified length,
-keyed by the int value of the specified bits, and a lookup probes them
-longest first with the segment shifted down to each length (per-length
+therefore share one lookup.  Each table keeps its rows in one plain dict
+keyed by the tagged key `(1 << l) | bits` of a row of specified length `l`
+(the marker bit keeps lengths apart, as in a heap-numbered unibit trie),
+beside the lengths present, longest first; a lookup tags the segment once
+and probes it shifted down to each length, longest first (per-length
 hashing, as in Waldvogel et al.; int keys as in Srinivasan & Varghese's
 controlled prefix expansion), and returns the first row it hits.  Keys and
 segments are ints throughout; the ternary text of a key (`key_text`) is made
-only for dumps.  The maps are kept current by the writes that add or remove
-a row, so searches are read-only.
+only for dumps.  The dict and the lengths are kept current by the writes
+that add or remove a row, so searches are read-only.
 
 A row is one of two kinds.  A terminal with no child is stored as its next
-hop alone, a `str`: its local length is the length of the map that files
-it, so nothing else needs keeping (results kept out of the trie's nodes, as
-in Eatherton et al.'s Tree Bitmap).  A row with a child is a `Stub` object
-that carries the child, the value it inherits and that value's local
-length; a terminal that gains a child becomes a `Stub` whose local length
-is its own, and turns back into its next hop when the child is collected.
-Most rows are childless terminals, and the database keeps each distinct
-next hop once, so those rows cost one map slot each.
+hop alone, a `str`: its local length is the length its key is tagged with,
+so nothing else needs keeping (results kept out of the trie's nodes, as in
+Eatherton et al.'s Tree Bitmap).  A row with a child is the child table
+itself, which carries the value the row inherits and that value's local
+length; a terminal that gains a child keeps its value there with its own
+length as the local one, and turns back into its next hop when the child
+is collected.  Most rows are childless terminals, and the database keeps
+each distinct next hop once, so those rows cost one dict slot each.
 
 An update changes inherited values only in the full-length rows under its
-prefix, and of those only the stubs: a full-length terminal matches itself
-at the full stride, so no shorter prefix takes its place.  Each table keeps
-the sorted keys of its `Stub` rows, `stub_keys`, and an update reads the
-stubs in its prefix's key range, found by two bisections: its work follows
-the rows it can change, not the table's size (update work bounded by what
-changes, as in Shah & Gupta's TCAM update algorithms).
+prefix, and of those only the rows with a child: a full-length terminal
+matches itself at the full stride, so no shorter prefix takes its place.
+Each table keeps the sorted tagged keys of its child-bearing rows,
+`stub_keys`, and an update reads the children in its prefix's key range,
+found by two bisections: its work follows the rows it can change, not the
+table's size (update work bounded by what changes, as in Shah & Gupta's
+TCAM update algorithms).
 """
 
 from __future__ import annotations
@@ -104,9 +107,6 @@ class StrideList:
             out.append(acc)
         return tuple(out)
 
-    def start_bit(self, level: int) -> int:
-        return sum(self.strides[:level])
-
     def __len__(self):
         return len(self.strides)
 
@@ -132,27 +132,9 @@ def blocks_for_table(table_width: int, table_depth: int, grain: GrainSpec) -> in
     return ceil_div(table_width, grain.width) * ceil_div(table_depth, grain.depth)
 
 
-class Stub:
-    """A full-length row with a child: the child table, and the value of the
-    longest of its table's terminals that matches the row's key, with that
-    terminal's local length (None, None when none does).  The row is itself
-    a terminal, a database prefix ending in this table, exactly when that
-    local length is the stride.  Every other row is a childless terminal,
-    stored as its next-hop `str`."""
-
-    __slots__ = ("bmp_value", "bmp_local_len", "child")
-
-    def __init__(self, bmp_value, bmp_local_len, child: TreeTable):
-        self.bmp_value = bmp_value
-        self.bmp_local_len = bmp_local_len
-        self.child = child
-
-    def __repr__(self):
-        return f"<Stub {self.bmp_value}/{self.bmp_local_len}>"
-
-
-# A row: a childless terminal's next hop, a `Stub`, or None for no row.
-Row = Union[str, Stub, None]
+# A row: a childless terminal's next hop, the child table of a row with a
+# child, or None for no row.
+Row = Union[str, "TreeTable", None]
 
 
 def key_text(key: int, length: int, width: int) -> str:
@@ -161,129 +143,162 @@ def key_text(key: int, length: int, width: int) -> str:
     return (format(key, f"0{length}b") if length else "") + "*" * (width - length)
 
 
-class LengthRows(dict):
-    """The rows of one specified length, `length`: the int value of each
-    row's specified bits mapped to the row, a next-hop `str` or a `Stub`."""
-
-    __slots__ = ("length",)
-
-
 class TreeTable:
     """One node of the tree: a ternary table over `stride_width` bits.
 
-    The lookup index is `by_length`, one `LengthRows` map per specified
-    length present, longest first.  It is read-only: writes go through
-    `rows_for` and `remove`.  A length enters with its first row and leaves
-    when its map empties, so no write counts or probes anything to keep the
-    index current.  Stubs are full-length rows, so they all sit in the
-    stride's own map.
+    Every slot is paid once per table, so a table keeps no level of its own:
+    the walks that make and collect tables know their depth, and
+    `TcamTree.level_of` finds it for the rest.
 
-    A row is a `Stub` exactly when its key is in `stub_keys`, the sorted
-    keys of the child-bearing rows: `add_stub` files a stub and its key,
-    and `clear_child` takes both back; no other code files or drops a
-    `Stub`.  Every other row is a childless terminal, stored as its next
-    hop; no update above a full-length one changes its value, so
-    `rows_under` never needs to read it.  A table that never had a stub, as
-    every last-level table, holds the shared empty tuple instead of a list
-    of its own.
+    The rows are one plain dict, `by_key`, keyed by the tagged key
+    `(1 << l) | bits` of a row whose `l` specified bits are `bits`.  The
+    marker bit keeps keys of different lengths apart, as in a heap-numbered
+    unibit trie, and a tagged key shifted right by one is the tagged key of
+    its prefix one bit shorter.  A row is its next hop, a `str`, when it is
+    a terminal with no child, and the child `TreeTable` when it has a child.
+
+    `lengths` holds the specified lengths present, longest first: one tuple
+    shared by every table of the tree with the same lengths
+    (`TcamTree.length_sets`).  While the table holds more than one length,
+    `counts` holds each length's row count in `lengths` order; with one
+    length it is None, the dict's size being that count.  Writes go through
+    `add_row` and `remove_row`, so a length enters with its first row and
+    leaves with its last, and no write scans the table.
+
+    A row is a child table exactly when its tagged key is in `stub_keys`,
+    the sorted tagged keys of the child-bearing rows (for a row made with
+    its child, the same int object as the dict's key): `add_stub` files a
+    child and its key, and `clear_child` takes both back; no other code
+    files or drops a child.  Child-bearing rows are full length.  Every
+    other row is a childless terminal; no update above a full-length one
+    changes its value, so `rows_under` never needs to read it.  A table
+    that never had a stub, as every last-level table, holds the shared
+    empty tuple instead of a list of its own.
+
+    A child table also holds what the row that points at it inherits (a row
+    and its child are one-to-one): `bmp_value`, the value of the longest of
+    the parent's terminals matching the row's key, and `bmp_local_len`, that
+    terminal's local length (None, None when none does, and for the root).
+    The row is itself a terminal, a database prefix ending in the parent,
+    exactly when that local length is the parent's stride.
     """
 
-    __slots__ = ("level_index", "stride_width", "start_bit", "kind", "by_length", "stub_keys")
+    __slots__ = (
+        "stride_width", "kind", "by_key", "lengths", "counts", "stub_keys", "bmp_value",
+        "bmp_local_len",
+    )
 
-    def __init__(self, level_index: int, stride_width: int, start_bit: int):
-        self.level_index = level_index
+    def __init__(self, stride_width: int, bmp_value: Optional[str] = None,
+                 bmp_local_len: Optional[int] = None):
         self.stride_width = stride_width
-        self.start_bit = start_bit
         self.kind = TCAM
-        self.by_length: tuple[LengthRows, ...] = ()
+        self.by_key: dict[int, Row] = {}
+        self.lengths: tuple[int, ...] = ()
+        self.counts: Optional[list[int]] = None
         self.stub_keys: Sequence[int] = ()   # a list from the first stub on
+        self.bmp_value = bmp_value
+        self.bmp_local_len = bmp_local_len
 
     # -- structure ---------------------------------------------------------
 
-    def _rows_of(self, length: int) -> Optional[LengthRows]:
-        for rows in self.by_length:
-            if rows.length == length:
-                return rows
-        return None
-
-    def rows_for(self, length: int) -> LengthRows:
-        """The map of `length`, added to the index if missing; the caller
-        stores a row in it, so no map is left empty."""
-        maps = self.by_length
+    def add_row(self, length: int, tagged: int, row: Row, shared: dict):
+        """File a new row of specified length `length` at `tagged`.  A new
+        length takes its place in `lengths`, interned through `shared`, and
+        `counts` is rebuilt to its exact size; otherwise its count goes up in
+        place."""
+        self.by_key[tagged] = row
+        lengths, counts = self.lengths, self.counts
+        if counts is not None:
+            if length in lengths:
+                counts[lengths.index(length)] += 1
+                return
+        elif not lengths:
+            self.lengths = shared.setdefault((length,), (length,))
+            return
+        elif lengths[0] == length:
+            return
+        else:
+            counts = [len(self.by_key) - 1]
         i = 0
-        while i < len(maps) and maps[i].length > length:
+        while i < len(lengths) and lengths[i] > length:
             i += 1
-        if i < len(maps) and maps[i].length == length:
-            return maps[i]
-        rows = LengthRows()
-        rows.length = length
-        self.by_length = (*maps[:i], rows, *maps[i:])
-        return rows
+        grown = (*lengths[:i], length, *lengths[i:])
+        self.lengths = shared.setdefault(grown, grown)
+        self.counts = counts[:i] + [1] + counts[i:]
 
-    def remove(self, length: int, key: int):
-        rows = self._rows_of(length)
-        del rows[key]
-        if not rows:
-            self.by_length = tuple(filter(None, self.by_length))
+    def remove_row(self, length: int, tagged: int, shared: dict):
+        """Drop the row of specified length `length` at `tagged`; its length
+        leaves `lengths` when this was its last row."""
+        by_key = self.by_key
+        del by_key[tagged]
+        counts = self.counts
+        if counts is None:
+            if not by_key:
+                self.lengths = ()
+            return
+        lengths = self.lengths
+        i = lengths.index(length)
+        if counts[i] > 1:
+            counts[i] -= 1
+            return
+        rest = lengths[:i] + lengths[i + 1 :]
+        self.lengths = shared.setdefault(rest, rest)
+        self.counts = counts[:i] + counts[i + 1 :] if len(rest) > 1 else None
 
-    def get(self, length: int, key: int) -> Row:
-        rows = self._rows_of(length)
-        return None if rows is None else rows.get(key)
-
-    def add_stub(self, rows: LengthRows, key: int, stub: Stub, in_order: bool):
-        """File `stub` at `key` in `rows`, the stride's own map, over the
-        terminal there if any, and index its key: in place when `in_order`,
-        else appended, for `build_tree` to sort once."""
-        rows[key] = stub
+    def add_stub(self, tagged: int, child: TreeTable, in_order: bool, shared: dict):
+        """File `child` at the full-length `tagged` key, over the terminal
+        there if any, and index its key: in place when `in_order`, else
+        appended, for `build_tree` to sort once."""
+        by_key = self.by_key
+        if tagged in by_key:
+            by_key[tagged] = child
+        else:
+            self.add_row(self.stride_width, tagged, child, shared)
         keys = self.stub_keys
         if not keys:
-            self.stub_keys = [key]
+            self.stub_keys = [tagged]
         elif in_order:
-            insort(keys, key)
+            insort(keys, tagged)
         else:
-            keys.append(key)
+            keys.append(tagged)
 
-    def clear_child(self, key: int, stub: Stub):
-        """Drop the child of `stub`, filed at `key`: a terminal stub turns
-        back into its next hop, any other leaves the table."""
+    def clear_child(self, tagged: int, child: TreeTable, shared: dict):
+        """Drop `child`, filed at `tagged`: a terminal row turns back into
+        its next hop, any other leaves the table."""
         keys = self.stub_keys
-        del keys[bisect_left(keys, key)]
-        s = self.stride_width
-        if stub.bmp_local_len == s:
-            self._rows_of(s)[key] = stub.bmp_value
+        del keys[bisect_left(keys, tagged)]
+        if child.bmp_local_len == self.stride_width:
+            self.by_key[tagged] = child.bmp_value
         else:
-            self.remove(s, key)
+            self.remove_row(self.stride_width, tagged, shared)
 
-    def rows_under(self, key: int, length: int) -> list[Stub]:
-        """The stubs whose keys start with the `length`-bit `key`: those of
-        `stub_keys` in `[key << free, (key + 1) << free)`, `free` being the
-        stride's bits below the prefix, found by bisection (at full length,
-        the row at `key` when it is a stub)."""
+    def rows_under(self, tagged: int, length: int) -> list[TreeTable]:
+        """The child tables of the rows whose keys start with the
+        `length`-bit prefix tagged `tagged`: those of `stub_keys` in
+        `[tagged << free, (tagged + 1) << free)`, `free` being the stride's
+        bits below the prefix, found by bisection (at full length, the row
+        at `tagged` when it has a child)."""
         keys = self.stub_keys
         if not keys:
             return []
         free = self.stride_width - length
-        low = key << free
-        rows = self._rows_of(self.stride_width)
+        by_key = self.by_key
         return [
-            rows[k]
-            for k in keys[bisect_left(keys, low) : bisect_left(keys, low + (1 << free))]
+            by_key[k]
+            for k in keys[bisect_left(keys, tagged << free) : bisect_left(keys, (tagged + 1) << free)]
         ]
 
     @property
     def entry_count(self) -> int:
-        return sum(map(len, self.by_length))
+        return len(self.by_key)
 
     def rows(self) -> list[tuple[int, int, Row]]:
         """(length, key, row) in match priority order: descending specified
         length, then key.  Same-length keys are disjoint, so the key order
         never decides a match."""
-        return [(rows.length, k, rows[k]) for rows in self.by_length for k in sorted(rows)]
-
-    def stubs(self) -> list[tuple[int, Stub]]:
-        """(key, stub) for the child-bearing rows, all of them full length."""
-        rows = self._rows_of(self.stride_width)
-        return [(k, rows[k]) for k in self.stub_keys]
+        rows = [(t.bit_length() - 1, t, row) for t, row in self.by_key.items()]
+        rows.sort(key=lambda r: (-r[0], r[1]))
+        return [(l, t ^ (1 << l), row) for l, t, row in rows]
 
     def stub_count(self) -> int:
         """Child-bearing entries: the pointer overhead charged to this table."""
@@ -293,16 +308,16 @@ class TreeTable:
         """Expansion target for SRAM conversion: the longest specified length,
         which is the full stride when any stub exists (stub keys must stay
         exact), else the longest terminal."""
-        return self.by_length[0].length if self.by_length else 0
+        return self.lengths[0] if self.lengths else 0
 
-    def local_lpm(self, key: int, length: int):
-        """Longest terminal entry matching the `length`-bit `key`, the first
-        bits of a segment: (value, local length), or (None, None) when
-        nothing does."""
-        for rows in self.by_length:
-            l = rows.length
+    def local_lpm(self, tagged: int, length: int):
+        """Longest terminal entry matching the `length`-bit prefix tagged
+        `tagged`, the first bits of a segment: (value, local length), or
+        (None, None) when nothing does."""
+        by_key = self.by_key
+        for l in self.lengths:
             if l <= length:
-                e = rows.get(key >> (length - l))
+                e = by_key.get(tagged >> (length - l))
                 if e is not None:
                     if e.__class__ is str:
                         return e, l
@@ -322,16 +337,17 @@ class TreeTable:
         matching its key, which is what the expansion stores there.
         """
         s = self.stride_width
-        for rows in self.by_length:
-            l = rows.length
-            key = segment >> (s - l)
-            if key in rows:   # a miss costs no method call
-                return rows[key], l
+        tagged = segment | (1 << s)
+        by_key = self.by_key
+        for l in self.lengths:
+            key = tagged >> (s - l)
+            if key in by_key:   # a miss costs no method call
+                return by_key[key], l
         return None, 0
 
     def __repr__(self):
         return (
-            f"<TreeTable level={self.level_index} stride={self.stride_width}"
+            f"<TreeTable stride={self.stride_width}"
             f" entries={self.entry_count} kind={self.kind}>"
         )
 
@@ -342,6 +358,8 @@ class TcamTree:
     Each level is an insertion-ordered dict used as a set, so iterating it
     gives the tables in creation order and dropping one is O(1).
     `coverage` is the strides' sum, the longest prefix the tree holds.
+    `length_sets` interns the tables' `lengths` tuples, so tables with the
+    same lengths share one.
     """
 
     def __init__(self, stride_list: StrideList, address_width: int):
@@ -349,19 +367,18 @@ class TcamTree:
         self.address_width = address_width
         self.coverage = stride_list.coverage
         self.levels: list[dict[TreeTable, None]] = [{} for _ in stride_list.strides]
+        self.length_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.root = self.new_table(0)
 
-    def new_table(self, level_index: int) -> TreeTable:
-        t = TreeTable(
-            level_index,
-            self.stride_list[level_index],
-            self.stride_list.start_bit(level_index),
-        )
+    def new_table(self, level_index: int, bmp_value: Optional[str] = None,
+                  bmp_local_len: Optional[int] = None) -> TreeTable:
+        t = TreeTable(self.stride_list[level_index], bmp_value, bmp_local_len)
         self.levels[level_index][t] = None
         return t
 
-    def drop_table(self, table: TreeTable):
-        del self.levels[table.level_index][table]
+    def level_of(self, table: TreeTable) -> int:
+        """The level `table` is filed at."""
+        return next(i for i, tables in enumerate(self.levels) if table in tables)
 
     def all_tables(self) -> list[TreeTable]:
         return [t for level in self.levels for t in level]
@@ -369,12 +386,12 @@ class TcamTree:
     def structure(self):
         """Deterministic nested dump, used for equality and report assertions:
         (key text, value, local length, is terminal, child dump) per row, a
-        childless terminal and a stub alike."""
+        childless terminal and a row with a child alike."""
 
         def row(text, l, e):
             if e.__class__ is str:
                 return text, e, l, True, None
-            return text, e.bmp_value, e.bmp_local_len, e.bmp_local_len == l, dump(e.child)
+            return text, e.bmp_value, e.bmp_local_len, e.bmp_local_len == l, dump(e)
 
         def dump(table):
             s = table.stride_width
@@ -395,62 +412,63 @@ def walk(tree: TcamTree, key: int, length: int):
 
     The walk stops at the table where the prefix ends (the bits left fit its
     stride) or at the first row that is missing or has no child (they do
-    not).  `path` holds the (table, stub key, stub) triples passed through,
-    for `tree_delete` to collect emptied tables; unlike `descend`, it makes
-    nothing.
+    not).  `path` holds the (table, tagged key) pairs of the rows passed
+    through, for `tree_delete` to collect emptied tables; unlike `descend`,
+    it makes nothing.
     """
-    path: list[tuple[TreeTable, int, Stub]] = []
+    path: list[tuple[TreeTable, int]] = []
     table = tree.root
     while length > table.stride_width:
         rest = length - table.stride_width
-        key_at = key >> rest
-        stub = table.get(table.stride_width, key_at)
-        if stub is None or stub.__class__ is str:
+        tagged = (key >> rest) | (1 << table.stride_width)
+        row = table.by_key.get(tagged)
+        if row is None or row.__class__ is str:
             break
-        path.append((table, key_at, stub))
-        table, key, length = stub.child, key & ((1 << rest) - 1), rest
+        path.append((table, tagged))
+        table, key, length = row, key & ((1 << rest) - 1), rest
     return path, table, key, length
 
 
 def descend(tree: TcamTree, key: int, length: int, grown: Optional[list]):
     """Follow the `length`-bit prefix `key` down from the root, making each
-    missing stub and child table on the way: (table, key, length), the last
-    two being the bits left where the prefix ends.
+    missing child table on the way: (table, key, length), the last two
+    being the bits left where the prefix ends.
 
-    A new stub inherits its key's longest terminal in its table, from one
-    `local_lpm` call; a full-length terminal in its place becomes a stub
-    that keeps its own value.  Each table that gains a row is appended to
-    `grown`; when `grown` is None, as in the bulk build, stub keys are
-    appended unsorted for `build_tree` to sort.
+    A new child inherits its key's longest terminal in its table, from one
+    `local_lpm` call; a full-length terminal in its place keeps its own
+    value.  Each table that gains a row is appended to `grown`; when
+    `grown` is None, as in the bulk build, stub keys are appended unsorted
+    for `build_tree` to sort.
     """
     table = tree.root
+    shared = tree.length_sets
+    level = 0
     while length > table.stride_width:
         s = table.stride_width
         length -= s
-        key_at, key = key >> length, key & ((1 << length) - 1)
-        rows = table.rows_for(s)
-        row = rows.get(key_at)
+        level += 1
+        tagged, key = (key >> length) | (1 << s), key & ((1 << length) - 1)
+        row = table.by_key.get(tagged)
         if row is None:
-            value, local_len = table.local_lpm(key_at, s)
-            row = Stub(value, local_len, tree.new_table(table.level_index + 1))
-            table.add_stub(rows, key_at, row, grown is not None)
+            row = tree.new_table(level, *table.local_lpm(tagged, s))
+            table.add_stub(tagged, row, grown is not None, shared)
             if grown is not None:
                 grown.append(table)
         elif row.__class__ is str:
-            row = Stub(row, s, tree.new_table(table.level_index + 1))
-            table.add_stub(rows, key_at, row, grown is not None)
-        table = row.child
+            row = tree.new_table(level, row, s)
+            table.add_stub(tagged, row, grown is not None, shared)
+        table = row
     return table, key, length
 
 
 def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
     """Insert one prefix into a built tree: the update path.  `descend` makes
-    the stubs and child tables it needs, as it does for `build_tree`.
+    the child tables it needs, as it does for `build_tree`.
 
     Returns the tables that gained a row, shallowest first.  Safe under
     arbitrary insertion order: a new terminal refreshes the inherited values
-    of the stubs under it, and a new stub inherits from the terminals already
-    present.
+    of the rows with a child under it, and a new child inherits from the
+    terminals already present.
     """
     if len(bits) > tree.coverage:
         raise PrefixExceedsCoverage(
@@ -458,50 +476,53 @@ def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
         )
     grown: list[TreeTable] = []
     table, key, length = descend(tree, int(bits or "0", 2), len(bits), grown)
-    row = table.get(length, key)
+    tagged = key | (1 << length)
+    row = table.by_key.get(tagged)
     if row is None:
-        table.rows_for(length)[key] = value
+        table.add_row(length, tagged, value, tree.length_sets)
         grown.append(table)
     elif row.__class__ is str or row.bmp_local_len == length:
         raise DuplicatePrefix(f"prefix {bits}/{len(bits)} already present")
-    # Stubs under the prefix whose best terminal is shorter take its value: a
-    # stub at the prefix's own key becomes the terminal this way.  The
-    # full-length terminals under it are at least as long, so they keep theirs.
-    for stub in table.rows_under(key, length):
-        local_len = stub.bmp_local_len
+    # Rows under the prefix whose best terminal is shorter take its value: a
+    # row with a child at the prefix's own key becomes the terminal this way.
+    # The full-length terminals under it are at least as long, so they keep theirs.
+    for child in table.rows_under(tagged, length):
+        local_len = child.bmp_local_len
         if local_len is None or local_len < length:
-            stub.bmp_value = value
-            stub.bmp_local_len = length
+            child.bmp_value = value
+            child.bmp_local_len = length
     return grown
 
 
 def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
-    """Remove one prefix; empty child tables and their stubs are collected.
+    """Remove one prefix; empty child tables and their rows are collected.
 
     Returns the tables that lost a row, deepest first.  Those left without
     rows, other than the root, are the collected ones.
     """
     path, table, key, length = walk(tree, int(bits or "0", 2), len(bits))
-    row = table.get(length, key)
+    shared = tree.length_sets
+    tagged = key | (1 << length)
+    row = table.by_key.get(tagged)
     shrunk = []
     if row.__class__ is str:
-        table.remove(length, key)
+        table.remove_row(length, tagged, shared)
         shrunk.append(table)
     elif row is None or row.bmp_local_len != length:
         raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
-    # Only stubs under the prefix that took its value change, and all of them
+    # Only rows under the prefix that took its value change, and all of them
     # fall back to the next shorter terminal above it; a terminal kept for
     # its child is one of them, and so becomes a pure stub.
-    value, value_len = table.local_lpm(key >> 1, length - 1) if length else (None, None)
-    for stub in table.rows_under(key, length):
-        if stub.bmp_local_len == length:
-            stub.bmp_value, stub.bmp_local_len = value, value_len
+    value, value_len = table.local_lpm(tagged >> 1, length - 1) if length else (None, None)
+    for child in table.rows_under(tagged, length):
+        if child.bmp_local_len == length:
+            child.bmp_value, child.bmp_local_len = value, value_len
     # lazy upward collection of emptied tables
-    while table.entry_count == 0 and path:
-        parent, key_at, stub = path.pop()
-        tree.drop_table(table)
-        parent.clear_child(key_at, stub)
-        if stub.bmp_local_len != parent.stride_width:   # a pure stub, not a terminal
+    while not table.by_key and path:
+        parent, tagged = path.pop()
+        del tree.levels[len(path) + 1][table]   # the parent's level is len(path)
+        parent.clear_child(tagged, table, shared)
+        if table.bmp_local_len != parent.stride_width:   # a pure stub, not a terminal
             shrunk.append(parent)
         table = parent
     return shrunk
@@ -516,11 +537,11 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
     the tree equals the one `tree_insert` grows from it: each level's tables
     come out in (length, file) order of their first prefix, which packing
     follows.  All of a table's terminals are shorter than any prefix that
-    passes through it, so they come before any of its stubs: each new stub
-    takes its inherited value from one `local_lpm` call, no terminal lands
-    on an existing row, and no row is ever refreshed.  Stub keys are
-    appended as the stubs are made and each table's are sorted once at the
-    end.
+    passes through it, so they come before any of its children: each new
+    child takes its inherited value from one `local_lpm` call, no terminal
+    lands on an existing row, and no row is ever refreshed.  Stub keys are
+    appended as the children are made and each table's are sorted once at
+    the end.
     """
     with paused_gc:
         coverage = strides.coverage
@@ -537,10 +558,11 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
                         f" (first: {bits_of(value, length)}/{length})"
                     )
         tree = TcamTree(strides, db.address_width)
+        shared = tree.length_sets
         for length, prefixes in reversed(db.by_length):
             for prefix, hop in prefixes.items():
                 table, key, local_len = descend(tree, prefix, length, None)
-                table.rows_for(local_len)[key] = hop
+                table.add_row(local_len, key | (1 << local_len), hop, shared)
         for level in tree.levels[:-1]:
             for table in level:
                 if table.stub_keys:

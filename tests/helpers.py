@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -52,8 +53,8 @@ def linear_scan_lookup(db: PrefixDatabase, address: str) -> str:
 
 class RowView(NamedTuple):
     """What a walk reads from a row: its value, that value's local length
-    and its child, for a childless terminal (a next-hop `str`) and a `Stub`
-    alike."""
+    and its child, for a childless terminal (a next-hop `str`) and a row
+    with a child (the child table) alike."""
 
     bmp_value: Optional[str]
     bmp_local_len: Optional[int]
@@ -67,7 +68,25 @@ def row_fields(row, length: int) -> Optional[RowView]:
         return None
     if row.__class__ is str:
         return RowView(row, length, None)
-    return RowView(row.bmp_value, row.bmp_local_len, row.child)
+    return RowView(row.bmp_value, row.bmp_local_len, row)
+
+
+def untag(tagged: int) -> tuple[int, int]:
+    """(length, key) of a tagged row key `(1 << length) | key`."""
+    length = tagged.bit_length() - 1
+    return length, tagged ^ (1 << length)
+
+
+def row_at(table, length: int, key: int):
+    """The row of `table` filed at the `length`-bit `key`, or None."""
+    return table.by_key.get((1 << length) | key)
+
+
+def stubs(table) -> list:
+    """(key, child table) for the child-bearing rows, all of them full
+    length, in key order."""
+    s = table.stride_width
+    return [(k ^ (1 << s), table.by_key[k]) for k in table.stub_keys]
 
 
 def ternary_rows(table):
@@ -109,22 +128,25 @@ def is_terminal(entry, length: int) -> bool:
 def terminal_prefixes(table) -> list[tuple[int, int, str]]:
     """(key, length, value) for database prefixes that end in `table`."""
     return [
-        (k, rows.length, row_fields(e, rows.length).bmp_value)
-        for rows in table.by_length
-        for k, e in rows.items()
-        if is_terminal(e, rows.length)
+        (key, length, row_fields(e, length).bmp_value)
+        for (length, key), e in ((untag(t), e) for t, e in table.by_key.items())
+        if is_terminal(e, length)
     ]
 
 
 def recounted_stub_keys(table) -> list[int]:
-    """Reference for `TreeTable.stub_keys`: the sorted keys of the rows with
-    a child, read from every length map."""
-    return sorted(
-        k
-        for rows in table.by_length
-        for k, e in rows.items()
-        if row_fields(e, rows.length).child is not None
-    )
+    """Reference for `TreeTable.stub_keys`: the sorted tagged keys of the
+    rows with a child, read from the whole dict."""
+    return sorted(t for t, e in table.by_key.items() if e.__class__ is not str)
+
+
+def recounted_lengths(table) -> tuple[tuple[int, ...], Optional[list[int]]]:
+    """Reference for a table's `lengths` and `counts`: the lengths of its
+    keys, longest first, and each one's row count when there is more than
+    one length (else None), recounted from the dict."""
+    per_length = Counter(untag(t)[0] for t in table.by_key)
+    lengths = tuple(sorted(per_length, reverse=True))
+    return lengths, [per_length[l] for l in lengths] if len(lengths) > 1 else None
 
 
 def terminal_count(tree) -> int:
@@ -166,7 +188,7 @@ def reference_sram_rows(table) -> int:
     ranges = covered_ranges(terminal_prefixes(table), table.max_local_length())
     starts = [lo for lo, _ in ranges]
     rows = sum(hi - lo for lo, hi in ranges)
-    for key, _ in table.stubs():
+    for key, _ in stubs(table):
         i = bisect_right(starts, key) - 1
         if i < 0 or key >= ranges[i][1]:
             rows += 1
@@ -182,7 +204,7 @@ def stub_counts(tree, pure: bool = False) -> dict[int, int]:
         boundary: sum(
             1
             for t in tables
-            for _, e in t.stubs()
+            for _, e in stubs(t)
             if not (pure and is_terminal(e, t.stride_width))
         )
         for boundary, tables in zip(tree.stride_list.boundaries, tree.levels)

@@ -28,6 +28,8 @@ from tests.helpers import (
     random_database,
     random_strides,
     reference_sram_rows,
+    row_at,
+    stubs,
     table1_db,
     terminal_prefixes,
     tree_search,
@@ -40,7 +42,7 @@ def synthetic_level(sizes, stride, level_index=1):
     for n in sizes:
         t = tree.new_table(1)
         for i in range(n):
-            t.rows_for(stride)[i] = f"v{i}"
+            t.add_row(stride, (1 << stride) | i, f"v{i}", tree.length_sets)
     return tree, tree.levels[1]
 
 
@@ -108,8 +110,8 @@ class TestHybridize:
     def test_parent_rows_expose_child_kind(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         hybridize(tree, HybridizationConfig(factor=3), 9)
-        stub = tree.root.get(3, 0b100)
-        assert stub.child.kind == SRAM
+        child = row_at(tree.root, 3, 0b100)
+        assert child.kind == SRAM
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1.5, 3, 8]))
     @settings(max_examples=25, deadline=None)
@@ -142,7 +144,7 @@ def check_sram_counts(tree):
             ranges = covered_ranges(terminals, t.max_local_length())
             want = (sum(hi - lo for lo, hi in ranges), reference_sram_rows(t))
         else:
-            want = (0, sum(1 for _, e in t.stubs() if e.bmp_local_len is None))
+            want = (0, sum(1 for _, e in stubs(t) if e.bmp_local_len is None))
         assert sram_rows_for_table(t) == want
 
 

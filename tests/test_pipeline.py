@@ -23,7 +23,7 @@ from tcamtree.errors import (
     StageDepthExceeded,
 )
 from tcamtree.pipeline import OverflowBuffer, PipelineProfile, PipelineState
-from tcamtree.tiler import TCAM, Stub, TcamTree, TreeTable
+from tcamtree.tiler import TCAM, TcamTree, TreeTable
 
 from tests.helpers import (
     all_addresses,
@@ -31,9 +31,13 @@ from tests.helpers import (
     is_terminal,
     random_database,
     random_strides,
+    recounted_lengths,
     recounted_stub_keys,
+    row_at,
+    stubs,
     table1_db,
     ternary_rows,
+    untag,
 )
 
 
@@ -51,8 +55,8 @@ def synthetic_supertables(level_blocks):
         for blocks in block_counts:
             table = tree.new_table(level) if level else tree.root
             for i in range(blocks * grain.depth):
-                if table.get(8, i % 256) is None:
-                    table.rows_for(8)[i % 256] = f"v{i}"
+                if row_at(table, 8, i % 256) is None:
+                    table.add_row(8, (1 << 8) | i % 256, f"v{i}", tree.length_sets)
             tables_here.append(table)
             supers.append(SuperTable(level, 0, [table], grain))
         if prev_tables:
@@ -60,7 +64,7 @@ def synthetic_supertables(level_blocks):
             parent = prev_tables[0]
             for t in tables_here:
                 key = parent.entry_count % 256
-                parent.add_stub(parent.rows_for(8), key, Stub(None, None, t), True)
+                parent.add_stub((1 << 8) | key, t, True, tree.length_sets)
         prev_tables = tables_here
     return supers
 
@@ -120,11 +124,11 @@ class TestMapToPipeline:
             )
             st_of = {t: i for i, st_ in enumerate(state.supertables) for t in st_.members}
             edges = {
-                (i, st_of[e.child])
+                (i, st_of[child])
                 for i, st_ in enumerate(state.supertables)
                 for t in st_.members
-                for _, e in t.stubs()
-                if e.child in st_of
+                for _, child in stubs(t)
+                if child in st_of
             }
             for parent, child in edges:
                 pmax = max(s.stage for s in state.plan.placements[parent])
@@ -352,7 +356,7 @@ class TestDelete:
         state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         state.delete(Prefix("1", 1, "A"))
         assert state.search("111111") == "default"
-        stub = state.tree.root.get(3, 0b100)
+        stub = row_at(state.tree.root, 3, 0b100)
         assert stub is not None and stub.bmp_value is None
 
     def test_delete_absent_prefix(self):
@@ -363,10 +367,10 @@ class TestDelete:
     def test_merged_entry_survives_terminal_removal(self):
         db = PrefixDatabase(4, [Prefix("01", 2, "X"), Prefix("0111", 4, "Y")])
         state = PipelineState.planned(db, StrideList.parse("2-2"))
-        merged = state.tree.root.get(2, 0b01)
-        assert is_terminal(merged, 2) and merged.child is not None
+        merged = row_at(state.tree.root, 2, 0b01)
+        assert is_terminal(merged, 2) and merged.__class__ is not str
         state.delete(Prefix("01", 2, "X"))
-        merged = state.tree.root.get(2, 0b01)
+        merged = row_at(state.tree.root, 2, 0b01)
         assert merged is not None and not is_terminal(merged, 2)
         assert state.search("0111") == "Y"
         assert state.search("0100") == "default"
@@ -428,13 +432,13 @@ UPDATE_EVENTS = ("grew", "joined", "opened", "spilled", "collected")
 def audit_tree(tree, levels_before):
     """`tree.levels` holds exactly the tables reachable from the root, the
     survivors of `levels_before` first and in their order; each table's
-    length index and stub keys equal a recount of its per-length maps."""
+    lengths, counts and stub keys equal a recount of its dict."""
     reachable = [set() for _ in tree.levels]
-    stack = [tree.root]
+    stack = [(0, tree.root)]
     while stack:
-        table = stack.pop()
-        reachable[table.level_index].add(table)
-        stack.extend(e.child for _, e in ternary_rows(table) if e.child is not None)
+        level, table = stack.pop()
+        reachable[level].add(table)
+        stack.extend((level + 1, e.child) for _, e in ternary_rows(table) if e.child is not None)
     for level, before, tables in zip(tree.levels, levels_before, reachable):
         assert len(level) == len(tables) and set(level) == tables
         kept = [t for t in before if t in level]
@@ -443,17 +447,14 @@ def audit_tree(tree, levels_before):
         # a row of length l is a terminal of local length l, or a stub at the
         # full stride that inherits a strictly shorter local length or none,
         # so reading a row's kind off its local length is unambiguous; every
-        # key fits its length, and no length's map is empty
-        lengths = Counter()
-        for rows in table.by_length:
-            length = rows.length
-            for key, e in rows.items():
-                assert 0 <= key < 1 << length
-                if not is_terminal(e, length):
-                    assert length == table.stride_width and e.child is not None
-                    assert e.bmp_local_len is None or e.bmp_local_len < length
-                lengths[length] += 1
-        assert [rows.length for rows in table.by_length] == sorted(lengths, reverse=True)
+        # tagged key carries a length no longer than the stride
+        for tagged, e in table.by_key.items():
+            length, _ = untag(tagged)
+            assert 0 < tagged < 2 << table.stride_width
+            if not is_terminal(e, length):
+                assert length == table.stride_width and e.__class__ is not str
+                assert e.bmp_local_len is None or e.bmp_local_len < length
+        assert (table.lengths, table.counts) == recounted_lengths(table)
         assert list(table.stub_keys) == recounted_stub_keys(table)
 
 
@@ -606,7 +607,7 @@ def test_opening_a_table_reads_no_supertable_of_another_level():
         st_.__class__ = WatchedSuperTable
     state.insert(Prefix("00001111", 8, "new"))
     assert reads == []
-    new = state.tree.root.get(4, 0b0000).child
+    new = row_at(state.tree.root, 4, 0b0000)
     assert new in level1.members and len(level1.members) == 4
     assert state.search("00001111") == "new" and state.search("00000000") == "a"
 

@@ -22,8 +22,6 @@ from tcamtree import (
 from tcamtree import tiler
 from tcamtree.errors import DuplicatePrefix, PrefixExceedsCoverage
 from tcamtree.tiler import (
-    LengthRows,
-    Stub,
     TreeTable,
     tree_delete,
     tree_insert,
@@ -37,7 +35,9 @@ from tests.helpers import (
     ordered_scan_lookup,
     random_database,
     random_strides,
+    recounted_lengths,
     recounted_stub_keys,
+    row_at,
     row_fields,
     scan_local_lpm,
     stub_counts,
@@ -154,12 +154,11 @@ class TestBuildTree:
 
 def build_view(tree):
     """What a build must reproduce: the nested rows, and per level, in table
-    creation order, each table's length index with each length's sorted keys,
+    creation order, each table's lengths and counts, its sorted tagged keys,
     and its stub keys as stored."""
     return (
         tree.structure(),
-        [[([(rows.length, sorted(rows)) for rows in t.by_length], list(t.stub_keys))
-          for t in level]
+        [[(t.lengths, t.counts, sorted(t.by_key), list(t.stub_keys)) for t in level]
          for level in tree.levels],
     )
 
@@ -245,85 +244,92 @@ class TestBulkBuild:
         assert calls["local_lpm"] <= stubs
 
 
-class CountingDict(LengthRows):
-    """One length's row map that counts the rows a lookup or an update reads.
-    Every probe and every read of a row counts, except that `rows[key]` right
-    after `key in rows` reads the row that probe found, and counts with it."""
+def length_of(tagged: int) -> int:
+    return tagged.bit_length() - 1
 
-    reads = 0
-    probed = None   # the key of the last `in` probe, until a read follows it
+
+class CountingDict(dict):
+    """A table's row dict that counts the rows a lookup or an update reads,
+    per specified length in `reads`.  Every probe and every read of a row
+    counts, except that `rows[key]` right after `key in rows` reads the row
+    that probe found, and counts with it."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = Counter()
+        self.probed = None   # the key of the last `in` probe, until a read follows it
 
     def get(self, key, default=None):
-        self.reads += 1
+        self.reads[length_of(key)] += 1
         return super().get(key, default)
 
     def __contains__(self, key):
-        self.reads += 1
+        self.reads[length_of(key)] += 1
         self.probed = key
         return super().__contains__(key)
 
     def __getitem__(self, key):
         if self.probed != key:
-            self.reads += 1
+            self.reads[length_of(key)] += 1
         self.probed = None
         return super().__getitem__(key)
 
     def values(self):
-        self.reads += len(self)
+        self.reads.update(map(length_of, dict.keys(self)))
         return super().values()
 
     def items(self):
-        self.reads += len(self)
+        self.reads.update(map(length_of, dict.keys(self)))
         return super().items()
 
 
-class WatchedRows(LengthRows):
-    """One length's row map that counts the rows it hands out, probes that
-    miss aside."""
+class WatchedRows(dict):
+    """A table's row dict that counts the rows it hands out, per specified
+    length in `reads`, probes that miss aside."""
 
-    reads = 0
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = Counter()
 
     def get(self, key, default=None):
         row = super().get(key, default)
-        self.reads += row is not None
+        if row is not None:
+            self.reads[length_of(key)] += 1
         return row
 
     def __getitem__(self, key):
-        self.reads += 1
+        self.reads[length_of(key)] += 1
         return super().__getitem__(key)
 
     def values(self):
-        self.reads += len(self)
+        self.reads.update(map(length_of, dict.keys(self)))
         return super().values()
 
     def items(self):
-        self.reads += len(self)
+        self.reads.update(map(length_of, dict.keys(self)))
         return super().items()
 
     def __iter__(self):
-        self.reads += len(self)
+        self.reads.update(map(length_of, dict.keys(self)))
         return super().__iter__()
 
 
-def counting_maps(table, kind=CountingDict) -> list[LengthRows]:
-    """Swap each of the table's row maps for a counting `kind` of map;
-    returns them."""
-    maps = []
-    for rows in table.by_length:
-        counting = kind(rows)
-        counting.length = rows.length
-        maps.append(counting)
-    table.by_length = tuple(maps)
-    return maps
+def counting_rows(table, kind=CountingDict):
+    """Swap the table's row dict for a counting `kind` of dict; returns it."""
+    table.by_key = kind(table.by_key)
+    return table.by_key
 
 
 def check_index(tree, rng):
     """Every table's lookup equals the ordered ternary scan (on every segment
     up to 8 bits, else on sampled ones), every stub's inherited value
-    equals a from-scratch longest local match, the stub keys equal a
-    recount of the child-bearing rows, and the rows that are objects are
-    exactly those: each a `Stub` with a child, every other row a `str`."""
+    equals a from-scratch longest local match, the lengths and their counts
+    equal a recount of the dict, tables with the same lengths share one
+    tuple, the stub keys equal a recount of the child-bearing rows, and the
+    rows that are not a `str` are exactly those: each a child table one
+    level down, filed at full length under a key in `stub_keys`."""
     for table in tree.all_tables():
+        level = tree.level_of(table)
         ordered = ternary_rows(table)
         s = table.stride_width
         if s <= 8:
@@ -337,13 +343,15 @@ def check_index(tree, rng):
         for text, e in ordered:
             if not is_terminal(e, len(text.rstrip("*"))):
                 assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, text)
+        assert (table.lengths, table.counts) == recounted_lengths(table)
+        if table.lengths:
+            assert tree.length_sets[table.lengths] is table.lengths
         assert list(table.stub_keys) == recounted_stub_keys(table)
-        for rows in table.by_length:
-            for key, row in rows.items():
-                if row.__class__ is str:
-                    continue
-                assert type(row) is Stub and row.child is not None
-                assert rows.length == table.stride_width and key in table.stub_keys
+        for tagged, row in table.by_key.items():
+            if row.__class__ is str:
+                continue
+            assert type(row) is TreeTable and row in tree.levels[level + 1]
+            assert length_of(tagged) == table.stride_width and tagged in table.stub_keys
 
 
 class TestProbeIndex:
@@ -389,9 +397,9 @@ class TestProbeIndex:
         monkeypatch.setattr(
             TreeTable, "local_lpm", lambda t, *key: calls.append(key) or local_lpm(t, *key)
         )
-        maps = counting_maps(root)
+        rows = counting_rows(root)
         tree_delete(tree, "101010")
-        reads = sum(rows.reads for rows in maps)
+        reads = rows.reads.total()
         after = {text: (e.bmp_value, e.bmp_local_len) for text, e in ternary_rows(root)}
         # One fallback match for all inheriting stubs; reads cover the
         # deleted row, that match and the stubs under the prefix, never the
@@ -421,23 +429,21 @@ class TestProbeIndex:
         entries += [Prefix("1", 1, "outer"), Prefix("10", 2, "short")]
         tree = build_tree(PrefixDatabase(16, entries), StrideList.parse("12-4"))
         root = tree.root
-        assert root.stub_keys == sorted(merged + pure + outside)
-        maps = counting_maps(root)
-        (full,) = [rows for rows in maps if rows.length == 12]
+        assert root.stub_keys == [(1 << 12) | k for k in sorted(merged + pure + outside)]
+        rows = counting_rows(root)
 
         def values(keys):
-            return [row_fields(dict.__getitem__(full, k), 12)[:2] for k in keys]
+            return [row_fields(dict.__getitem__(rows, (1 << 12) | k), 12)[:2] for k in keys]
 
         kept = values(heads) + values(outside)
         for bits, hop, pure_value in (("10", None, ("outer", 1)), ("10", "again", ("again", 2))):
-            for rows in maps:
-                rows.reads = 0
+            rows.reads.clear()
             if hop is None:
                 tree_delete(tree, bits)
             else:
                 tree_insert(tree, bits, hop)
-            assert full.reads == len(merged + pure)
-            assert sum(rows.reads for rows in maps) <= 2 + len(merged + pure)
+            assert rows.reads[12] == len(merged + pure)
+            assert rows.reads.total() <= 2 + len(merged + pure)
             assert values(pure) == [pure_value] * len(pure)
             assert values(heads) + values(outside) == kept
 
@@ -452,11 +458,10 @@ class TestProbeIndex:
         entries = [Prefix(format(h, "012b"), 12, f"t{h}") for h in heads]
         entries += [Prefix(format(h, "012b") + "0110", 16, f"s{h}") for h in stubs]
         tree = build_tree(PrefixDatabase(16, entries), StrideList.parse("12-4"))
-        assert tree.root.stub_keys == stubs
-        maps = counting_maps(tree.root)
-        (full,) = [rows for rows in maps if rows.length == 12]
+        assert tree.root.stub_keys == [(1 << 12) | h for h in stubs]
+        rows = counting_rows(tree.root)
         tree_insert(tree, "0110", "new")
-        assert full.reads == 0
+        assert rows.reads[12] == 0
         for k in (min(k for k in under if k in heads), min(k for k in under if k not in heads)):
             want = f"t{k}" if k in heads else "new"
             assert tree_search(tree, format(k, "012b") + "1111") == want
@@ -474,12 +479,12 @@ class TestProbeIndex:
             tree_insert(tree, bits, "short")
         free = format(next(h for h in range(1 << 11) if h not in heads), "012b")
         tree_insert(tree, free, "full")
-        maps = counting_maps(tree.root, WatchedRows)
+        rows = counting_rows(tree.root, WatchedRows)
         tree_delete(tree, format(heads[0], "012b") + "0110")
         assert len(tree.levels[1]) == 1099
         tree_delete(tree, free)
         assert tree.root.entry_count == 1099 + 3
-        assert sum(rows.reads for rows in maps if rows.length != 12) == 0
+        assert sum(n for length, n in rows.reads.items() if length != 12) == 0
 
     def test_lookup_probes_once_per_distinct_length(self):
         rng = random.Random(5)
@@ -489,12 +494,11 @@ class TestProbeIndex:
             tree_delete(tree, p.bits)
         for table in tree.all_tables():
             lengths = {length for length, _, _ in table.rows()}
-            maps = counting_maps(table)
+            rows = counting_rows(table)
             for v in range(1 << 6):
-                for rows in maps:
-                    rows.reads = 0
+                rows.reads.clear()
                 table.lookup(v)
-                assert sum(rows.reads for rows in maps) <= len(lengths)
+                assert rows.reads.total() <= len(lengths)
 
 
 class TestRowKinds:
@@ -502,15 +506,45 @@ class TestRowKinds:
         db = PrefixDatabase(6, [Prefix("1", 1, "outer"), Prefix("101", 3, "T")])
         tree = build_tree(db, StrideList.parse("3-3"))
         root = tree.root
-        hop = root.get(3, 0b101)
+        hop = row_at(root, 3, 0b101)
         assert hop.__class__ is str and hop == "T"
         tree_insert(tree, "10111", "deep")
-        stub = root.get(3, 0b101)
-        assert type(stub) is Stub and (stub.bmp_value, stub.bmp_local_len) == ("T", 3)
-        assert root.stub_keys == [0b101]
+        (child,) = tree.levels[1]
+        assert row_at(root, 3, 0b101) is child
+        assert (child.bmp_value, child.bmp_local_len) == ("T", 3)
+        assert root.stub_keys == [0b1101]
         tree_delete(tree, "10111")
-        assert root.get(3, 0b101) is hop
+        assert row_at(root, 3, 0b101) is hop
         assert list(root.stub_keys) == [] and not tree.levels[1]
+
+
+class TestLengths:
+    def test_a_length_leaves_with_its_last_row(self):
+        # a multi-length root: removing the only row of its longest length
+        # drops that length, and the expansion target falls to the next one
+        db = PrefixDatabase(6, [Prefix(b, len(b), "v") for b in ("0", "10", "11", "101")])
+        tree = build_tree(db, StrideList.parse("3-3"))
+        root = tree.root
+        assert root.lengths == (3, 2, 1) and root.counts == [1, 2, 1]
+        assert root.max_local_length() == 3
+        tree_delete(tree, "101")
+        assert root.lengths == (2, 1) and root.counts == [2, 1]
+        assert root.max_local_length() == 2
+        tree_delete(tree, "0")
+        assert root.lengths == (2,) and root.counts is None
+        tree_delete(tree, "10")
+        tree_delete(tree, "11")
+        assert root.lengths == () and root.max_local_length() == 0
+
+    def test_tables_with_equal_lengths_share_one_tuple(self):
+        db = PrefixDatabase(
+            6, [Prefix(b, len(b), "v") for b in ("000", "0000", "00011", "111", "1110", "11100")]
+        )
+        tree = build_tree(db, StrideList.parse("3-3"))
+        a, b = tree.levels[1]
+        assert a.lengths == b.lengths == (2, 1)
+        assert a.lengths is b.lengths
+        assert a.counts == b.counts == [1, 1] and a.counts is not b.counts
 
 
 class TestBlocksForTable:

@@ -19,6 +19,7 @@ from tests.helpers import (
     random_strides,
     state_vector,
     table1_db,
+    untag,
 )
 
 
@@ -84,12 +85,12 @@ def test_vector_agrees_on_table1():
 def test_vector_catches_a_planted_fault():
     db = table1_db()
     state = PipelineState.planned(db, StrideList.parse("3-3"))
-    for rows in state.tree.root.by_length:
-        for key, e in rows.items():
-            if e.__class__ is str:
-                rows[key] = "WRONG"
-            elif is_terminal(e, rows.length):
-                e.bmp_value = "WRONG"
+    rows = state.tree.root.by_key
+    for tagged, e in rows.items():
+        if e.__class__ is str:
+            rows[tagged] = "WRONG"
+        elif is_terminal(e, untag(tagged)[0]):
+            e.bmp_value = "WRONG"
     count, _ = full_space_mismatches(db_entry_tuples(db), state)
     assert count > 0
 
