@@ -10,10 +10,16 @@ characters beyond `length` must be '0' or '*'.  When the address width is 32,
 dotted-quad form (`a.b.c.d/len`) is accepted as a convenience.  `#` starts a
 comment, blank lines are ignored, LF and CRLF both parse; the serializer
 emits zero-padded full-width bits with LF endings.
+
+The parser reads the text a piece of about 64k characters at a time.  One
+compiled pattern reads a piece's lines in the serializer's form; every other
+accepted form, from its first line to the end of the piece, goes to the line
+reader, which gives the same result and is the one source of every error.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -61,23 +67,61 @@ def _length_array(address_width: int) -> array:
     return array("B" if address_width < 256 else "L")
 
 
-def _columns(address_width: int, rows: Iterable[tuple[Optional[int], int, int, str]]):
-    """The store filled from (line number or None, length, value, next hop)
-    rows in file order: the length index, longest first, and the length
-    column.  Each distinct next hop is kept once, the first `str` seen
-    with its text, so the maps and the trees built from them share it.  A
-    repeated prefix is refused, named by its line if it has one."""
-    maps: defaultdict[int, dict[int, str]] = defaultdict(dict)
-    lengths = _length_array(address_width)
-    hops: dict[str, str] = {}
-    for lineno, length, value, hop in rows:
-        table = maps[length]
+class _Columns:
+    """A store being filled in file order: one {value: next hop} map per
+    length and the length column.  Each distinct next hop is kept once, the
+    first `str` seen with its text, so the maps and the trees built from
+    them share it.  `add` takes one row and refuses a repeated prefix, named
+    by its line if it has one; `add_canonical` takes a piece's
+    canonical lines."""
+
+    def __init__(self, address_width: int):
+        self.width = address_width
+        self.maps: defaultdict[int, dict[int, str]] = defaultdict(dict)
+        self.lengths = _length_array(address_width)
+        self.hops: dict[str, str] = {}
+
+    def add(self, length: int, value: int, hop: str, lineno: Optional[int] = None):
+        table = self.maps[length]
         if value in table:
             where = "" if lineno is None else f"line {lineno}: "
             raise DuplicatePrefix(f"{where}duplicate prefix {bits_of(value, length)}/{length}")
-        table[value] = hops.setdefault(hop, hop)
-        lengths.append(length)
-    return tuple((l, maps[l]) for l in sorted(maps, reverse=True)), lengths
+        table[value] = self.hops.setdefault(hop, hop)
+        self.lengths.append(length)
+
+    def add_canonical(self, parts: list[str], length_of: dict[str, int]) -> int:
+        """Fill from a piece's `_canonical_form` split, four parts per line
+        after the first part, and return how many lines were taken: all,
+        or those before the first line the line reader must read (another
+        form, a length text `length_of` lacks such as `/024`, a 1 in the
+        padding, or a repeated prefix)."""
+        # `add`'s two filing lines are inlined: calling it per row made the
+        # parse about 6% slower.  The value is read from the significant
+        # bits, not shifted down from all of them, since a shifted int keeps
+        # its operand's size: up to 4 bytes more per entry.
+        maps, lengths = self.maps, self.lengths
+        share, append = self.hops.setdefault, lengths.append
+        start = len(lengths)
+        fields = iter(parts)
+        next(fields)
+        for bits, length_text, hop, _ in zip(fields, fields, fields, fields):
+            length = length_of.get(length_text)
+            if length is None:
+                break
+            if "1" in bits[length:]:
+                break
+            value = int(bits[:length] or "0", 2)
+            table = maps[length]
+            if value in table:
+                break
+            table[value] = share(hop, hop)
+            append(length)
+        return len(lengths) - start
+
+    def by_length(self) -> tuple:
+        """The length index, longest first."""
+        maps = self.maps
+        return tuple((l, maps[l]) for l in sorted(maps, reverse=True))
 
 
 class PrefixDatabase:
@@ -95,11 +139,14 @@ class PrefixDatabase:
         if address_width < 1:
             raise ValueError("address_width must be >= 1")
         self.address_width = address_width
+        columns = _Columns(address_width)
+        for p in entries:
+            if p.length > address_width:
+                raise LengthOutOfRange(f"prefix {p} longer than address width {address_width}")
+            columns.add(p.length, int(p.bits or "0", 2), p.next_hop)
         # The length index, read-only: `oracle_lookup` probes it in this
         # order, `build_tree` reads it shortest first.
-        self.by_length, self._lengths = _columns(
-            address_width, _prefix_rows(entries, address_width)
-        )
+        self.by_length, self._lengths = columns.by_length(), columns.lengths
         self._entries: Optional[tuple[Prefix, ...]] = None
 
     @classmethod
@@ -153,14 +200,6 @@ class PrefixDatabase:
         return PrefixDatabase._from_columns(self.address_width, by_length, lengths)
 
 
-def _prefix_rows(entries: Iterable[Prefix], address_width: int):
-    """The store's rows of `Prefix` entries, each checked against the width."""
-    for p in entries:
-        if p.length > address_width:
-            raise LengthOutOfRange(f"prefix {p} longer than address width {address_width}")
-        yield None, p.length, int(p.bits or "0", 2), p.next_hop
-
-
 @dataclass(frozen=True)
 class MaxThreshold:
     """Smallest length covering at least `coverage_fraction` of the entries."""
@@ -200,33 +239,69 @@ def _parse_value(token: str, length: int, address_width: int) -> int:
     return int(significant or "0", 2)
 
 
-def _lines(text: str, piece: int = 1 << 16) -> Iterator[str]:
-    """The lines `text.split("\n")` gives, without a list of them all: the
-    text is split a piece of about `piece` characters at a time."""
-    start = 0
-    while True:
-        end = text.find("\n", start + piece)
+_PIECE = 1 << 16   # about this many characters of text are read at a time
+
+
+def _pieces(text: str) -> Iterator[str]:
+    r"""The text's lines in pieces of whole lines, about `_PIECE` characters
+    each, without the newline between two pieces: `piece.split("\n")` of
+    each gives the lines of `text.split("\n")`, less the empty line after a
+    final newline."""
+    start, stop = 0, len(text) - text.endswith("\n")
+    while start < stop:
+        end = text.find("\n", start + _PIECE, stop)
         if end < 0:
-            yield from text[start:].split("\n")
-            return
-        yield from text[start:end].split("\n")
+            end = stop
+        yield text[start:end]
         start = end + 1
+
+
+def _canonical_form(address_width: int):
+    r"""The pattern of a piece's lines, and the length of each plain decimal
+    length text up to the width.  The first branch matches the line
+    `serialize` writes (spaces, tabs or a CR may stand around the hop); the
+    `.*` branch matches any other line, so the pattern's `split` gives the
+    three fields of each line, or three `None`s, and the newline after it.
+    `[0-9]`, as `\d` takes non-ASCII digits; no `re.ASCII`, so `\s` is the
+    whitespace `str.split` splits on.  `split`, not `findall`: a tuple per
+    line would leave the collector's young count up to 2,000 higher after
+    the parse's pause."""
+    digits = len(str(address_width))
+    pattern = re.compile(
+        rf"^(?:([01]{{{address_width}}})/([0-9]{{1,{digits}}})[ \t\r]+([^\s#]+)[ \t\r]*|.*)$",
+        re.M,
+    )
+    return pattern, {str(length): length for length in range(address_width + 1)}
 
 
 def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabase:
     """Parse the canonical text format, preserving file order and rejecting
-    duplicates.  Each line goes straight into the database's columns."""
+    duplicates.  The text is read a piece at a time.  One pattern split
+    gives the fields of each line of the piece, and the canonical lines go
+    straight into the columns; from the first line that is not one, the
+    line reader reads the rest of the piece.  So every other form, and
+    every error, is read by the line reader."""
     with paused_gc:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        return PrefixDatabase._from_columns(
-            address_width, *_columns(address_width, _parsed_rows(text, address_width))
-        )
+        columns = _Columns(address_width)
+        pattern, length_of = _canonical_form(address_width)
+        lineno = 1
+        for piece in _pieces(text):
+            parts = pattern.split(piece)
+            lines = len(parts) // 4
+            taken = columns.add_canonical(parts, length_of)
+            if taken < lines:
+                _read_lines(columns, piece.split("\n")[taken:], lineno + taken)
+            lineno += lines
+        return PrefixDatabase._from_columns(address_width, columns.by_length(), columns.lengths)
 
 
-def _parsed_rows(text: str, address_width: int):
-    """The store's rows of the text's entry lines, each validated once."""
-    for lineno, raw in enumerate(_lines(text), start=1):
+def _read_lines(columns: _Columns, lines: list[str], lineno: int):
+    """The line reader: each line from line number `lineno` on validated
+    once, in any accepted form, its entry added to the columns."""
+    address_width = columns.width
+    for lineno, raw in enumerate(lines, start=lineno):
         fields = raw.split("#", 1)[0].split()
         if not fields:
             continue
@@ -248,7 +323,7 @@ def _parsed_rows(text: str, address_width: int):
             value = _parse_value(head, length, address_width)
         except ValueError as exc:
             raise MalformedLine(lineno, str(exc)) from None
-        yield lineno, length, value, next_hop
+        columns.add(length, value, next_hop, lineno)
 
 
 def read_text(path) -> str:

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from tcamtree.errors import (
     LengthOutOfRange,
     MalformedLine,
 )
-from tcamtree.prefixdb import dotted_to_bits
+from tcamtree import prefixdb
+from tcamtree.prefixdb import bits_of, dotted_to_bits
 
 from tests.helpers import (
     TABLE1_TEXT,
@@ -79,6 +82,59 @@ def nested_entries(draw, max_width=16):
 def length_index(db):
     """`by_length` item for item, in order."""
     return [(length, list(table.items())) for length, table in db.by_length]
+
+
+def line_only(text, width):
+    """The database the line reader alone reads from `text`."""
+    columns = prefixdb._Columns(width)
+    prefixdb._read_lines(columns, text.split("\n"), 1)
+    return PrefixDatabase._from_columns(width, columns.by_length(), columns.lengths)
+
+
+def hop_sharing(db):
+    """For each entry in file order, the place of the first entry whose
+    next hop is the same object."""
+    hops = [hop for _, _, hop in db.in_order()]
+    first = {}
+    return [first.setdefault(id(hop), i) for i, hop in enumerate(hops)]
+
+
+@st.composite
+def mixed_texts(draw):
+    """(width, text): distinct prefixes, each line in a form the line reader
+    accepts (canonical most often; bare, `*`-padded, partly 0-padded, a
+    length with a leading zero, dotted at width 32, with tabs, a trailing
+    comment or a CR), with comment and blank lines between them, LF or
+    CRLF endings, and a final newline or none."""
+    width = draw(st.sampled_from([1, 2, 3, 5, 8, 12, 32]))
+    raw = draw(st.lists(st.tuples(st.integers(0, width), st.integers(0, (1 << width) - 1)),
+                        max_size=30))
+    prefixes = dict.fromkeys((length, value >> (width - length)) for length, value in raw)
+    forms = ["canonical"] * 4 + ["bare", "star", "zeros"] + (["dotted"] if width == 32 else [])
+    lines = []
+    for length, value in prefixes:
+        bits = bits_of(value, length)
+        form = draw(st.sampled_from(forms))
+        if form == "canonical":
+            spec = bits.ljust(width, "0")
+        elif form == "bare":
+            spec = bits
+        elif form == "star":
+            spec = bits.ljust(width, "*")
+        elif form == "zeros":
+            spec = bits + "0" * draw(st.integers(0, width - length))
+        else:
+            spec = ".".join(str(b) for b in (value << (width - length)).to_bytes(4, "big"))
+        length_text = draw(st.sampled_from([str(length)] * 3 + [f"0{length}"]))
+        sep = draw(st.sampled_from([" ", " ", "\t", " \t "]))
+        hop = draw(st.sampled_from(["a", "b", "via-c"]))
+        tail = draw(st.sampled_from(["", "", " ", " # note", "#x", "\r"]))
+        lines.append(f"{spec}/{length_text}{sep}{hop}{tail}")
+        extra = draw(st.sampled_from([None] * 4 + ["", "# comment", "   ", "\r"]))
+        if extra is not None:
+            lines.append(extra)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return width, newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 class TestParse:
@@ -151,6 +207,21 @@ class TestParse:
     def test_byte_stream_input(self):
         db = parse_database(TABLE1_TEXT.encode("utf-8"), 6)
         assert len(db) == 6
+
+    @given(mixed_texts(), st.integers(0, 60))
+    @settings(max_examples=150)
+    def test_pieces_read_as_the_line_reader_alone(self, case, piece):
+        # A piece this small puts rows on both sides of piece boundaries.
+        width, text = case
+        with mock.patch.object(prefixdb, "_PIECE", piece):
+            parsed = parse_database(text, width)
+        expected = line_only(text, width)
+        assert length_index(parsed) == length_index(expected)
+        assert parsed.entries == expected.entries
+        assert parsed._lengths == expected._lengths
+        texts = [hop for _, _, hop in expected.in_order()]
+        first_with_text = [texts.index(hop) for hop in texts]
+        assert hop_sharing(parsed) == hop_sharing(expected) == first_with_text
 
     def test_equal_next_hops_are_one_object(self):
         # Each line's hop is a fresh string; the database keeps the first.
@@ -287,3 +358,97 @@ class TestRestricted:
         assert small is not db
         assert small.entries == tuple(p for p in db.entries if p.length <= 4)
         assert small.address_width == db.address_width
+
+
+def spanning_lines(width=64, count=2500, seed=7):
+    """`count` canonical lines of distinct prefixes shorter than `width`,
+    over several of the parser's pieces."""
+    rng, seen, lines = random.Random(seed), set(), []
+    while len(lines) < count:
+        length = rng.randint(8, width - 1)
+        value = rng.getrandbits(length)
+        if (length, value) not in seen:
+            seen.add((length, value))
+            lines.append(f"{value << (width - length):0{width}b}/{length} h{rng.randint(0, 9)}")
+    return lines
+
+
+def first_piece_lines(lines):
+    return len(next(prefixdb._pieces("\n".join(lines))).split("\n"))
+
+
+class TestParseErrors:
+    """An error anywhere, past the first piece too, is the line reader's:
+    the same type and text, line number included."""
+
+    BAD_LINES = {
+        "a 1 in the padding": lambda line: line.split("/")[0][:-1] + "1/" + line.split("/")[1],
+        "/65 at width 64": lambda line: line.split("/")[0] + "/65 h1",
+        "a non-ASCII digit in the length": lambda line: line.split("/")[0] + "/\u06624 h1",
+        "U+00A0 in a hop": lambda line: line + "\u00a0x",
+        "three fields": lambda line: line + " extra",
+        "a missing /": lambda line: line.split("/")[0] + " h1",
+    }
+
+    @pytest.mark.parametrize("kind", [*BAD_LINES, "a duplicate"])
+    def test_errors_match_the_line_reader(self, kind):
+        lines = spanning_lines()
+        boundary = first_piece_lines(lines)
+        assert boundary < len(lines) // 2
+        for at in (0, boundary - 1, boundary, len(lines) - 1):
+            bad = list(lines)
+            if kind == "a duplicate":
+                bad[at] = lines[at - 1] if at else lines[1]
+                where = max(at, 1) + 1
+            else:
+                bad[at] = self.BAD_LINES[kind](lines[at])
+                where = at + 1
+            text = "\n".join(bad) + "\n"
+            with pytest.raises(Exception) as expected:
+                line_only(text, 64)
+            with pytest.raises(type(expected.value)) as got:
+                parse_database(text, 64)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith(f"line {where}: ")
+
+
+class TestLineReaderWork:
+    """Canonical lines never reach the line reader; any other line sends it
+    at most the rest of its piece."""
+
+    def count_lines_read(self, monkeypatch):
+        counts = []
+        read = prefixdb._read_lines
+
+        def counting(columns, lines, lineno):
+            counts.append(len(lines))
+            return read(columns, lines, lineno)
+
+        monkeypatch.setattr(prefixdb, "_read_lines", counting)
+        return counts
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_a_serialized_database_reads_no_line_through_it(self, monkeypatch, width):
+        db = parse_database("\n".join(spanning_lines(width)), width)
+        empty = PrefixDatabase(width)
+        counts = self.count_lines_read(monkeypatch)
+        assert parse_database(serialize(db), width) == db
+        assert parse_database(serialize(empty), width) == empty
+        assert counts == []
+
+    def test_one_comment_sends_at_most_the_rest_of_its_piece(self, monkeypatch):
+        lines = spanning_lines()
+        middle = len(lines) // 2
+        lines.insert(middle, "# a comment")
+        text = "\n".join(lines) + "\n"
+        start = 0
+        for piece in prefixdb._pieces(text):
+            end = start + piece.count("\n") + 1
+            if start <= middle < end:
+                break
+            start = end
+        expected = line_only(text, 64)
+        counts = self.count_lines_read(monkeypatch)
+        assert parse_database(text, 64) == expected
+        assert len(counts) == 1 and 1 <= counts[0] <= end - middle
