@@ -409,7 +409,7 @@ class PipelineState:
 
     def delete(self, prefix: Prefix):
         """Remove one prefix from the tree or the overflow buffer."""
-        if self.overflow.remove(prefix.bits):
+        if self.overflow.entries and self.overflow.remove(prefix.bits):
             return
         shrunk = tree_delete(self.tree, prefix.bits)
         for table in shrunk:
@@ -439,8 +439,7 @@ class PipelineState:
         never refused.
         """
         plan = self.plan
-        if plan is not None:
-            bounds = dict(plan.level_min_stage), dict(plan.level_max_stage)
+        bounds: list[dict[int, int]] = []   # the stage bounds, once a row may be placed
         rows: list[tuple[SuperTable, list[Span]]] = []   # one per block row added
         gained: list[SuperTable] = []
         joins: list[tuple[SuperTable, TreeTable]] = []
@@ -450,18 +449,18 @@ class PipelineState:
                 continue
             st = self._st_of.get(table)
             if st is not None:
-                if not self._grow(st, st.total_entries + 1, rows):
+                if not self._grow(st, st.total_entries + 1, rows, bounds):
                     break
                 gained.append(st)
                 continue
             level = self.tree.level_of(table)
             host = self._host_for_level(level)
-            if host is not None and self._grow(host, host.total_entries + 1, rows):
+            if host is not None and self._grow(host, host.total_entries + 1, rows, bounds):
                 joins.append((host, table))
                 continue
             st = SuperTable(level, self.tag_bits, [table], self.grain)
             st.allocated_rows = 0   # its first block row is placed like any other
-            if not self._grow(st, st.total_entries, rows):
+            if not self._grow(st, st.total_entries, rows, bounds):
                 break
             opened.append(st)
         else:
@@ -484,16 +483,21 @@ class PipelineState:
             st.allocated_rows -= 1
             for span in reversed(spans):
                 plan._give_back(span, sram=False)
-        plan.level_min_stage, plan.level_max_stage = bounds
+        plan.level_min_stage, plan.level_max_stage = bounds   # copied by the failed placement
         return False
 
-    def _grow(self, st: SuperTable, entries: int, rows: list) -> bool:
+    def _grow(self, st: SuperTable, entries: int, rows: list, bounds: list) -> bool:
         """Add block rows to `st` until it holds `entries` rows, noting each in
-        `rows`; False when the stage map has no room for the next one."""
+        `rows`; False when the stage map has no room for the next one.  The
+        stage bounds are copied into `bounds` before the first placement, when
+        it is still empty."""
         while st.entry_capacity < entries:
             spans: list[Span] = []
-            if self.plan is not None:
-                spans = self.plan.place(st.level_index, st.horizontal_blocks, sram=False)
+            plan = self.plan
+            if plan is not None:
+                if not bounds:
+                    bounds += dict(plan.level_min_stage), dict(plan.level_max_stage)
+                spans = plan.place(st.level_index, st.horizontal_blocks, sram=False)
                 if spans is None:
                     return False
             st.allocated_rows += 1

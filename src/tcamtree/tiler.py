@@ -39,7 +39,9 @@ Each table keeps the sorted tagged keys of its child-bearing rows,
 `stub_keys`, and an update reads the children in its prefix's key range,
 found by two bisections: its work follows the rows it can change, not the
 table's size (update work bounded by what changes, as in Shah & Gupta's
-TCAM update algorithms).
+TCAM update algorithms).  A delete looks up the shorter terminal its rows
+fall back to once, and only when a row under the prefix held the deleted
+value.
 """
 
 from __future__ import annotations
@@ -512,11 +514,14 @@ def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
         raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
     # Only rows under the prefix that took its value change, and all of them
     # fall back to the next shorter terminal above it; a terminal kept for
-    # its child is one of them, and so becomes a pure stub.
-    value, value_len = table.local_lpm(tagged >> 1, length - 1) if length else (None, None)
+    # its child is one of them, and so becomes a pure stub.  That fallback is
+    # looked up once, and only when such a row exists.
+    fallback = None
     for child in table.rows_under(tagged, length):
         if child.bmp_local_len == length:
-            child.bmp_value, child.bmp_local_len = value, value_len
+            if fallback is None:
+                fallback = table.local_lpm(tagged >> 1, length - 1) if length else (None, None)
+            child.bmp_value, child.bmp_local_len = fallback
     # lazy upward collection of emptied tables
     while not table.by_key and path:
         parent, tagged = path.pop()

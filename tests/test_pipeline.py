@@ -250,9 +250,13 @@ class TestInsert:
         state = PipelineState.planned(
             db, StrideList.parse("6"), grain=grain, profile=profile
         )
+        plan = state.plan
+        before = dict(plan.level_min_stage), dict(plan.level_max_stage), list(plan._tcam_next)
         state.insert(Prefix("111111", 6, "new"))
         assert state.overflow.contains("111111")
         assert state.search("11111111") == "new"
+        # the root's first new block row found no room, so no row was placed
+        assert (plan.level_min_stage, plan.level_max_stage, plan._tcam_next) == before
 
     def test_spilled_insert_restores_stage_bounds(self):
         # The root grows a block row into stage 2, then the new level-1 table
@@ -382,6 +386,15 @@ class TestDelete:
         state.delete(Prefix("0111", 4, "Y"))
         assert len(state.tree.levels[1]) == 0
         assert state.tree.root.entry_count == 0
+
+    def test_an_empty_overflow_buffer_is_not_consulted(self, monkeypatch):
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
+        assert state.overflow.entries == []
+        monkeypatch.setattr(OverflowBuffer, "remove", None)   # a call would raise
+        state.delete(Prefix("1000", 4, "A"))
+        assert state.search("100000") == "A" and state.search("100011") == "C"
+        with pytest.raises(NotFound):
+            state.delete(Prefix("1000", 4, "A"))
 
     def test_delete_from_overflow(self):
         state = PipelineState.planned(table1_db(), StrideList.parse("3-2"))

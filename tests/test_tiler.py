@@ -41,6 +41,7 @@ from tests.helpers import (
     row_fields,
     scan_local_lpm,
     stub_counts,
+    stubs,
     table1_db,
     terminal_count,
     ternary_rows,
@@ -409,6 +410,31 @@ class TestProbeIndex:
         changed = {k for k, v in after.items() if v != before[k]}
         assert changed == inherited
         assert all(after[k] == ("outer", 2) for k in changed)
+
+    @pytest.mark.parametrize("deleted, kept", [
+        ("01", {0b0110: ("b", 3), 0b1111: ("z", 0)}),
+        ("", {0b0110: ("b", 3), 0b1111: (None, None)}),
+    ])
+    def test_delete_no_row_inherited_makes_no_fallback_match(self, monkeypatch, deleted, kept):
+        # The stub at 0110 lies under 01/2 but inherits 011/3, so deleting 01
+        # changes no row.  The stub at 1111 inherits the /0, and a delete at
+        # length 0 has no shorter terminal to fall back to.
+        entries = [
+            Prefix("", 0, "z"), Prefix("01", 2, "a"), Prefix("011", 3, "b"),
+            Prefix("01101111", 8, "c"), Prefix("11110000", 8, "d"),
+        ]
+        strides = StrideList.parse("4-4")
+        tree = build_tree(PrefixDatabase(8, entries), strides)
+        calls = []
+        local_lpm = TreeTable.local_lpm
+        monkeypatch.setattr(
+            TreeTable, "local_lpm", lambda t, *key: calls.append(key) or local_lpm(t, *key)
+        )
+        tree_delete(tree, deleted)
+        assert calls == []
+        assert {k: (e.bmp_value, e.bmp_local_len) for k, e in stubs(tree.root)} == kept
+        rest = [p for p in entries if p.bits != deleted]
+        assert tree.structure() == build_tree(PrefixDatabase(8, rest), strides).structure()
 
     def test_short_prefix_update_reads_only_the_stubs_in_its_range(self):
         # 1,100 full-length root terminals and a few stubs, in and out of
