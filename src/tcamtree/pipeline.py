@@ -33,7 +33,7 @@ from .packing import (
     sram_rows_for_table,  # noqa: F401 -- perfbench/tracer.py times it through this module
     tag_and_pack,
 )
-from .prefixdb import DEFAULT_NEXT_HOP, Prefix, PrefixDatabase, address_value, bits_of
+from .prefixdb import DEFAULT_NEXT_HOP, Prefix, PrefixDatabase, address_value
 from .tiler import (
     SRAM,
     GrainSpec,
@@ -221,47 +221,49 @@ def map_to_pipeline(
 
 
 class OverflowBuffer:
-    """Side table for entries the planned structure cannot hold."""
+    """Side table for entries the planned structure cannot hold: one dict
+    `entries`, `{(length, value): next hop}`, over `address_width`-bit
+    addresses."""
 
-    def __init__(self, capacity: int = 512):
+    def __init__(self, address_width: int, capacity: int = 512):
+        self.address_width = address_width
         self.capacity = capacity
-        self.entries: list[Prefix] = []
+        self.entries: dict[tuple[int, int], str] = {}
 
     def __len__(self):
         return len(self.entries)
 
     def contains(self, bits: str) -> bool:
-        return any(p.bits == bits for p in self.entries)
+        return (len(bits), int(bits or "0", 2)) in self.entries
 
-    def add(self, prefix: Prefix):
+    def add(self, length: int, value: int, hop: str):
         if len(self.entries) >= self.capacity:
             raise OverflowFull(
                 f"overflow buffer at capacity {self.capacity}; reconfigure to proceed"
             )
-        self.entries.append(prefix)
+        self.entries[length, value] = hop
 
-    def remove(self, bits: str) -> bool:
-        for i, p in enumerate(self.entries):
-            if p.bits == bits:
-                del self.entries[i]
-                return True
-        return False
+    def remove(self, length: int, value: int) -> bool:
+        return self.entries.pop((length, value), None) is not None
 
-    def lpm(self, address: str) -> tuple[Optional[str], int]:
+    def lpm(self, key: int) -> tuple[Optional[str], int]:
+        """The longest entry matching the address whose int value is `key`:
+        (next hop, length) or (None, -1)."""
         best, best_len = None, -1
-        for p in self.entries:
-            if p.length > best_len and address.startswith(p.bits):
-                best, best_len = p.next_hop, p.length
+        width = self.address_width
+        for (length, value), hop in self.entries.items():
+            if length > best_len and key >> (width - length) == value:
+                best, best_len = hop, length
         return best, best_len
 
 
 def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowBuffer:
     """An overflow buffer holding the entries longer than the stride coverage."""
-    overflow = OverflowBuffer(capacity)
+    overflow = OverflowBuffer(db.address_width, capacity)
     if db.max_length() > coverage:
         for length, value, hop in db.in_order():
             if length > coverage:
-                overflow.add(Prefix(bits_of(value, length), length, hop))
+                overflow.add(length, value, hop)
     return overflow
 
 
@@ -376,12 +378,10 @@ class PipelineState:
 
     def search_value(self, key: int) -> str:
         """`search` of an address given as its int value, unchecked.  The
-        overflow buffer matches bit strings, so one is made only when the
-        buffer holds entries."""
+        overflow buffer is scanned only when it holds entries."""
         value, length = tree_lookup(self.tree, key)
         if self.overflow.entries:
-            address = format(key, f"0{self.tree.address_width}b")
-            over_value, over_len = self.overflow.lpm(address)
+            over_value, over_len = self.overflow.lpm(key)
             if over_value is not None and over_len >= length:
                 value = over_value
         return value if value is not None else DEFAULT_NEXT_HOP
@@ -396,22 +396,24 @@ class PipelineState:
             raise LengthOutOfRange(
                 f"prefix {prefix} longer than address width {tree.address_width}"
             )
-        if self.overflow.entries and self.overflow.contains(prefix.bits):
+        key = int(prefix.bits or "0", 2)
+        if self.overflow.entries and (prefix.length, key) in self.overflow.entries:
             raise DuplicatePrefix(f"prefix {prefix} already present")
         if prefix.length > tree.coverage:
-            self.overflow.add(prefix)
+            self.overflow.add(prefix.length, key, prefix.next_hop)
             return
-        grown = tree_insert(tree, prefix.bits, prefix.next_hop)
+        grown = tree_insert(tree, key, prefix.length, prefix.next_hop)
         if self._place(grown):
             return
-        tree_delete(tree, prefix.bits)
-        self.overflow.add(prefix)
+        tree_delete(tree, key, prefix.length)
+        self.overflow.add(prefix.length, key, prefix.next_hop)
 
     def delete(self, prefix: Prefix):
         """Remove one prefix from the tree or the overflow buffer."""
-        if self.overflow.entries and self.overflow.remove(prefix.bits):
+        key = int(prefix.bits or "0", 2)
+        if self.overflow.entries and self.overflow.remove(prefix.length, key):
             return
-        shrunk = tree_delete(self.tree, prefix.bits)
+        shrunk = tree_delete(self.tree, key, prefix.length)
         for table in shrunk:
             st = self._st_of.get(table)
             if st is None:
@@ -426,10 +428,10 @@ class PipelineState:
 
     # -- capacity bookkeeping ------------------------------------------------------
 
-    def _place(self, grown: list[TreeTable]) -> bool:
+    def _place(self, grown: list[tuple[int, TreeTable]]) -> bool:
         """Make room for the rows an insert added, shallowest table first.
 
-        Each table in `grown` gained one row, and no two share a level.  A
+        Each (level, table) in `grown` gained one row; no two share a level.  A
         packed table's super-table grows a block row at a time; a new table
         joins the last super-table of its level with room for another member,
         growing it if needed, or else opens a super-table of its own.  Memberships
@@ -444,7 +446,7 @@ class PipelineState:
         gained: list[SuperTable] = []
         joins: list[tuple[SuperTable, TreeTable]] = []
         opened: list[SuperTable] = []
-        for table in grown:
+        for level, table in grown:
             if table.kind == SRAM:
                 continue
             st = self._st_of.get(table)
@@ -453,7 +455,6 @@ class PipelineState:
                     break
                 gained.append(st)
                 continue
-            level = self.tree.level_of(table)
             host = self._host_for_level(level)
             if host is not None and self._grow(host, host.total_entries + 1, rows, bounds):
                 joins.append((host, table))

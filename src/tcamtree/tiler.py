@@ -149,8 +149,7 @@ class TreeTable:
     """One node of the tree: a ternary table over `stride_width` bits.
 
     Every slot is paid once per table, so a table keeps no level of its own:
-    the walks that make and collect tables know their depth, and
-    `TcamTree.level_of` finds it for the rest.
+    the walks that make and collect tables know their depth.
 
     The rows are one plain dict, `by_key`, keyed by the tagged key
     `(1 << l) | bits` of a row whose `l` specified bits are `bits`.  The
@@ -378,10 +377,6 @@ class TcamTree:
         self.levels[level_index][t] = None
         return t
 
-    def level_of(self, table: TreeTable) -> int:
-        """The level `table` is filed at."""
-        return next(i for i, tables in enumerate(self.levels) if table in tables)
-
     def all_tables(self) -> list[TreeTable]:
         return [t for level in self.levels for t in level]
 
@@ -433,14 +428,14 @@ def walk(tree: TcamTree, key: int, length: int):
 
 def descend(tree: TcamTree, key: int, length: int, grown: Optional[list]):
     """Follow the `length`-bit prefix `key` down from the root, making each
-    missing child table on the way: (table, key, length), the last two
-    being the bits left where the prefix ends.
+    missing child table on the way: (level, table, key, length), the level
+    and table where the prefix ends and the bits left there.
 
     A new child inherits its key's longest terminal in its table, from one
     `local_lpm` call; a full-length terminal in its place keeps its own
-    value.  Each table that gains a row is appended to `grown`; when
-    `grown` is None, as in the bulk build, stub keys are appended unsorted
-    for `build_tree` to sort.
+    value.  Each table that gains a row is appended to `grown` with its
+    level; when `grown` is None, as in the bulk build, stub keys are
+    appended unsorted for `build_tree` to sort.
     """
     table = tree.root
     shared = tree.length_sets
@@ -448,79 +443,80 @@ def descend(tree: TcamTree, key: int, length: int, grown: Optional[list]):
     while length > table.stride_width:
         s = table.stride_width
         length -= s
-        level += 1
         tagged, key = (key >> length) | (1 << s), key & ((1 << length) - 1)
         row = table.by_key.get(tagged)
         if row is None:
-            row = tree.new_table(level, *table.local_lpm(tagged, s))
+            row = tree.new_table(level + 1, *table.local_lpm(tagged, s))
             table.add_stub(tagged, row, grown is not None, shared)
             if grown is not None:
-                grown.append(table)
+                grown.append((level, table))
         elif row.__class__ is str:
-            row = tree.new_table(level, row, s)
+            row = tree.new_table(level + 1, row, s)
             table.add_stub(tagged, row, grown is not None, shared)
         table = row
-    return table, key, length
+        level += 1
+    return level, table, key, length
 
 
-def tree_insert(tree: TcamTree, bits: str, value: str) -> list[TreeTable]:
-    """Insert one prefix into a built tree: the update path.  `descend` makes
-    the child tables it needs, as it does for `build_tree`.
+def tree_insert(tree: TcamTree, key: int, length: int, value: str) -> list[tuple[int, TreeTable]]:
+    """Insert the `length`-bit prefix `key` into a built tree: the update
+    path.  `descend` makes the child tables it needs, as for `build_tree`.
 
-    Returns the tables that gained a row, shallowest first.  Safe under
-    arbitrary insertion order: a new terminal refreshes the inherited values
-    of the rows with a child under it, and a new child inherits from the
-    terminals already present.
+    Returns (level, table) for each table that gained a row, shallowest
+    first.  Safe under arbitrary insertion order: a new terminal refreshes
+    the inherited values of the rows with a child under it, and a new child
+    inherits from the terminals already present.
     """
-    if len(bits) > tree.coverage:
+    if length > tree.coverage:
         raise PrefixExceedsCoverage(
-            f"prefix of length {len(bits)} exceeds coverage {tree.coverage}"
+            f"prefix of length {length} exceeds coverage {tree.coverage}"
         )
-    grown: list[TreeTable] = []
-    table, key, length = descend(tree, int(bits or "0", 2), len(bits), grown)
-    tagged = key | (1 << length)
+    grown: list[tuple[int, TreeTable]] = []
+    level, table, rest, rest_len = descend(tree, key, length, grown)
+    tagged = rest | (1 << rest_len)
     row = table.by_key.get(tagged)
     if row is None:
-        table.add_row(length, tagged, value, tree.length_sets)
-        grown.append(table)
-    elif row.__class__ is str or row.bmp_local_len == length:
-        raise DuplicatePrefix(f"prefix {bits}/{len(bits)} already present")
+        table.add_row(rest_len, tagged, value, tree.length_sets)
+        grown.append((level, table))
+    elif row.__class__ is str or row.bmp_local_len == rest_len:
+        raise DuplicatePrefix(f"prefix {bits_of(key, length)}/{length} already present")
     # Rows under the prefix whose best terminal is shorter take its value: a
     # row with a child at the prefix's own key becomes the terminal this way.
     # The full-length terminals under it are at least as long, so they keep theirs.
-    for child in table.rows_under(tagged, length):
+    for child in table.rows_under(tagged, rest_len):
         local_len = child.bmp_local_len
-        if local_len is None or local_len < length:
+        if local_len is None or local_len < rest_len:
             child.bmp_value = value
-            child.bmp_local_len = length
+            child.bmp_local_len = rest_len
     return grown
 
 
-def tree_delete(tree: TcamTree, bits: str) -> list[TreeTable]:
-    """Remove one prefix; empty child tables and their rows are collected.
+def tree_delete(tree: TcamTree, key: int, length: int) -> list[TreeTable]:
+    """Remove the `length`-bit prefix `key`; empty child tables and their
+    rows are collected.
 
     Returns the tables that lost a row, deepest first.  Those left without
     rows, other than the root, are the collected ones.
     """
-    path, table, key, length = walk(tree, int(bits or "0", 2), len(bits))
+    path, table, rest, rest_len = walk(tree, key, length)
     shared = tree.length_sets
-    tagged = key | (1 << length)
+    tagged = rest | (1 << rest_len)
     row = table.by_key.get(tagged)
     shrunk = []
     if row.__class__ is str:
-        table.remove_row(length, tagged, shared)
+        table.remove_row(rest_len, tagged, shared)
         shrunk.append(table)
-    elif row is None or row.bmp_local_len != length:
-        raise NotFound(f"prefix {bits}/{len(bits)} not in tree")
+    elif row is None or row.bmp_local_len != rest_len:
+        raise NotFound(f"prefix {bits_of(key, length)}/{length} not in tree")
     # Only rows under the prefix that took its value change, and all of them
     # fall back to the next shorter terminal above it; a terminal kept for
     # its child is one of them, and so becomes a pure stub.  That fallback is
     # looked up once, and only when such a row exists.
     fallback = None
-    for child in table.rows_under(tagged, length):
-        if child.bmp_local_len == length:
+    for child in table.rows_under(tagged, rest_len):
+        if child.bmp_local_len == rest_len:
             if fallback is None:
-                fallback = table.local_lpm(tagged >> 1, length - 1) if length else (None, None)
+                fallback = table.local_lpm(tagged >> 1, rest_len - 1) if rest_len else (None, None)
             child.bmp_value, child.bmp_local_len = fallback
     # lazy upward collection of emptied tables
     while not table.by_key and path:
@@ -566,7 +562,7 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
         shared = tree.length_sets
         for length, prefixes in reversed(db.by_length):
             for prefix, hop in prefixes.items():
-                table, key, local_len = descend(tree, prefix, length, None)
+                _, table, key, local_len = descend(tree, prefix, length, None)
                 table.add_row(local_len, key | (1 << local_len), hop, shared)
         for level in tree.levels[:-1]:
             for table in level:

@@ -42,6 +42,22 @@ def all_addresses(width: int):
         yield format(value, f"0{width}b")
 
 
+def scan_overflow_lpm(entries, address: str) -> tuple[Optional[str], int]:
+    """Reference for `OverflowBuffer.lpm`: scan `Prefix` entries as bit
+    strings against the address's and keep the longest match, as
+    (next hop, length) or (None, -1)."""
+    best, best_len = None, -1
+    for p in entries:
+        if p.length > best_len and address.startswith(p.bits):
+            best, best_len = p.next_hop, p.length
+    return best, best_len
+
+
+def key_of(bits: str) -> tuple[int, int]:
+    """A prefix's bit string as the (value, length) the tree edits take."""
+    return int(bits or "0", 2), len(bits)
+
+
 def linear_scan_lookup(db: PrefixDatabase, address: str) -> str:
     """Deliberately naive reference: scan every entry, keep the longest match."""
     best, best_len = DEFAULT_NEXT_HOP, -1
@@ -320,7 +336,7 @@ def build_tree_by_inserts(db: PrefixDatabase, strides: StrideList) -> TcamTree:
     file) order, through the update path."""
     tree = TcamTree(strides, db.address_width)
     for p in sorted(db.entries, key=lambda p: p.length):
-        tree_insert(tree, p.bits, p.next_hop)
+        tree_insert(tree, *key_of(p.bits), p.next_hop)
     return tree
 
 
@@ -470,11 +486,11 @@ def state_vector(state: PipelineState, hops: HopIds) -> np.ndarray:
         size = 1 << width
         oval = np.zeros(size, dtype=np.int32)
         olen = np.full(size, -1, dtype=np.int32)
-        for p in sorted(state.overflow.entries, key=lambda p: p.length):
-            lo = (int(p.bits, 2) << (width - p.length)) if p.bits else 0
-            hi = lo + (1 << (width - p.length))
-            oval[lo:hi] = hops.get(p.next_hop)
-            olen[lo:hi] = p.length
+        for (length, value), hop in sorted(state.overflow.entries.items()):
+            lo = value << (width - length)
+            hi = lo + (1 << (width - length))
+            oval[lo:hi] = hops.get(hop)
+            olen[lo:hi] = length
         take = (olen >= 0) & (olen >= vlen)
         val = np.where(take, oval, val)
     return val

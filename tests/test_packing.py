@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from tcamtree import (
     tag_and_pack,
 )
 from tcamtree import Prefix, PrefixDatabase, packing
+from tcamtree.errors import TagOverflow
 from tcamtree.packing import VALUE_BITS, sram_rows_for_table
 from tcamtree.tiler import SRAM, TCAM, TcamTree, TreeTable, tree_delete, tree_insert
 
@@ -24,6 +26,7 @@ from tests.helpers import (
     DATA_DIR,
     all_addresses,
     covered_ranges,
+    key_of,
     pre_tag_blocks,
     random_database,
     random_strides,
@@ -165,14 +168,14 @@ class TestSramRows:
         for _ in range(30):
             if live and rng.random() < 0.4:
                 bits = rng.choice(sorted(live))
-                tree_delete(tree, bits)
+                tree_delete(tree, *key_of(bits))
                 live.remove(bits)
             else:
                 length = rng.randint(0, width)
                 bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
                 if bits in live:
                     continue
-                tree_insert(tree, bits, f"h{rng.randint(0, 30)}")
+                tree_insert(tree, *key_of(bits), f"h{rng.randint(0, 30)}")
                 live.add(bits)
             check_sram_counts(tree)
 
@@ -208,6 +211,13 @@ class TestTagAndPack:
         supers = [st for st in tag_and_pack(tree, GrainSpec(8, 16), 2) if st.level_index == 1]
         assert [len(s.members) for s in supers] == [4, 1]
         assert all(len(sup.members) <= 2 ** sup.tag_bits for sup in supers)
+
+    def test_more_members_than_tags_raise(self):
+        _, level = synthetic_level([1] * 5, stride=4)
+        tables = list(level)
+        assert len(packing.SuperTable(1, 2, tables[:4], GrainSpec(8, 16)).members) == 4
+        with pytest.raises(TagOverflow):
+            packing.SuperTable(1, 2, tables, GrainSpec(8, 16))
 
     def test_root_is_never_tagged(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))

@@ -29,11 +29,13 @@ from tests.helpers import (
     all_addresses,
     full_space_mismatches,
     is_terminal,
+    key_of,
     random_database,
     random_strides,
     recounted_lengths,
     recounted_stub_keys,
     row_at,
+    scan_overflow_lpm,
     stubs,
     table1_db,
     ternary_rows,
@@ -170,11 +172,11 @@ class TestSearch:
         db = PrefixDatabase(4, [Prefix("1", 1, "tree"), Prefix("1010", 4, "deep")])
         state = PipelineState.planned(db, StrideList.parse("2-2"))
         assert state.search("1011") == "tree"
-        state.overflow.add(Prefix("1", 1, "over"))
+        state.overflow.add(1, 0b1, "over")
         assert state.search("1011") == "over"
         assert state.search("1100") == "over"
         assert state.search("1010") == "deep"
-        state.overflow.add(Prefix("1010", 4, "over4"))
+        state.overflow.add(4, 0b1010, "over4")
         assert state.search("1010") == "over4"
         assert state.search("0000") == "default"
 
@@ -185,7 +187,7 @@ class TestSearch:
         state.insert(Prefix("101010", 6, "Z"))
         assert state.search("10101011") == "Z"
         state.delete(Prefix("101010", 6, "Z"))
-        assert state.overflow.entries == []
+        assert state.overflow.entries == {}
         monkeypatch.setattr(OverflowBuffer, "lpm", None)   # a call would raise
         assert state.search("10101011") == "a"
 
@@ -215,6 +217,22 @@ class TestInsert:
         assert len(state.overflow) == 0
         for address in all_addresses(6):
             assert state.search(address) == oracle_lookup(db, address)
+
+    def test_prefix_longer_than_the_width_is_refused_beside_buffered_entries(self):
+        # with entries in the buffer, searches scan it: an entry longer than
+        # the width would make that scan shift by a negative count
+        db = table1_db()
+        held = Prefix("110011", 6, "Z")
+        state = PipelineState.planned(db, StrideList.parse("3-2"))
+        state.insert(held)
+        buffered = dict(state.overflow.entries)
+        assert len(buffered) > 1
+        with pytest.raises(LengthOutOfRange):
+            state.insert(Prefix("1" * 7, 7, "Y"))
+        assert state.overflow.entries == buffered
+        final = PrefixDatabase(6, [*db.entries, held])
+        for address in all_addresses(6):
+            assert state.search(address) == oracle_lookup(final, address)
 
     def test_long_prefix_goes_to_overflow(self):
         state = PipelineState.planned(table1_db(), StrideList.parse("3-2"))
@@ -388,9 +406,18 @@ class TestDelete:
         assert state.tree.root.entry_count == 0
 
     def test_an_empty_overflow_buffer_is_not_consulted(self, monkeypatch):
+        class Unprobed(dict):
+            def __contains__(self, key):
+                raise AssertionError(f"empty buffer probed for {key}")
+
         state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
-        assert state.overflow.entries == []
-        monkeypatch.setattr(OverflowBuffer, "remove", None)   # a call would raise
+        assert state.overflow.entries == {}
+        state.overflow.entries = Unprobed()
+        for name in ("contains", "add", "remove"):
+            monkeypatch.setattr(OverflowBuffer, name, None)   # a call would raise
+        state.insert(Prefix("101", 3, "G"))
+        assert state.search("101000") == "G"
+        state.delete(Prefix("101", 3, "G"))
         state.delete(Prefix("1000", 4, "A"))
         assert state.search("100000") == "A" and state.search("100011") == "C"
         with pytest.raises(NotFound):
@@ -405,12 +432,55 @@ class TestDelete:
 
 class TestOverflowBuffer:
     def test_lpm_picks_longest(self):
-        buf = OverflowBuffer(4)
-        buf.add(Prefix("10", 2, "a"))
-        buf.add(Prefix("1010", 4, "b"))
-        assert buf.lpm("10101111") == ("b", 4)
-        assert buf.lpm("10111111") == ("a", 2)
-        assert buf.lpm("00000000") == (None, -1)
+        buf = OverflowBuffer(8, 4)
+        buf.add(2, 0b10, "a")
+        buf.add(4, 0b1010, "b")
+        assert buf.lpm(0b10101111) == ("b", 4)
+        assert buf.lpm(0b10111111) == ("a", 2)
+        assert buf.lpm(0b00000000) == (None, -1)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_int_buffer_equals_the_bit_string_scan(self, seed):
+        # an entry of every length from 0 to the width, each with a sibling
+        # and a longer entry under it, so entries nest, neighbour and share lengths
+        rng = random.Random(seed)
+        width = rng.randint(1, 16)
+
+        def random_bits(length):
+            return format(rng.getrandbits(length), f"0{length}b") if length else ""
+
+        def pair(bits):
+            value, length = key_of(bits)
+            return length, value
+
+        shadow = {}
+        for length in range(width + 1):
+            bits = random_bits(length)
+            kin = [bits]
+            if length:
+                kin.append(bits[:-1] + "10"[int(bits[-1])])
+            if length < width:
+                kin.append(bits + random_bits(rng.randint(1, width - length)))
+            for b in kin:
+                shadow.setdefault(b, Prefix(b, len(b), f"h{rng.randint(0, 9)}"))
+        buf = OverflowBuffer(width, len(shadow))
+        for p in shadow.values():
+            buf.add(*pair(p.bits), p.next_hop)
+        with pytest.raises(OverflowFull):
+            buf.add(width, 0, "over")
+        for _ in range(2):
+            for address in all_addresses(width):
+                want = scan_overflow_lpm(shadow.values(), address)
+                assert buf.lpm(int(address, 2)) == want, address
+            for bits in rng.sample(sorted(shadow), len(shadow) // 2):
+                assert buf.contains(bits) and buf.remove(*pair(bits))
+                del shadow[bits]
+                assert not buf.contains(bits) and not buf.remove(*pair(bits))
+            for length in range(width + 1):
+                bits = random_bits(length)
+                assert buf.contains(bits) == (bits in shadow)
+            assert len(buf) == len(shadow)
 
 
 @given(st.integers(0, 2**32 - 1))

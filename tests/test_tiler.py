@@ -32,6 +32,7 @@ from tests.helpers import (
     all_addresses,
     build_tree_by_inserts,
     is_terminal,
+    key_of,
     ordered_scan_lookup,
     random_database,
     random_strides,
@@ -110,7 +111,7 @@ class TestBuildTree:
     def test_rejects_duplicates_on_insert(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         with pytest.raises(DuplicatePrefix):
-            tree_insert(tree, "1000", "Z")
+            tree_insert(tree, *key_of("1000"), "Z")
 
     def test_terminal_count_equals_database_size(self):
         db = table1_db()
@@ -206,7 +207,7 @@ class TestBulkBuild:
                 bits = rng.choice(sorted(live))
                 del live[bits]
                 for tree in (bulk, reference):
-                    tree_delete(tree, bits)
+                    tree_delete(tree, *key_of(bits))
             else:
                 length = rng.randint(0, width)
                 bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
@@ -214,7 +215,7 @@ class TestBulkBuild:
                     continue
                 hop = live[bits] = f"u{rng.randint(0, 9)}"
                 for tree in (bulk, reference):
-                    tree_insert(tree, bits, hop)
+                    tree_insert(tree, *key_of(bits), hop)
         assert build_view(bulk) == build_view(reference)
         final = PrefixDatabase(width, [Prefix(b, len(b), h) for b, h in live.items()])
         for address in all_addresses(width):
@@ -321,38 +322,42 @@ def counting_rows(table, kind=CountingDict):
     return table.by_key
 
 
-def check_index(tree, rng):
+def check_index(tree, rng, grown=()):
     """Every table's lookup equals the ordered ternary scan (on every segment
     up to 8 bits, else on sampled ones), every stub's inherited value
     equals a from-scratch longest local match, the lengths and their counts
     equal a recount of the dict, tables with the same lengths share one
     tuple, the stub keys equal a recount of the child-bearing rows, and the
     rows that are not a `str` are exactly those: each a child table one
-    level down, filed at full length under a key in `stub_keys`."""
-    for table in tree.all_tables():
-        level = tree.level_of(table)
-        ordered = ternary_rows(table)
-        s = table.stride_width
-        if s <= 8:
-            segments = [format(v, f"0{s}b") for v in range(1 << s)]
-        else:
-            segments = [format(rng.getrandbits(s), f"0{s}b") for _ in range(128)]
-            segments += [text.replace("*", pad) for text, _ in ordered for pad in "01"]
-        for segment in segments:
-            row = row_fields(*table.lookup(int(segment, 2)))
-            assert row == ordered_scan_lookup(ordered, segment), (table, segment)
-        for text, e in ordered:
-            if not is_terminal(e, len(text.rstrip("*"))):
-                assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, text)
-        assert (table.lengths, table.counts) == recounted_lengths(table)
-        if table.lengths:
-            assert tree.length_sets[table.lengths] is table.lengths
-        assert list(table.stub_keys) == recounted_stub_keys(table)
-        for tagged, row in table.by_key.items():
-            if row.__class__ is str:
-                continue
-            assert type(row) is TreeTable and row in tree.levels[level + 1]
-            assert length_of(tagged) == table.stride_width and tagged in table.stub_keys
+    level down, filed at full length under a key in `stub_keys`.  Each
+    (level, table) pair in `grown`, as `tree_insert` returns them, names the
+    level holding its table."""
+    for level, table in grown:
+        assert table in tree.levels[level]
+    for level, tables in enumerate(tree.levels):
+        for table in tables:
+            ordered = ternary_rows(table)
+            s = table.stride_width
+            if s <= 8:
+                segments = [format(v, f"0{s}b") for v in range(1 << s)]
+            else:
+                segments = [format(rng.getrandbits(s), f"0{s}b") for _ in range(128)]
+                segments += [text.replace("*", pad) for text, _ in ordered for pad in "01"]
+            for segment in segments:
+                row = row_fields(*table.lookup(int(segment, 2)))
+                assert row == ordered_scan_lookup(ordered, segment), (table, segment)
+            for text, e in ordered:
+                if not is_terminal(e, len(text.rstrip("*"))):
+                    assert (e.bmp_value, e.bmp_local_len) == scan_local_lpm(table, text)
+            assert (table.lengths, table.counts) == recounted_lengths(table)
+            if table.lengths:
+                assert tree.length_sets[table.lengths] is table.lengths
+            assert list(table.stub_keys) == recounted_stub_keys(table)
+            for tagged, row in table.by_key.items():
+                if row.__class__ is str:
+                    continue
+                assert type(row) is TreeTable and row in tree.levels[level + 1]
+                assert length_of(tagged) == table.stride_width and tagged in table.stub_keys
 
 
 class TestProbeIndex:
@@ -368,16 +373,17 @@ class TestProbeIndex:
         live = {p.bits: p for p in db.entries}
         check_index(tree, rng)
         for _ in range(30):
+            grown = ()
             if live and rng.random() < 0.5:
-                tree_delete(tree, live.pop(rng.choice(sorted(live))).bits)
+                tree_delete(tree, *key_of(live.pop(rng.choice(sorted(live))).bits))
             else:
                 length = rng.randint(0, width)
                 bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
                 if bits in live:
                     continue
                 live[bits] = Prefix(bits, length, f"h{rng.randint(0, 9)}")
-                tree_insert(tree, bits, live[bits].next_hop)
-            check_index(tree, rng)
+                grown = tree_insert(tree, *key_of(bits), live[bits].next_hop)
+            check_index(tree, rng, grown)
         final = PrefixDatabase(width, list(live.values()))
         for address in all_addresses(width):
             assert tree_search(tree, address) == oracle_lookup(final, address)
@@ -399,7 +405,7 @@ class TestProbeIndex:
             TreeTable, "local_lpm", lambda t, *key: calls.append(key) or local_lpm(t, *key)
         )
         rows = counting_rows(root)
-        tree_delete(tree, "101010")
+        tree_delete(tree, *key_of("101010"))
         reads = rows.reads.total()
         after = {text: (e.bmp_value, e.bmp_local_len) for text, e in ternary_rows(root)}
         # One fallback match for all inheriting stubs; reads cover the
@@ -430,7 +436,7 @@ class TestProbeIndex:
         monkeypatch.setattr(
             TreeTable, "local_lpm", lambda t, *key: calls.append(key) or local_lpm(t, *key)
         )
-        tree_delete(tree, deleted)
+        tree_delete(tree, *key_of(deleted))
         assert calls == []
         assert {k: (e.bmp_value, e.bmp_local_len) for k, e in stubs(tree.root)} == kept
         rest = [p for p in entries if p.bits != deleted]
@@ -465,9 +471,9 @@ class TestProbeIndex:
         for bits, hop, pure_value in (("10", None, ("outer", 1)), ("10", "again", ("again", 2))):
             rows.reads.clear()
             if hop is None:
-                tree_delete(tree, bits)
+                tree_delete(tree, *key_of(bits))
             else:
-                tree_insert(tree, bits, hop)
+                tree_insert(tree, *key_of(bits), hop)
             assert rows.reads[12] == len(merged + pure)
             assert rows.reads.total() <= 2 + len(merged + pure)
             assert values(pure) == [pure_value] * len(pure)
@@ -486,7 +492,7 @@ class TestProbeIndex:
         tree = build_tree(PrefixDatabase(16, entries), StrideList.parse("12-4"))
         assert tree.root.stub_keys == [(1 << 12) | h for h in stubs]
         rows = counting_rows(tree.root)
-        tree_insert(tree, "0110", "new")
+        tree_insert(tree, *key_of("0110"), "new")
         assert rows.reads[12] == 0
         for k in (min(k for k in under if k in heads), min(k for k in under if k not in heads)):
             want = f"t{k}" if k in heads else "new"
@@ -502,13 +508,13 @@ class TestProbeIndex:
         tree = build_tree(db, StrideList.parse("12-4"))
         assert tree.root.stub_count() == 1100
         for bits in ("1", "110", "11110"):
-            tree_insert(tree, bits, "short")
+            tree_insert(tree, *key_of(bits), "short")
         free = format(next(h for h in range(1 << 11) if h not in heads), "012b")
-        tree_insert(tree, free, "full")
+        tree_insert(tree, *key_of(free), "full")
         rows = counting_rows(tree.root, WatchedRows)
-        tree_delete(tree, format(heads[0], "012b") + "0110")
+        tree_delete(tree, *key_of(format(heads[0], "012b") + "0110"))
         assert len(tree.levels[1]) == 1099
-        tree_delete(tree, free)
+        tree_delete(tree, *key_of(free))
         assert tree.root.entry_count == 1099 + 3
         assert sum(n for length, n in rows.reads.items() if length != 12) == 0
 
@@ -517,7 +523,7 @@ class TestProbeIndex:
         db = random_database(rng, 12, max_entries=300)
         tree = build_tree(db, StrideList.parse("6-6"))
         for p in db.entries[::2]:
-            tree_delete(tree, p.bits)
+            tree_delete(tree, *key_of(p.bits))
         for table in tree.all_tables():
             lengths = {length for length, _, _ in table.rows()}
             rows = counting_rows(table)
@@ -534,12 +540,12 @@ class TestRowKinds:
         root = tree.root
         hop = row_at(root, 3, 0b101)
         assert hop.__class__ is str and hop == "T"
-        tree_insert(tree, "10111", "deep")
+        tree_insert(tree, *key_of("10111"), "deep")
         (child,) = tree.levels[1]
         assert row_at(root, 3, 0b101) is child
         assert (child.bmp_value, child.bmp_local_len) == ("T", 3)
         assert root.stub_keys == [0b1101]
-        tree_delete(tree, "10111")
+        tree_delete(tree, *key_of("10111"))
         assert row_at(root, 3, 0b101) is hop
         assert list(root.stub_keys) == [] and not tree.levels[1]
 
@@ -553,13 +559,13 @@ class TestLengths:
         root = tree.root
         assert root.lengths == (3, 2, 1) and root.counts == [1, 2, 1]
         assert root.max_local_length() == 3
-        tree_delete(tree, "101")
+        tree_delete(tree, *key_of("101"))
         assert root.lengths == (2, 1) and root.counts == [2, 1]
         assert root.max_local_length() == 2
-        tree_delete(tree, "0")
+        tree_delete(tree, *key_of("0"))
         assert root.lengths == (2,) and root.counts is None
-        tree_delete(tree, "10")
-        tree_delete(tree, "11")
+        tree_delete(tree, *key_of("10"))
+        tree_delete(tree, *key_of("11"))
         assert root.lengths == () and root.max_local_length() == 0
 
     def test_tables_with_equal_lengths_share_one_tuple(self):
