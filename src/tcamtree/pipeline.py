@@ -4,13 +4,12 @@ Placement honors one hard constraint, stated per level: every level's
 blocks and pages sit after every stage of the level above (the RMT stage
 dependency), and `PipelinePlan.place` is the one way to take stage space.
 `search` checks an address and turns it into an int once
-(`prefixdb.address_value`).  The walk itself is match/action per level:
-shift the next stride segment out of that int, look it up, remember the
-best value of the matched row, descend on its child, and stop on the first
-miss or childless terminal.  Entries that the planned structure cannot hold
-(too long for the stride coverage, or no block space left) sit in a small
-overflow buffer; its matches are compared against the tree's by explicit
-prefix length, overflow winning ties, and an empty buffer is not consulted.
+(`prefixdb.address_value`) and walks the tree in one call,
+`TreeTable.lookup` on the root: match/action per level, in one frame.
+Entries that the planned structure cannot hold (too long for the stride
+coverage, or no block space left) sit in a small overflow buffer; its
+matches are compared against the tree's by explicit prefix length, overflow
+winning ties, and an empty buffer is not consulted.
 """
 
 from __future__ import annotations
@@ -267,31 +266,6 @@ def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowB
     return overflow
 
 
-def tree_lookup(tree: TcamTree, key: int) -> tuple[Optional[str], int]:
-    """Walk the table tree on an address's int value, `key`: (value, matched
-    prefix length) or (None, -1).  A childless terminal, a next hop, ends
-    the walk with its own value; a row with a child is that child table,
-    which passes the row's inherited value down."""
-    table = tree.root
-    value, vlen = None, -1
-    rest = key
-    rest_len = tree.address_width
-    start = 0   # the bits consumed above `table`
-    while True:
-        s = table.stride_width
-        rest_len -= s
-        row, length = table.lookup(rest >> rest_len)
-        if row is None:
-            return value, vlen
-        if row.__class__ is str:
-            return row, start + length
-        rest &= (1 << rest_len) - 1
-        if row.bmp_value is not None:
-            value, vlen = row.bmp_value, start + row.bmp_local_len
-        start += s
-        table = row
-
-
 class PipelineState:
     """A deployable lookup structure: tree, packing, optional placement, overflow."""
 
@@ -379,7 +353,8 @@ class PipelineState:
     def search_value(self, key: int) -> str:
         """`search` of an address given as its int value, unchecked.  The
         overflow buffer is scanned only when it holds entries."""
-        value, length = tree_lookup(self.tree, key)
+        tree = self.tree
+        value, length = tree.root.lookup(key, tree.address_width)
         if self.overflow.entries:
             over_value, over_len = self.overflow.lpm(key)
             if over_value is not None and over_len >= length:

@@ -351,10 +351,12 @@ def serialize(db: PrefixDatabase) -> str:
 
 def address_value(address: str, width: int) -> int:
     """The int value of `address`, a string of exactly `width` 0/1 characters:
-    the one check every address passes.  `isdigit` rules out what `int` would
-    skip (`_`, whitespace, a sign, `0b`), `isascii` rules out non-ASCII
-    digits, and `int` rules out 2-9."""
-    if len(address) == width and address.isascii() and address.isdigit():
+    the one check every address passes.  `isascii` rules out non-ASCII text
+    (and comes first: `encode` raises on a lone surrogate), `isdigit` on the
+    bytes rules out what `int` would skip (`_`, whitespace, a sign, `0b`)
+    and accepts the same ASCII characters as `str.isdigit` at a fraction of
+    its cost, and `int` rules out 2-9."""
+    if len(address) == width and address.isascii() and address.encode().isdigit():
         try:
             return int(address, 2)
         except ValueError:

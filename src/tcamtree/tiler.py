@@ -14,13 +14,14 @@ first match of a priority-ordered ternary scan.  TCAM and SRAM tables
 therefore share one lookup.  Each table keeps its rows in one plain dict
 keyed by the tagged key `(1 << l) | bits` of a row of specified length `l`
 (the marker bit keeps lengths apart, as in a heap-numbered unibit trie),
-beside the lengths present, longest first; a lookup tags the segment once
-and probes it shifted down to each length, longest first (per-length
-hashing, as in Waldvogel et al.; int keys as in Srinivasan & Varghese's
-controlled prefix expansion), and returns the first row it hits.  Keys and
-segments are ints throughout; the ternary text of a key (`key_text`) is made
-only for dumps.  The dict and the lengths are kept current by the writes
-that add or remove a row, so searches are read-only.
+beside the lengths present, longest first.  The search walk,
+`TreeTable.lookup`, runs down the tree in one frame: at each level it tags
+the address's segment once, probes it shifted down to each length, longest
+first (per-length hashing, as in Waldvogel et al.; int keys as in Srinivasan
+& Varghese's controlled prefix expansion), and takes the first row it hits.
+Keys and segments are ints throughout; the ternary text of a key
+(`key_text`) is made only for dumps.  The dict and the lengths are kept
+current by the writes that add or remove a row, so searches are read-only.
 
 A row is one of two kinds.  A terminal with no child is stored as its next
 hop alone, a `str`: its local length is the length its key is tagged with,
@@ -328,23 +329,42 @@ class TreeTable:
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, segment: int) -> tuple[Row, int]:
-        """The row one stride segment matches and the specified length it
-        is filed at, or (None, 0).
+    def lookup(self, key: int, bits: int) -> tuple[Optional[str], int]:
+        """Walk down from this table over the `bits`-bit value `key`: (value,
+        matched length) or (None, -1).
 
-        The first hit, longest length first, is the longest local match.  Both
-        kinds answer alike: an SRAM table's exact-match rows expand its
-        terminals, and a stub's inherited value is the longest terminal
-        matching its key, which is what the expansion stores there.
+        Each level shifts its segment out of `key`, tags it once and probes
+        it shifted down to each length, longest first; the first hit is the
+        longest local match, for both kinds of table (an SRAM table's
+        exact-match rows expand its terminals, and a child's inherited value
+        is the longest terminal matching its key, which is what the
+        expansion stores there).  A childless terminal, a next hop, ends the
+        walk with its own value; a row with a child is that child table,
+        which passes the row's inherited value down.  A miss ends the walk
+        with the last value passed down.
         """
-        s = self.stride_width
-        tagged = segment | (1 << s)
-        by_key = self.by_key
-        for l in self.lengths:
-            key = tagged >> (s - l)
-            if key in by_key:   # a miss costs no method call
-                return by_key[key], l
-        return None, 0
+        table = self
+        value, vlen = None, -1
+        start = 0   # the bits consumed above `table`
+        while True:
+            s = table.stride_width
+            bits -= s
+            tagged = (key >> bits) | (1 << s)
+            by_key = table.by_key
+            for l in table.lengths:
+                k = tagged >> (s - l)
+                if k in by_key:   # a miss costs no method call
+                    row = by_key[k]
+                    break
+            else:
+                return value, vlen
+            if row.__class__ is str:
+                return row, start + l
+            if row.bmp_value is not None:
+                value, vlen = row.bmp_value, start + row.bmp_local_len
+            key &= (1 << bits) - 1
+            start += s
+            table = row
 
     def __repr__(self):
         return (

@@ -20,7 +20,7 @@ import numpy as np
 
 from tcamtree import Prefix, PrefixDatabase, StrideList, blocks_for_table, parse_database
 from tcamtree.errors import DuplicatePrefix, PlannerError
-from tcamtree.pipeline import PipelineState, tree_lookup
+from tcamtree.pipeline import PipelineState
 from tcamtree.prefixdb import DEFAULT_NEXT_HOP
 from tcamtree.tiler import TCAM, TcamTree, key_text, tree_insert
 
@@ -115,7 +115,7 @@ def ternary_rows(table):
 
 
 def ordered_scan_lookup(ordered_rows, segment: str):
-    """Reference for TreeTable.lookup: the first of the `ternary_rows` whose
+    """Reference for `probe`: the first of the `ternary_rows` whose
     key matches the segment, don't-cares matching either bit, or None."""
     for text, e in ordered_rows:
         if all(k in ("*", b) for k, b in zip(text, segment)):
@@ -229,8 +229,51 @@ def stub_counts(tree, pure: bool = False) -> dict[int, int]:
 
 def tree_search(tree, address: str) -> str:
     """Longest-prefix match through a bare tree, without an overflow buffer."""
-    value, _ = tree_lookup(tree, int(address, 2))
+    value, _ = tree.root.lookup(int(address, 2), tree.address_width)
     return value if value is not None else DEFAULT_NEXT_HOP
+
+
+def probe(table, segment: int):
+    """One table's match on one stride segment, the reference per-table
+    step of `TreeTable.lookup`: the row the segment matches and the
+    specified length it is filed at, or (None, 0).  The first hit, longest
+    length first, is the longest local match."""
+    s = table.stride_width
+    tagged = segment | (1 << s)
+    for l in table.lengths:
+        key = tagged >> (s - l)
+        if key in table.by_key:
+            return table.by_key[key], l
+    return None, 0
+
+
+def reference_walk(tree, key: int, visited: Optional[list] = None) -> tuple[Optional[str], int]:
+    """Reference for `TreeTable.lookup` from the root: one `probe` per level
+    visited, on the segment shifted out of the address's int value `key`,
+    as (value, matched prefix length) or (None, -1).  A childless terminal,
+    a next hop, ends the walk with its own value; a row with a child is
+    that child table, which passes the row's inherited value down.  Each
+    table probed is appended to `visited` when given."""
+    table = tree.root
+    value, vlen = None, -1
+    rest = key
+    rest_len = tree.address_width
+    start = 0   # the bits consumed above `table`
+    while True:
+        if visited is not None:
+            visited.append(table)
+        s = table.stride_width
+        rest_len -= s
+        row, length = probe(table, rest >> rest_len)
+        if row is None:
+            return value, vlen
+        if row.__class__ is str:
+            return row, start + length
+        rest &= (1 << rest_len) - 1
+        if row.bmp_value is not None:
+            value, vlen = row.bmp_value, start + row.bmp_local_len
+        start += s
+        table = row
 
 
 class TrieNode:

@@ -3,7 +3,7 @@ reader all go through `prefixdb.address_value`.  They accept exactly the
 strings of `width` ASCII 0/1 characters, at every width from 1 to 64, and
 reject everything else with their own messages, including what a bare
 `int(address, 2)` would let through (`0b`, `_`, surrounding whitespace, a
-sign, non-ASCII digits)."""
+sign, non-ASCII digits) and a lone surrogate, which UTF-8 cannot encode."""
 
 import random
 
@@ -17,8 +17,10 @@ from tcamtree.errors import MalformedLine
 from tcamtree.pipeline import PipelineState
 from tcamtree.prefixdb import address_value
 
-# "١" is ARABIC-INDIC DIGIT ONE and "２" FULLWIDTH DIGIT TWO
-FOREIGN = ["0b", "_", " ", "+", "-", "2", "١", "２"]
+# "١" is ARABIC-INDIC DIGIT ONE, "２" FULLWIDTH DIGIT TWO and "\ud800" a lone
+# (high) surrogate
+SURROGATE = "\ud800"
+FOREIGN = ["0b", "_", " ", "+", "-", "2", "١", "２", SURROGATE]
 
 widths = st.integers(1, 64)
 
@@ -59,6 +61,8 @@ def assert_rejected(address: str, width: int, read):
     with pytest.raises(ValueError) as exc:
         address_value(address, width)
     assert str(exc.value) == message
+    if SURROGATE in address:
+        return   # a trace file is UTF-8 and cannot hold a surrogate
     if not address.strip():
         # the trace format skips blank lines, whitespace-only ones included
         assert read(address, width) == []
@@ -77,7 +81,7 @@ def assert_accepted(address: str, width: int, read):
 
 @pytest.mark.parametrize("token", FOREIGN)
 def test_a_foreign_token_is_rejected_at_every_width_and_place(token, trace_file):
-    rng = random.Random(token)
+    rng = random.Random(token.encode("utf-8", "surrogatepass"))   # the seed of `token` itself
     for width in range(len(token), 65):
         bits = format(rng.getrandbits(width), f"0{width}b")[len(token):]
         for at in {0, len(bits) // 2, len(bits)}:

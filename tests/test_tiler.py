@@ -34,10 +34,12 @@ from tests.helpers import (
     is_terminal,
     key_of,
     ordered_scan_lookup,
+    probe,
     random_database,
     random_strides,
     recounted_lengths,
     recounted_stub_keys,
+    reference_walk,
     row_at,
     row_fields,
     scan_local_lpm,
@@ -323,7 +325,7 @@ def counting_rows(table, kind=CountingDict):
 
 
 def check_index(tree, rng, grown=()):
-    """Every table's lookup equals the ordered ternary scan (on every segment
+    """Every table's `probe` equals the ordered ternary scan (on every segment
     up to 8 bits, else on sampled ones), every stub's inherited value
     equals a from-scratch longest local match, the lengths and their counts
     equal a recount of the dict, tables with the same lengths share one
@@ -344,7 +346,7 @@ def check_index(tree, rng, grown=()):
                 segments = [format(rng.getrandbits(s), f"0{s}b") for _ in range(128)]
                 segments += [text.replace("*", pad) for text, _ in ordered for pad in "01"]
             for segment in segments:
-                row = row_fields(*table.lookup(int(segment, 2)))
+                row = row_fields(*probe(table, int(segment, 2)))
                 assert row == ordered_scan_lookup(ordered, segment), (table, segment)
             for text, e in ordered:
                 if not is_terminal(e, len(text.rstrip("*"))):
@@ -519,18 +521,79 @@ class TestProbeIndex:
         assert sum(n for length, n in rows.reads.items() if length != 12) == 0
 
     def test_lookup_probes_once_per_distinct_length(self):
+        # one search reads each table on its path at most once per length
+        # the table holds, and no table off the path
         rng = random.Random(5)
         db = random_database(rng, 12, max_entries=300)
         tree = build_tree(db, StrideList.parse("6-6"))
         for p in db.entries[::2]:
             tree_delete(tree, *key_of(p.bits))
-        for table in tree.all_tables():
-            lengths = {length for length, _, _ in table.rows()}
-            rows = counting_rows(table)
-            for v in range(1 << 6):
-                rows.reads.clear()
-                table.lookup(v)
-                assert rows.reads.total() <= len(lengths)
+        paths = [[] for _ in range(1 << 12)]
+        for v, path in enumerate(paths):
+            reference_walk(tree, v, path)
+        assert any(len(path) > 1 for path in paths)
+        tables = tree.all_tables()
+        held = {table: {length for length, _, _ in table.rows()} for table in tables}
+        rows = {table: counting_rows(table) for table in tables}
+        for v, path in enumerate(paths):
+            for counted in rows.values():
+                counted.reads.clear()
+            tree.root.lookup(v, 12)
+            for table, counted in rows.items():
+                if table in path:
+                    assert set(counted.reads) <= held[table], (v, table)
+                    assert max(counted.reads.values(), default=0) <= 1, (v, table)
+                else:
+                    assert not counted.reads, (v, table)
+
+
+def walk_database(rng, width, strides):
+    """`edge_case_database` over the strides' coverage, at address width
+    `width`, plus a sibling and a longer prefix under each of a few of its
+    entries."""
+    coverage = strides.coverage
+    entries = {p.bits: p for p in edge_case_database(rng, coverage, strides).entries}
+    for p in [entries[bits] for bits in rng.sample(sorted(entries), min(6, len(entries)))]:
+        extra = []
+        if p.length:
+            extra.append(p.bits[:-1] + "10"[int(p.bits[-1])])
+        if p.length < coverage:
+            tail = rng.randint(1, coverage - p.length)
+            extra.append(p.bits + format(rng.getrandbits(tail), f"0{tail}b"))
+        for bits in extra:
+            entries.setdefault(bits, Prefix(bits, len(bits), f"y{rng.randint(0, 9)}"))
+    return PrefixDatabase(width, list(entries.values()))
+
+
+class TestLookupWalk:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_equals_the_per_level_reference_under_updates(self, seed, short):
+        # `short` leaves address bits below the strides' coverage unread
+        rng = random.Random(seed)
+        width = rng.randint(1, 12)
+        coverage = rng.randint(1, width) if short else width
+        strides = random_strides(rng, coverage)
+        db = walk_database(rng, width, strides)
+        tree = build_tree(db, strides)
+        assert tree.root.by_key.get(1) is not None   # the /0 entry
+        for v in range(1 << width):
+            assert tree.root.lookup(v, width) == reference_walk(tree, v), v
+        live = {p.bits for p in db.entries}
+        for _ in range(30):
+            if live and rng.random() < 0.5:
+                bits = rng.choice(sorted(live))
+                live.remove(bits)
+                tree_delete(tree, *key_of(bits))
+            else:
+                length = rng.randint(0, coverage)
+                bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
+                if bits in live:
+                    continue
+                live.add(bits)
+                tree_insert(tree, *key_of(bits), f"u{rng.randint(0, 9)}")
+        for v in range(1 << width):
+            assert tree.root.lookup(v, width) == reference_walk(tree, v), v
 
 
 class TestRowKinds:
