@@ -59,7 +59,6 @@ class PlanConfig:
     profile: PipelineProfile = field(default_factory=PipelineProfile)
     coverage: Fraction = Fraction(99, 100)
     overflow_capacity: int = 512
-    seed: int = 0
 
     def hybrid_config(self) -> Optional[HybridizationConfig]:
         if not self.hybridize:
@@ -299,7 +298,7 @@ def inject_fault(state: PipelineState):
 
 
 def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,
-               max_mismatches: int, trace: Optional[str] = None):
+               max_mismatches: int, trace: Optional[str] = None, seed: int = 0):
     state, _ = build_plan(db, cfg, map_stages=False)
     if fault:
         inject_fault(state)
@@ -307,7 +306,7 @@ def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,
     if trace is not None:
         addresses = read_trace(trace, width)
     else:
-        addresses = verification_addresses(db, mode, samples, cfg.seed)
+        addresses = verification_addresses(db, mode, samples, seed)
     mismatches = []
     checked = total = 0
     for address in addresses:
@@ -451,7 +450,6 @@ def _plan_config(args) -> PlanConfig:
         profile=_load_profile(args.profile),
         coverage=_fraction_flag(args, "coverage"),
         overflow_capacity=args.overflow_capacity,
-        seed=args.seed,
     )
 
 
@@ -468,7 +466,6 @@ def _add_plan_arguments(sub):
     sub.add_argument("--profile", default=None, help="JSON pipeline profile file")
     sub.add_argument("--coverage", default="0.99", help="fraction defining the threshold length")
     sub.add_argument("--overflow-capacity", type=int, default=512)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
@@ -493,6 +490,7 @@ def main(argv=None) -> int:
     _add_plan_arguments(p_verify)
     p_verify.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
     p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--seed", type=int, default=0, help="seeds the sampled addresses")
     p_verify.add_argument("--trace", default=None,
                           help="replay addresses from this file instead of generating them")
     p_verify.add_argument("--inject-fault", action="store_true",
@@ -542,7 +540,7 @@ def main(argv=None) -> int:
             db = parse_file(args.db, args.width)
             checked, total, mismatches = run_verify(
                 db, cfg, args.mode, args.samples, args.inject_fault,
-                args.max_mismatches, trace=args.trace,
+                args.max_mismatches, trace=args.trace, seed=args.seed,
             )
             if total:
                 lines = [f"FAIL {total} of {checked} addresses mismatch; first {len(mismatches)}:"]

@@ -107,14 +107,9 @@ class PipelinePlan:
         used = self._sram_next[stage] if sram else self._tcam_next[stage]
         return per - used
 
-    def _take(self, stage: int, count: int, sram: bool) -> Span:
-        nxt = self._sram_next if sram else self._tcam_next
-        span = Span(stage, nxt[stage], count)
-        nxt[stage] += count
-        return span
-
-    def _give_back(self, span: Span, sram: bool):
-        nxt = self._sram_next if sram else self._tcam_next
+    def _give_back(self, span: Span):
+        """Release `span`, the most recent TCAM span of its stage."""
+        nxt = self._tcam_next
         if nxt[span.stage] != span.end:
             raise AssertionError("can only release the most recent span in a stage")
         nxt[span.stage] -= span.count
@@ -154,7 +149,12 @@ class PipelinePlan:
                 lo, hi = start, stage - 1
                 self.level_min_stage[level] = min(self.level_min_stage.get(level, lo), lo)
                 self.level_max_stage[level] = max(self.level_max_stage.get(level, hi), hi)
-                return [self._take(stage, take, sram) for stage, take in takes]
+                nxt = self._sram_next if sram else self._tcam_next
+                spans = []
+                for stage, take in takes:
+                    spans.append(Span(stage, nxt[stage], take))
+                    nxt[stage] += take
+                return spans
         return None
 
     def stages_used(self) -> int:
@@ -458,7 +458,7 @@ class PipelineState:
         for st, spans in reversed(rows):
             st.allocated_rows -= 1
             for span in reversed(spans):
-                plan._give_back(span, sram=False)
+                plan._give_back(span)
         plan.level_min_stage, plan.level_max_stage = bounds   # copied by the failed placement
         return False
 

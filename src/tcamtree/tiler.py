@@ -5,8 +5,9 @@ that ends inside a level becomes a terminal entry padded with trailing
 don't-cares; a prefix that crosses the level boundary is represented by a
 fully-specified stub entry, filed as the child table it points to, that
 inherits the value of the stub key's best match among the table's own
-terminal entries.  One descent (`descend`) makes the stub entries and child
-tables a prefix needs, for the bulk build and for an insert alike.
+terminal entries.  One descent (`descend`) follows a prefix down the
+strides for every edit: for the bulk build and an insert it makes the stub
+entries and child tables the prefix needs; for a delete it makes nothing.
 
 Keys are unique within a table and prefix-shaped, so at most one entry of
 each specified length matches a segment, and the longest such entry is the
@@ -150,7 +151,7 @@ class TreeTable:
     """One node of the tree: a ternary table over `stride_width` bits.
 
     Every slot is paid once per table, so a table keeps no level of its own:
-    the walks that make and collect tables know their depth.
+    the edits that make and collect tables know their depth.
 
     The rows are one plain dict, `by_key`, keyed by the tagged key
     `(1 << l) | bits` of a row whose `l` specified bits are `bits`.  The
@@ -423,39 +424,22 @@ class TcamTree:
 # -- construction and edits -------------------------------------------------
 
 
-def walk(tree: TcamTree, key: int, length: int):
-    """Follow the `length`-bit prefix `key` down the strides: (path, table,
-    key, length), the last two being the bits left at `table`.
+def descend(tree: TcamTree, key: int, length: int, grown: Optional[list],
+            path: Optional[list] = None):
+    """Follow the `length`-bit prefix `key` down the strides from the root:
+    (level, table, key, length), the level and table where the prefix ends
+    and the bits left there.
 
-    The walk stops at the table where the prefix ends (the bits left fit its
-    stride) or at the first row that is missing or has no child (they do
-    not).  `path` holds the (table, tagged key) pairs of the rows passed
-    through, for `tree_delete` to collect emptied tables; unlike `descend`,
-    it makes nothing.
-    """
-    path: list[tuple[TreeTable, int]] = []
-    table = tree.root
-    while length > table.stride_width:
-        rest = length - table.stride_width
-        tagged = (key >> rest) | (1 << table.stride_width)
-        row = table.by_key.get(tagged)
-        if row is None or row.__class__ is str:
-            break
-        path.append((table, tagged))
-        table, key, length = row, key & ((1 << rest) - 1), rest
-    return path, table, key, length
+    With no `path`, as for the bulk build and an insert, each missing child
+    table on the way is made.  A new child inherits its key's longest
+    terminal in its table, from one `local_lpm` call; a full-length terminal
+    in its place keeps its own value.  Each table that gains a row is
+    appended to `grown` with its level; when `grown` is None, as in the bulk
+    build, stub keys are appended unsorted for `build_tree` to sort.
 
-
-def descend(tree: TcamTree, key: int, length: int, grown: Optional[list]):
-    """Follow the `length`-bit prefix `key` down from the root, making each
-    missing child table on the way: (level, table, key, length), the level
-    and table where the prefix ends and the bits left there.
-
-    A new child inherits its key's longest terminal in its table, from one
-    `local_lpm` call; a full-length terminal in its place keeps its own
-    value.  Each table that gains a row is appended to `grown` with its
-    level; when `grown` is None, as in the bulk build, stub keys are
-    appended unsorted for `build_tree` to sort.
+    With a `path` list, as for a delete, nothing is made: the (table, tagged
+    key) pair of each row passed through is appended to `path`, and the
+    table returned is None when a row on the way is missing or has no child.
     """
     table = tree.root
     shared = tree.length_sets
@@ -465,14 +449,18 @@ def descend(tree: TcamTree, key: int, length: int, grown: Optional[list]):
         length -= s
         tagged, key = (key >> length) | (1 << s), key & ((1 << length) - 1)
         row = table.by_key.get(tagged)
-        if row is None:
-            row = tree.new_table(level + 1, *table.local_lpm(tagged, s))
+        if row is None or row.__class__ is str:
+            if path is not None:
+                return level, None, key, length
+            if row is None:
+                row = tree.new_table(level + 1, *table.local_lpm(tagged, s))
+                if grown is not None:
+                    grown.append((level, table))
+            else:
+                row = tree.new_table(level + 1, row, s)
             table.add_stub(tagged, row, grown is not None, shared)
-            if grown is not None:
-                grown.append((level, table))
-        elif row.__class__ is str:
-            row = tree.new_table(level + 1, row, s)
-            table.add_stub(tagged, row, grown is not None, shared)
+        elif path is not None:
+            path.append((table, tagged))
         table = row
         level += 1
     return level, table, key, length
@@ -513,15 +501,17 @@ def tree_insert(tree: TcamTree, key: int, length: int, value: str) -> list[tuple
 
 def tree_delete(tree: TcamTree, key: int, length: int) -> list[TreeTable]:
     """Remove the `length`-bit prefix `key`; empty child tables and their
-    rows are collected.
+    rows are collected, along the path `descend` notes.  An absent prefix
+    raises `NotFound` and changes nothing.
 
     Returns the tables that lost a row, deepest first.  Those left without
     rows, other than the root, are the collected ones.
     """
-    path, table, rest, rest_len = walk(tree, key, length)
+    path: list[tuple[TreeTable, int]] = []
+    _, table, rest, rest_len = descend(tree, key, length, None, path)
     shared = tree.length_sets
     tagged = rest | (1 << rest_len)
-    row = table.by_key.get(tagged)
+    row = None if table is None else table.by_key.get(tagged)
     shrunk = []
     if row.__class__ is str:
         table.remove_row(rest_len, tagged, shared)

@@ -759,6 +759,17 @@ class TestVerify:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_the_seed_picks_the_samples(self):
+        db = parse_file(SYNTHETIC_IPV4, 32)
+        one, two = (list(cli.verification_addresses(db, "sampled", 40, seed)) for seed in (1, 2))
+        assert len(one) == len(two) and one != two
+
+    def test_seed_is_a_verify_flag_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--db", str(DATA), "--width", "6", "--strides", "3-3", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_sampled_mode_stops_once_the_space_is_exhausted(self, capsys, monkeypatch):
         # far more samples than the 64 addresses of a 6-bit space: drawing
         # stops once every address has been seen, not after 10**12 draws

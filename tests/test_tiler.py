@@ -1,5 +1,7 @@
 import random
+import re
 from collections import Counter
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from tcamtree import (
     parse_file,
 )
 from tcamtree import tiler
-from tcamtree.errors import DuplicatePrefix, PrefixExceedsCoverage
+from tcamtree.prefixdb import bits_of
+from tcamtree.errors import DuplicatePrefix, NotFound, PrefixExceedsCoverage
 from tcamtree.tiler import (
     TreeTable,
     tree_delete,
@@ -234,7 +237,7 @@ class TestBulkBuild:
 
             return counted
 
-        for name in ("tree_insert", "walk", "descend", "insort"):
+        for name in ("tree_insert", "descend", "insort"):
             monkeypatch.setattr(tiler, name, counting(name, getattr(tiler, name)))
         for name in ("rows_under", "local_lpm"):
             monkeypatch.setattr(TreeTable, name, counting(name, getattr(TreeTable, name)))
@@ -243,7 +246,7 @@ class TestBulkBuild:
         stubs = sum(stub_counts(tree, pure=True).values())
         assert stubs > 0
         assert calls["descend"] == len(db) == 500
-        assert calls["tree_insert"] == calls["walk"] == calls["rows_under"] == 0
+        assert calls["tree_insert"] == calls["rows_under"] == 0
         assert calls["insort"] == 0
         assert calls["local_lpm"] <= stubs
 
@@ -611,6 +614,113 @@ class TestRowKinds:
         tree_delete(tree, *key_of("10111"))
         assert row_at(root, 3, 0b101) is hop
         assert list(root.stub_keys) == [] and not tree.levels[1]
+
+
+def edit_state(tree):
+    """What a failed delete must leave as it was: the nested rows, each
+    level's tables in order, and each table's stub keys, lengths and
+    counts, copied."""
+    return (
+        tree.structure(),
+        [list(level) for level in tree.levels],
+        [
+            (list(t.stub_keys), t.lengths, None if t.counts is None else list(t.counts))
+            for t in tree.all_tables()
+        ],
+    )
+
+
+def where_a_delete_stops(tree, key: int, length: int) -> Optional[str]:
+    """Where the descent for the `length`-bit prefix `key` finds it absent:
+    at a row above its level that is "missing above" or a childless
+    "terminal above", or at its own row, "missing at" or a pure "stub at"
+    its level.  None when the prefix is in the tree."""
+    table = tree.root
+    while length > table.stride_width:
+        s = table.stride_width
+        length -= s
+        row = table.by_key.get((key >> length) | (1 << s))
+        if row is None:
+            return "missing above"
+        if row.__class__ is str:
+            return "terminal above"
+        key &= (1 << length) - 1
+        table = row
+    row = table.by_key.get(key | (1 << length))
+    if row is None:
+        return "missing at"
+    return None if is_terminal(row, length) else "stub at"
+
+
+def check_failed_delete(tree, key: int, length: int):
+    before = edit_state(tree)
+    message = f"prefix {bits_of(key, length)}/{length} not in tree"
+    with pytest.raises(NotFound, match=re.escape(message)):
+        tree_delete(tree, key, length)
+    assert edit_state(tree) == before, (key, length)
+
+
+class TestDescent:
+    """`descend` is the one loop that follows a prefix down the strides for
+    the bulk build, inserts and deletes; for a delete it must make nothing."""
+
+    @pytest.mark.parametrize("bits, stop", [
+        ("0111", "missing above"), ("1011", "terminal above"),
+        ("1101", "missing at"), ("1", "missing at"), ("11", "stub at"),
+    ])
+    def test_a_failed_delete_stops_where_the_prefix_is_missed(self, bits, stop):
+        # a root terminal "0*", a childless terminal "10", and a pure stub "11"
+        # whose child holds "00"
+        db = PrefixDatabase(4, [Prefix("0", 1, "a"), Prefix("10", 2, "b"), Prefix("1100", 4, "c")])
+        tree = build_tree(db, StrideList.parse("2-2"))
+        assert where_a_delete_stops(tree, *key_of(bits)) == stop
+        check_failed_delete(tree, *key_of(bits))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_a_failed_delete_changes_nothing(self, seed):
+        # one absent prefix for each place the descent can stop on this tree
+        rng = random.Random(seed)
+        width = rng.randint(1, 12)
+        strides = random_strides(rng, width)
+        tree = build_tree(walk_database(rng, width, strides), strides)
+        absent = {}
+        for length in range(width + 1):
+            for key in range(1 << length):
+                stop = where_a_delete_stops(tree, key, length)
+                if stop is not None:
+                    absent.setdefault(stop, []).append((key, length))
+        for stop in sorted(absent):
+            check_failed_delete(tree, *rng.choice(absent[stop]))
+
+    def test_each_insert_and_delete_descends_once(self, monkeypatch):
+        db = parse_file(DATA_DIR / "synthetic-ipv4-500.txt", 32)
+        tree = build_tree(db, StrideList.parse("16-4-4-8"))
+        calls = []
+        descend = tiler.descend
+        monkeypatch.setattr(tiler, "descend", lambda *args: calls.append(args) or descend(*args))
+        rng = random.Random(11)
+        live = {p.bits for p in db.entries}
+        for _ in range(200):
+            length = rng.randint(0, 32)
+            bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
+            if rng.random() < 0.5:
+                if rng.random() < 0.5:
+                    bits = rng.choice(sorted(live))
+                if bits in live:
+                    tree_delete(tree, *key_of(bits))
+                    live.remove(bits)
+                else:
+                    with pytest.raises(NotFound):
+                        tree_delete(tree, *key_of(bits))
+            elif bits in live:
+                with pytest.raises(DuplicatePrefix):
+                    tree_insert(tree, *key_of(bits), "dup")
+            else:
+                tree_insert(tree, *key_of(bits), "new")
+                live.add(bits)
+            assert len(calls) == 1, (bits, calls)
+            calls.clear()
 
 
 class TestLengths:
