@@ -255,17 +255,23 @@ def read_trace(path, width: int):
     return addresses
 
 
-def verification_addresses(db: PrefixDatabase, mode: str, samples: int, seed: int):
-    """Addresses as int values: exhaustive for small widths; otherwise every
-    prefix padded with zeros and with ones, in file order, then seeded
-    samples."""
-    width = db.address_width
+def exhaustive(mode: str, width: int) -> bool:
+    """Whether verification in `mode` checks every address of the space;
+    refused for an exhaustive check of more than 24 bits."""
     if mode == "exhaustive" and width > 24:
         raise PlannerError(
             f"exhaustive verification of a {width}-bit space is not tractable;"
             " use --mode sampled"
         )
-    if mode == "exhaustive" or (mode == "auto" and width <= 16):
+    return mode == "exhaustive" or (mode == "auto" and width <= 16)
+
+
+def verification_addresses(db: PrefixDatabase, mode: str, samples: int, seed: int):
+    """Addresses as int values: exhaustive for small widths; otherwise every
+    prefix padded with zeros and with ones, in file order, then seeded
+    samples."""
+    width = db.address_width
+    if exhaustive(mode, width):
         yield from range(1 << width)
         return
     seen = set()
@@ -490,7 +496,9 @@ def main(argv=None) -> int:
     _add_plan_arguments(p_verify)
     p_verify.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
     p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0, help="seeds the sampled addresses")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seeds the sampled addresses (default 0); refused with"
+                               " --trace or when every address is checked")
     p_verify.add_argument("--trace", default=None,
                           help="replay addresses from this file instead of generating them")
     p_verify.add_argument("--inject-fault", action="store_true",
@@ -536,11 +544,19 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             _require_nonnegative(args, "samples", "max_mismatches")
+            if args.seed is not None:
+                if args.trace is not None:
+                    raise ValueError("--seed has no effect: --trace replays the file's addresses")
+                if exhaustive(args.mode, args.width):
+                    raise ValueError(
+                        f"--seed has no effect: --mode {args.mode} checks every address"
+                        f" of a {args.width}-bit space"
+                    )
             cfg = _plan_config(args)
             db = parse_file(args.db, args.width)
             checked, total, mismatches = run_verify(
                 db, cfg, args.mode, args.samples, args.inject_fault,
-                args.max_mismatches, trace=args.trace, seed=args.seed,
+                args.max_mismatches, trace=args.trace, seed=args.seed or 0,
             )
             if total:
                 lines = [f"FAIL {total} of {checked} addresses mismatch; first {len(mismatches)}:"]

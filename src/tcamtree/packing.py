@@ -62,7 +62,9 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
     once; a table with no terminal expands to nothing and stays TCAM:
     expanding pure pointer tables saves nothing.  A row with a child is the
     child table itself, so a walk reads the next stage's lookup off its
-    `kind`.
+    `kind`.  A converted root also gets that expansion built, as
+    `TreeTable.expansion`, so each search reads it with one exact-match
+    probe; other SRAM tables keep their per-length probes.
     """
     level_rows = [0] * len(tree.levels)
     # expanded <= factor * rows, in integers
@@ -75,6 +77,8 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
             if expanded == 0 or expanded * den > num * table.entry_count:
                 continue
             table.kind = SRAM
+            if table is tree.root:
+                table.expansion = table.expanded(table.lengths[0])
             level_rows[level_index] += rows
     return level_rows
 

@@ -20,9 +20,13 @@ beside the lengths present, longest first.  The search walk,
 the address's segment once, probes it shifted down to each length, longest
 first (per-length hashing, as in Waldvogel et al.; int keys as in Srinivasan
 & Varghese's controlled prefix expansion), and takes the first row it hits.
-Keys and segments are ints throughout; the ternary text of a key
-(`key_text`) is made only for dumps.  The dict and the lengths are kept
-current by the writes that add or remove a row, so searches are read-only.
+An SRAM root, the one table hybridization expands whole, also keeps that
+expansion (`TreeTable.expansion`): one exact-match dict over the slots of
+its longest length, probed once per search, like the direct-indexed first
+level of Gupta, Lin & McKeown's DIR-24-8.  Keys and segments are ints
+throughout; the ternary text of a key (`key_text`) is made only for dumps.
+The dict, the lengths and the expansion are kept current by the writes that
+add or remove a row, so searches are read-only.
 
 A row is one of two kinds.  A terminal with no child is stored as its next
 hop alone, a `str`: its local length is the length its key is tagged with,
@@ -184,11 +188,21 @@ class TreeTable:
     terminal's local length (None, None when none does, and for the root).
     The row is itself a terminal, a database prefix ending in the parent,
     exactly when that local length is the parent's stride.
+
+    `expansion` is None except at a root that `hybridize` made SRAM.  There
+    it is the rows' controlled prefix expansion to the longest length held,
+    `lengths[0]` (see `expanded`): each tagged slot of that length maps to
+    the child table filed there, else to the tagged key of the longest
+    terminal covering it, so a next hop is read from `by_key` and its
+    matched length is the terminal's own.  It holds exactly the SRAM rows
+    the plan charges for the table.  The four row writers keep it current:
+    a terminal of length `l` rewrites at most `2 ** (lengths[0] - l)`
+    slots, a child one, and a change of the longest length rebuilds it.
     """
 
     __slots__ = (
         "stride_width", "kind", "by_key", "lengths", "counts", "stub_keys", "bmp_value",
-        "bmp_local_len",
+        "bmp_local_len", "expansion",
     )
 
     def __init__(self, stride_width: int, bmp_value: Optional[str] = None,
@@ -201,6 +215,7 @@ class TreeTable:
         self.stub_keys: Sequence[int] = ()   # a list from the first stub on
         self.bmp_value = bmp_value
         self.bmp_local_len = bmp_local_len
+        self.expansion: Optional[dict[int, Union[int, TreeTable]]] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -210,6 +225,8 @@ class TreeTable:
         `counts` is rebuilt to its exact size; otherwise its count goes up in
         place."""
         self.by_key[tagged] = row
+        if self.expansion is not None:
+            self._expand_row(length, tagged, row)
         lengths, counts = self.lengths, self.counts
         if counts is not None:
             if length in lengths:
@@ -229,11 +246,16 @@ class TreeTable:
         self.lengths = shared.setdefault(grown, grown)
         self.counts = counts[:i] + [1] + counts[i:]
 
-    def remove_row(self, length: int, tagged: int, shared: dict):
+    def remove_row(self, length: int, tagged: int, shared: dict, fallback_len: Optional[int]):
         """Drop the row of specified length `length` at `tagged`; its length
-        leaves `lengths` when this was its last row."""
+        leaves `lengths` when this was its last row.  `fallback_len` is the
+        local length of the longest shorter terminal matching the row's key
+        (None when there is none), which an expansion's slots fall back to;
+        a table without an expansion ignores it."""
         by_key = self.by_key
         del by_key[tagged]
+        if self.expansion is not None:
+            self._unexpand_row(length, tagged, fallback_len)
         counts = self.counts
         if counts is None:
             if not by_key:
@@ -255,6 +277,8 @@ class TreeTable:
         by_key = self.by_key
         if tagged in by_key:
             by_key[tagged] = child
+            if self.expansion is not None:
+                self.expansion[tagged] = child
         else:
             self.add_row(self.stride_width, tagged, child, shared)
         keys = self.stub_keys
@@ -272,8 +296,73 @@ class TreeTable:
         del keys[bisect_left(keys, tagged)]
         if child.bmp_local_len == self.stride_width:
             self.by_key[tagged] = child.bmp_value
+            if self.expansion is not None:
+                self.expansion[tagged] = tagged
         else:
-            self.remove_row(self.stride_width, tagged, shared)
+            self.remove_row(self.stride_width, tagged, shared, child.bmp_local_len)
+
+    # -- expansion -----------------------------------------------------------
+
+    def expanded(self, top: int) -> dict[int, Union[int, TreeTable]]:
+        """The rows' controlled prefix expansion to `top` bits, the longest
+        length held: each `top`-bit tagged slot maps to the child table
+        filed there, else to the tagged key of the longest terminal covering
+        it, whose next hop stays in `by_key`.  A slot nothing covers is
+        absent, so the size is `sram_rows_for_table`'s rows."""
+        expansion: dict[int, Union[int, TreeTable]] = {}
+        by_key = self.by_key
+        for tagged in sorted(by_key):   # shortest first, so longer terminals win
+            row = by_key[tagged]
+            if row.__class__ is str:
+                free = top + 1 - tagged.bit_length()
+                lo = tagged << free
+                expansion.update(dict.fromkeys(range(lo, lo + (1 << free)), tagged))
+            else:
+                expansion[tagged] = row
+        return expansion
+
+    def _expand_row(self, length: int, tagged: int, row: Row):
+        """Point the expansion's slots under a new row at it, before
+        `lengths` takes the row in: each slot that nothing or a shorter
+        terminal filled.  A new longest length rebuilds the expansion."""
+        lengths = self.lengths
+        if not lengths or length > lengths[0]:
+            self.expansion = self.expanded(length)
+            return
+        expansion = self.expansion
+        new = tagged if row.__class__ is str else row
+        free = lengths[0] - length
+        lo = tagged << free
+        for slot in range(lo, lo + (1 << free)):
+            e = expansion.get(slot)
+            # a shorter terminal's tagged key is smaller, a longer one's larger
+            if e is None or e.__class__ is int and e < tagged:
+                expansion[slot] = new
+
+    def _unexpand_row(self, length: int, tagged: int, fallback_len: Optional[int]):
+        """Point the expansion's slots that a removed row filled at the
+        terminal of length `fallback_len` above it, or drop them when there
+        is none, before `lengths` lets the row go: at the longest length the
+        row's own slot, below it the slots holding its key.  Losing the last
+        row of the longest length rebuilds the expansion."""
+        lengths, counts = self.lengths, self.counts
+        if counts is None:
+            if not self.by_key:
+                self.expansion = {}
+                return
+        elif length == lengths[0] and counts[0] == 1:
+            self.expansion = self.expanded(lengths[1])
+            return
+        expansion = self.expansion
+        new = None if fallback_len is None else tagged >> (length - fallback_len)
+        free = lengths[0] - length
+        lo = tagged << free
+        for slot in range(lo, lo + (1 << free)):
+            if not free or expansion.get(slot) == tagged:
+                if new is None:
+                    del expansion[slot]
+                else:
+                    expansion[slot] = new
 
     def rows_under(self, tagged: int, length: int) -> list[TreeTable]:
         """The child tables of the rows whose keys start with the
@@ -339,14 +428,29 @@ class TreeTable:
         longest local match, for both kinds of table (an SRAM table's
         exact-match rows expand its terminals, and a child's inherited value
         is the longest terminal matching its key, which is what the
-        expansion stores there).  A childless terminal, a next hop, ends the
-        walk with its own value; a row with a child is that child table,
-        which passes the row's inherited value down.  A miss ends the walk
-        with the last value passed down.
+        expansion stores there).  A table with an `expansion` is probed
+        there instead, once, on its longest length's slot.  A childless
+        terminal, a next hop, ends the walk with its own value; a row with a
+        child is that child table, which passes the row's inherited value
+        down.  A miss ends the walk with the last value passed down.
         """
         table = self
         value, vlen = None, -1
         start = 0   # the bits consumed above `table`
+        expansion = self.expansion
+        if expansion:   # an SRAM root with rows: one probe, on its longest length
+            top = self.lengths[0]
+            row = expansion.get((key >> (bits - top)) | (1 << top))
+            if row is None:
+                return value, vlen
+            if row.__class__ is int:
+                return self.by_key[row], row.bit_length() - 1
+            if row.bmp_value is not None:
+                value, vlen = row.bmp_value, row.bmp_local_len
+            start = self.stride_width
+            bits -= start
+            key &= (1 << bits) - 1
+            table = row
         while True:
             s = table.stride_width
             bits -= s
@@ -513,16 +617,19 @@ def tree_delete(tree: TcamTree, key: int, length: int) -> list[TreeTable]:
     tagged = rest | (1 << rest_len)
     row = None if table is None else table.by_key.get(tagged)
     shrunk = []
+    # Only rows under the prefix that took its value change, and all of them
+    # fall back to the next shorter terminal above it; a terminal kept for
+    # its child is one of them, and so becomes a pure stub.  So do the
+    # expansion slots that held a childless terminal.  That fallback is
+    # looked up once, and only when such a row or an expansion exists.
+    fallback = None
     if row.__class__ is str:
-        table.remove_row(rest_len, tagged, shared)
+        if table.expansion is not None:
+            fallback = table.local_lpm(tagged >> 1, rest_len - 1) if rest_len else (None, None)
+        table.remove_row(rest_len, tagged, shared, fallback and fallback[1])
         shrunk.append(table)
     elif row is None or row.bmp_local_len != rest_len:
         raise NotFound(f"prefix {bits_of(key, length)}/{length} not in tree")
-    # Only rows under the prefix that took its value change, and all of them
-    # fall back to the next shorter terminal above it; a terminal kept for
-    # its child is one of them, and so becomes a pure stub.  That fallback is
-    # looked up once, and only when such a row exists.
-    fallback = None
     for child in table.rows_under(tagged, rest_len):
         if child.bmp_local_len == rest_len:
             if fallback is None:

@@ -211,6 +211,28 @@ def reference_sram_rows(table) -> int:
     return rows
 
 
+def reference_expansion(table) -> dict:
+    """Reference for an SRAM root's `expansion`, slot by slot: each tagged
+    slot of the longest length held maps to the child table filed there,
+    else to the tagged key of the longest terminal whose key starts it,
+    found by trying each shorter length in turn."""
+    top = max((untag(t)[0] for t in table.by_key), default=None)
+    if top is None:
+        return {}
+    terminals = {(1 << length) | key for key, length, _ in terminal_prefixes(table)}
+    expansion = {}
+    for slot in range(1 << top, 2 << top):
+        row = table.by_key.get(slot)
+        if row is not None and row.__class__ is not str:
+            expansion[slot] = row
+            continue
+        for free in range(top + 1):
+            if slot >> free in terminals:
+                expansion[slot] = slot >> free
+                break
+    return expansion
+
+
 def stub_counts(tree, pure: bool = False) -> dict[int, int]:
     """Child-bearing rows per level boundary, which equal the unibit trie's
     non-leaf counts at those depths.  With `pure`, only the rows the tree

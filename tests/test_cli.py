@@ -18,7 +18,7 @@ from tcamtree import (
 )
 from tcamtree import cli
 from tcamtree.cli import PlanConfig, build_plan, main
-from tcamtree.tiler import TCAM, TreeTable
+from tcamtree.tiler import SRAM, TCAM, TreeTable
 
 from tests.helpers import random_database, random_strides, row_at, terminal_count, total_entries
 
@@ -698,16 +698,23 @@ class TestVerify:
 
     @pytest.mark.parametrize("listed", [2, 0])
     def test_fault_injection_reports_the_total(self, listed, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
-            "--inject-fault", "--max-mismatches", str(listed),
+        # hybridized, the root is SRAM and answers through its expansion,
+        # which must read the corrupted next hops, not copies of them
+        state = PipelineState.planned(
+            parse_file(DATA, 6), StrideList.parse("3-3"), hybrid=HybridizationConfig()
         )
-        # every address under a prefix of table 1 (all that start with 1) is
-        # wrong, however few of them are listed
-        assert code == 1
-        lines = out.splitlines()
-        assert lines[0] == f"FAIL 32 of 64 addresses mismatch; first {listed}:"
-        assert len(lines) == 1 + listed
+        assert state.tree.root.kind == SRAM and state.tree.root.lengths == (3, 1)
+        for hybrid in ((), ("--hybridize",)):
+            code, out, _ = run(
+                capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
+                "--inject-fault", "--max-mismatches", str(listed), *hybrid,
+            )
+            # every address under a prefix of table 1 (all that start with 1)
+            # is wrong, however few of them are listed
+            assert code == 1
+            lines = out.splitlines()
+            assert lines[0] == f"FAIL 32 of 64 addresses mismatch; first {listed}:"
+            assert len(lines) == 1 + listed
 
     def test_pass_with_an_overflow_buffer(self, capsys):
         code, out, _ = run(
@@ -763,6 +770,29 @@ class TestVerify:
         db = parse_file(SYNTHETIC_IPV4, 32)
         one, two = (list(cli.verification_addresses(db, "sampled", 40, seed)) for seed in (1, 2))
         assert len(one) == len(two) and one != two
+
+    @pytest.mark.parametrize("args, error", [
+        (("--trace", "TRACE"), "--seed has no effect:"),
+        (("--mode", "exhaustive"), "--seed has no effect:"),
+        (("--mode", "auto"), "--seed has no effect:"),   # a 6-bit space is checked whole
+        # not blamed on --seed: the exhaustive check itself is refused
+        (("--width", "32", "--strides", "16-16", "--mode", "exhaustive"),
+         "exhaustive verification of a 32-bit space is not tractable"),
+        (("--mode", "sampled"), None),
+    ])
+    def test_seed_is_refused_when_no_address_is_sampled(self, args, error, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("100110\n")
+        args = [str(trace) if a == "TRACE" else a for a in args]
+        got, out, err = run(
+            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
+            *args, "--seed", "7",
+        )
+        if error:
+            assert got == 2 and out == "" and err.startswith(f"error: {error}")
+            assert err.count("\n") == 1
+        else:
+            assert got == 0 and out == "PASS 64/64\n"
 
     def test_seed_is_a_verify_flag_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -943,7 +973,6 @@ def test_benchmark_reads_the_structure_it_declares(bench):
     # super-tables; a change to either that breaks the walk must fail here
     from tcamtree import Prefix
     from tcamtree.pipeline import PipelineProfile
-    from tcamtree.tiler import SRAM
 
     declared = {
         m["name"]: m["unit"]

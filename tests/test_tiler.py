@@ -22,9 +22,11 @@ from tcamtree import (
     parse_file,
 )
 from tcamtree import tiler
+from tcamtree.packing import sram_rows_for_table
 from tcamtree.prefixdb import bits_of
 from tcamtree.errors import DuplicatePrefix, NotFound, PrefixExceedsCoverage
 from tcamtree.tiler import (
+    SRAM,
     TreeTable,
     tree_delete,
     tree_insert,
@@ -42,6 +44,7 @@ from tests.helpers import (
     random_strides,
     recounted_lengths,
     recounted_stub_keys,
+    reference_expansion,
     reference_walk,
     row_at,
     row_fields,
@@ -327,6 +330,19 @@ def counting_rows(table, kind=CountingDict):
     return table.by_key
 
 
+def check_root(tree, addresses):
+    """The root's lookup equals `reference_walk` on each of `addresses`, in
+    value and matched length.  An SRAM root's expansion also equals one
+    rebuilt from scratch, slot by slot, and holds as many slots as the SRAM
+    rows `sram_rows_for_table` charges for the root."""
+    root = tree.root
+    for v in addresses:
+        assert root.lookup(v, tree.address_width) == reference_walk(tree, v), v
+    if root.expansion is not None:
+        assert root.expansion == reference_expansion(root)
+        assert len(root.expansion) == sram_rows_for_table(root)[1]
+
+
 def check_index(tree, rng, grown=()):
     """Every table's `probe` equals the ordered ternary scan (on every segment
     up to 8 bits, else on sampled ones), every stub's inherited value
@@ -336,9 +352,11 @@ def check_index(tree, rng, grown=()):
     rows that are not a `str` are exactly those: each a child table one
     level down, filed at full length under a key in `stub_keys`.  Each
     (level, table) pair in `grown`, as `tree_insert` returns them, names the
-    level holding its table."""
+    level holding its table.  The root passes `check_root` on every
+    address."""
     for level, table in grown:
         assert table in tree.levels[level]
+    check_root(tree, range(1 << tree.address_width))
     for level, tables in enumerate(tree.levels):
         for table in tables:
             ordered = ternary_rows(table)
@@ -421,6 +439,23 @@ class TestProbeIndex:
         changed = {k for k, v in after.items() if v != before[k]}
         assert changed == inherited
         assert all(after[k] == ("outer", 2) for k in changed)
+
+    def test_sram_root_delete_makes_one_fallback_match(self, monkeypatch):
+        # Deleting 01/2 from an SRAM root moves the stub at 0110 and the
+        # expansion's slots 01** to the /0 with one fallback match between them.
+        entries = [Prefix("", 0, "z"), Prefix("01", 2, "a"), Prefix("01101111", 8, "c")]
+        tree = build_tree(PrefixDatabase(8, entries), StrideList.parse("4-4"))
+        hybridize(tree, HybridizationConfig(factor=64), 9)
+        assert tree.root.kind == SRAM and tree.root.expansion
+        calls = []
+        local_lpm = TreeTable.local_lpm
+        monkeypatch.setattr(
+            TreeTable, "local_lpm", lambda t, *key: calls.append(key) or local_lpm(t, *key)
+        )
+        tree_delete(tree, *key_of("01"))
+        assert len(calls) == 1
+        assert {k: (e.bmp_value, e.bmp_local_len) for k, e in stubs(tree.root)} == {0b0110: ("z", 0)}
+        check_root(tree, range(1 << 8))
 
     @pytest.mark.parametrize("deleted, kept", [
         ("01", {0b0110: ("b", 3), 0b1111: ("z", 0)}),
@@ -525,29 +560,42 @@ class TestProbeIndex:
 
     def test_lookup_probes_once_per_distinct_length(self):
         # one search reads each table on its path at most once per length
-        # the table holds, and no table off the path
-        rng = random.Random(5)
-        db = random_database(rng, 12, max_entries=300)
-        tree = build_tree(db, StrideList.parse("6-6"))
-        for p in db.entries[::2]:
-            tree_delete(tree, *key_of(p.bits))
-        paths = [[] for _ in range(1 << 12)]
-        for v, path in enumerate(paths):
-            reference_walk(tree, v, path)
-        assert any(len(path) > 1 for path in paths)
-        tables = tree.all_tables()
-        held = {table: {length for length, _, _ in table.rows()} for table in tables}
-        rows = {table: counting_rows(table) for table in tables}
-        for v, path in enumerate(paths):
-            for counted in rows.values():
-                counted.reads.clear()
-            tree.root.lookup(v, 12)
-            for table, counted in rows.items():
-                if table in path:
-                    assert set(counted.reads) <= held[table], (v, table)
-                    assert max(counted.reads.values(), default=0) <= 1, (v, table)
-                else:
-                    assert not counted.reads, (v, table)
+        # the table holds, and no table off the path; a hybridized root is
+        # read through its expansion exactly once, then at most one row
+        for hybrid in (False, True):
+            rng = random.Random(5)
+            db = random_database(rng, 12, max_entries=300)
+            tree = build_tree(db, StrideList.parse("6-6"))
+            if hybrid:
+                hybridize(tree, HybridizationConfig(factor=64), 9)
+            for p in db.entries[::2]:
+                tree_delete(tree, *key_of(p.bits))
+            expansion = None
+            if hybrid:
+                assert tree.root.kind == SRAM and len(tree.root.lengths) >= 3
+                expansion = tree.root.expansion = CountingDict(tree.root.expansion)
+            paths = [[] for _ in range(1 << 12)]
+            for v, path in enumerate(paths):
+                reference_walk(tree, v, path)
+            assert any(len(path) > 1 for path in paths)
+            tables = tree.all_tables()
+            held = {table: {length for length, _, _ in table.rows()} for table in tables}
+            rows = {table: counting_rows(table) for table in tables}
+            for v, path in enumerate(paths):
+                for counted in rows.values():
+                    counted.reads.clear()
+                if expansion is not None:
+                    expansion.reads.clear()
+                tree.root.lookup(v, 12)
+                for table, counted in rows.items():
+                    if table in path:
+                        assert set(counted.reads) <= held[table], (v, table)
+                        assert max(counted.reads.values(), default=0) <= 1, (v, table)
+                    else:
+                        assert not counted.reads, (v, table)
+                if expansion is not None:
+                    assert expansion.reads.total() == 1, v
+                    assert rows[tree.root].reads.total() <= 1, v
 
 
 def walk_database(rng, width, strides):
@@ -569,10 +617,12 @@ def walk_database(rng, width, strides):
 
 
 class TestLookupWalk:
-    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_walk_equals_the_per_level_reference_under_updates(self, seed, short):
-        # `short` leaves address bits below the strides' coverage unread
+    def test_walk_equals_the_per_level_reference_under_updates(self, seed, short, hybrid):
+        # `short` leaves address bits below the strides' coverage unread;
+        # `hybrid` makes the root SRAM, searched through its expansion, and
+        # checks the expansion after every update
         rng = random.Random(seed)
         width = rng.randint(1, 12)
         coverage = rng.randint(1, width) if short else width
@@ -580,8 +630,11 @@ class TestLookupWalk:
         db = walk_database(rng, width, strides)
         tree = build_tree(db, strides)
         assert tree.root.by_key.get(1) is not None   # the /0 entry
-        for v in range(1 << width):
-            assert tree.root.lookup(v, width) == reference_walk(tree, v), v
+        if hybrid:
+            hybridize(tree, HybridizationConfig(factor=1 << width), 9)
+            assert tree.root.expansion is not None
+        check_root(tree, range(1 << width))
+        sampled = range(1 << width) if width <= 8 else rng.sample(range(1 << width), 256)
         live = {p.bits for p in db.entries}
         for _ in range(30):
             if live and rng.random() < 0.5:
@@ -595,8 +648,9 @@ class TestLookupWalk:
                     continue
                 live.add(bits)
                 tree_insert(tree, *key_of(bits), f"u{rng.randint(0, 9)}")
-        for v in range(1 << width):
-            assert tree.root.lookup(v, width) == reference_walk(tree, v), v
+            if hybrid:
+                check_root(tree, sampled)
+        check_root(tree, range(1 << width))
 
 
 class TestRowKinds:
