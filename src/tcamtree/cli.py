@@ -498,7 +498,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=None,
                           help="seeds the sampled addresses (default 0); refused with"
-                               " --trace or when every address is checked")
+                               " --trace, --samples 0 or when every address is checked")
     p_verify.add_argument("--trace", default=None,
                           help="replay addresses from this file instead of generating them")
     p_verify.add_argument("--inject-fault", action="store_true",
@@ -552,6 +552,8 @@ def main(argv=None) -> int:
                         f"--seed has no effect: --mode {args.mode} checks every address"
                         f" of a {args.width}-bit space"
                     )
+                if args.samples == 0:
+                    raise ValueError("--seed has no effect: --samples 0 draws no address")
             cfg = _plan_config(args)
             db = parse_file(args.db, args.width)
             checked, total, mismatches = run_verify(

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from ._util import ceil_div
 from .errors import TagOverflow
-from .tiler import SRAM, TCAM, GrainSpec, TcamTree, TreeTable, blocks_for_table
+from .tiler import SRAM, TCAM, ExpandedRoot, GrainSpec, TcamTree, TreeTable, blocks_for_table
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
     once; a table with no terminal expands to nothing and stays TCAM:
     expanding pure pointer tables saves nothing.  A row with a child is the
     child table itself, so a walk reads the next stage's lookup off its
-    `kind`.  A converted root also gets that expansion built, as
-    `TreeTable.expansion`, so each search reads it with one exact-match
+    `kind`.  A converted root is replaced by an `ExpandedRoot`, which keeps
+    that expansion built, so each search reads it with one exact-match
     probe; other SRAM tables keep their per-length probes.
     """
     level_rows = [0] * len(tree.levels)
@@ -78,7 +78,8 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
                 continue
             table.kind = SRAM
             if table is tree.root:
-                table.expansion = table.expanded(table.lengths[0])
+                tree.root = ExpandedRoot(table)
+                tree.levels[0] = {tree.root: None}
             level_rows[level_index] += rows
     return level_rows
 

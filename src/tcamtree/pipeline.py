@@ -82,10 +82,6 @@ class Span:
     start: int       # first block/page index within the stage
     count: int
 
-    @property
-    def end(self) -> int:
-        return self.start + self.count
-
 
 class PipelinePlan:
     """Placements for every super-table and per-level SRAM pool, plus free space."""
@@ -106,13 +102,6 @@ class PipelinePlan:
         per = self.profile.sram_pages_per_stage if sram else self.profile.tcam_blocks_per_stage
         used = self._sram_next[stage] if sram else self._tcam_next[stage]
         return per - used
-
-    def _give_back(self, span: Span):
-        """Release `span`, the most recent TCAM span of its stage."""
-        nxt = self._tcam_next
-        if nxt[span.stage] != span.end:
-            raise AssertionError("can only release the most recent span in a stage")
-        nxt[span.stage] -= span.count
 
     def window(self, level: int) -> tuple[int, int]:
         """Stages a level-`level` placement may legally occupy right now: after
@@ -411,12 +400,12 @@ class PipelineState:
         joins the last super-table of its level with room for another member,
         growing it if needed, or else opens a super-table of its own.  Memberships
         and entry counts change only once every block row is placed; if one
-        cannot be, the rows taken so far are given back, the stage bounds
-        restored, and False returned.  Without a stage map rows are counted,
-        never refused.
+        cannot be, the block rows are taken back, the stage map is restored
+        from its snapshot, and False returned.  Without a stage map rows are
+        counted, never refused.
         """
         plan = self.plan
-        bounds: list[dict[int, int]] = []   # the stage bounds, once a row may be placed
+        saved: list = []   # the stage map's snapshot, once a row may be placed
         rows: list[tuple[SuperTable, list[Span]]] = []   # one per block row added
         gained: list[SuperTable] = []
         joins: list[tuple[SuperTable, TreeTable]] = []
@@ -426,17 +415,17 @@ class PipelineState:
                 continue
             st = self._st_of.get(table)
             if st is not None:
-                if not self._grow(st, st.total_entries + 1, rows, bounds):
+                if not self._grow(st, st.total_entries + 1, rows, saved):
                     break
                 gained.append(st)
                 continue
             host = self._host_for_level(level)
-            if host is not None and self._grow(host, host.total_entries + 1, rows, bounds):
+            if host is not None and self._grow(host, host.total_entries + 1, rows, saved):
                 joins.append((host, table))
                 continue
             st = SuperTable(level, self.tag_bits, [table], self.grain)
             st.allocated_rows = 0   # its first block row is placed like any other
-            if not self._grow(st, st.total_entries, rows, bounds):
+            if not self._grow(st, st.total_entries, rows, saved):
                 break
             opened.append(st)
         else:
@@ -455,24 +444,23 @@ class PipelineState:
                 host.total_entries += 1
                 self._st_of[table] = host
             return True
-        for st, spans in reversed(rows):
+        for st, _ in rows:
             st.allocated_rows -= 1
-            for span in reversed(spans):
-                plan._give_back(span)
-        plan.level_min_stage, plan.level_max_stage = bounds   # copied by the failed placement
+        plan.level_min_stage, plan.level_max_stage, plan._tcam_next = saved
         return False
 
-    def _grow(self, st: SuperTable, entries: int, rows: list, bounds: list) -> bool:
+    def _grow(self, st: SuperTable, entries: int, rows: list, saved: list) -> bool:
         """Add block rows to `st` until it holds `entries` rows, noting each in
         `rows`; False when the stage map has no room for the next one.  The
-        stage bounds are copied into `bounds` before the first placement, when
-        it is still empty."""
+        stage bounds and the free TCAM space are copied into `saved` before
+        the first placement, when it is still empty."""
         while st.entry_capacity < entries:
             spans: list[Span] = []
             plan = self.plan
             if plan is not None:
-                if not bounds:
-                    bounds += dict(plan.level_min_stage), dict(plan.level_max_stage)
+                if not saved:
+                    saved += (dict(plan.level_min_stage), dict(plan.level_max_stage),
+                              list(plan._tcam_next))
                 spans = plan.place(st.level_index, st.horizontal_blocks, sram=False)
                 if spans is None:
                     return False

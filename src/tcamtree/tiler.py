@@ -20,13 +20,13 @@ beside the lengths present, longest first.  The search walk,
 the address's segment once, probes it shifted down to each length, longest
 first (per-length hashing, as in Waldvogel et al.; int keys as in Srinivasan
 & Varghese's controlled prefix expansion), and takes the first row it hits.
-An SRAM root, the one table hybridization expands whole, also keeps that
-expansion (`TreeTable.expansion`): one exact-match dict over the slots of
-its longest length, probed once per search, like the direct-indexed first
-level of Gupta, Lin & McKeown's DIR-24-8.  Keys and segments are ints
-throughout; the ternary text of a key (`key_text`) is made only for dumps.
-The dict, the lengths and the expansion are kept current by the writes that
-add or remove a row, so searches are read-only.
+An SRAM root, the one table hybridization expands whole, is an
+`ExpandedRoot`, which also keeps that expansion: one exact-match dict over
+the slots of its longest length, probed once per search, like the
+direct-indexed first level of Gupta, Lin & McKeown's DIR-24-8.  Keys and
+segments are ints; the ternary text of a key (`key_text`) is made only for
+dumps.  The writes that add or remove a row keep the dict, the lengths and
+the expansion current, so searches are read-only.
 
 A row is one of two kinds.  A terminal with no child is stored as its next
 hop alone, a `str`: its local length is the length its key is tagged with,
@@ -189,20 +189,13 @@ class TreeTable:
     The row is itself a terminal, a database prefix ending in the parent,
     exactly when that local length is the parent's stride.
 
-    `expansion` is None except at a root that `hybridize` made SRAM.  There
-    it is the rows' controlled prefix expansion to the longest length held,
-    `lengths[0]` (see `expanded`): each tagged slot of that length maps to
-    the child table filed there, else to the tagged key of the longest
-    terminal covering it, so a next hop is read from `by_key` and its
-    matched length is the terminal's own.  It holds exactly the SRAM rows
-    the plan charges for the table.  The four row writers keep it current:
-    a terminal of length `l` rewrites at most `2 ** (lengths[0] - l)`
-    slots, a child one, and a change of the longest length rebuilds it.
+    A root that `hybridize` makes SRAM is replaced by an `ExpandedRoot`;
+    every other table is a plain `TreeTable`.
     """
 
     __slots__ = (
         "stride_width", "kind", "by_key", "lengths", "counts", "stub_keys", "bmp_value",
-        "bmp_local_len", "expansion",
+        "bmp_local_len",
     )
 
     def __init__(self, stride_width: int, bmp_value: Optional[str] = None,
@@ -215,7 +208,6 @@ class TreeTable:
         self.stub_keys: Sequence[int] = ()   # a list from the first stub on
         self.bmp_value = bmp_value
         self.bmp_local_len = bmp_local_len
-        self.expansion: Optional[dict[int, Union[int, TreeTable]]] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -225,8 +217,6 @@ class TreeTable:
         `counts` is rebuilt to its exact size; otherwise its count goes up in
         place."""
         self.by_key[tagged] = row
-        if self.expansion is not None:
-            self._expand_row(length, tagged, row)
         lengths, counts = self.lengths, self.counts
         if counts is not None:
             if length in lengths:
@@ -246,16 +236,11 @@ class TreeTable:
         self.lengths = shared.setdefault(grown, grown)
         self.counts = counts[:i] + [1] + counts[i:]
 
-    def remove_row(self, length: int, tagged: int, shared: dict, fallback_len: Optional[int]):
+    def remove_row(self, length: int, tagged: int, shared: dict):
         """Drop the row of specified length `length` at `tagged`; its length
-        leaves `lengths` when this was its last row.  `fallback_len` is the
-        local length of the longest shorter terminal matching the row's key
-        (None when there is none), which an expansion's slots fall back to;
-        a table without an expansion ignores it."""
+        leaves `lengths` when this was its last row."""
         by_key = self.by_key
         del by_key[tagged]
-        if self.expansion is not None:
-            self._unexpand_row(length, tagged, fallback_len)
         counts = self.counts
         if counts is None:
             if not by_key:
@@ -277,8 +262,6 @@ class TreeTable:
         by_key = self.by_key
         if tagged in by_key:
             by_key[tagged] = child
-            if self.expansion is not None:
-                self.expansion[tagged] = child
         else:
             self.add_row(self.stride_width, tagged, child, shared)
         keys = self.stub_keys
@@ -296,73 +279,8 @@ class TreeTable:
         del keys[bisect_left(keys, tagged)]
         if child.bmp_local_len == self.stride_width:
             self.by_key[tagged] = child.bmp_value
-            if self.expansion is not None:
-                self.expansion[tagged] = tagged
         else:
-            self.remove_row(self.stride_width, tagged, shared, child.bmp_local_len)
-
-    # -- expansion -----------------------------------------------------------
-
-    def expanded(self, top: int) -> dict[int, Union[int, TreeTable]]:
-        """The rows' controlled prefix expansion to `top` bits, the longest
-        length held: each `top`-bit tagged slot maps to the child table
-        filed there, else to the tagged key of the longest terminal covering
-        it, whose next hop stays in `by_key`.  A slot nothing covers is
-        absent, so the size is `sram_rows_for_table`'s rows."""
-        expansion: dict[int, Union[int, TreeTable]] = {}
-        by_key = self.by_key
-        for tagged in sorted(by_key):   # shortest first, so longer terminals win
-            row = by_key[tagged]
-            if row.__class__ is str:
-                free = top + 1 - tagged.bit_length()
-                lo = tagged << free
-                expansion.update(dict.fromkeys(range(lo, lo + (1 << free)), tagged))
-            else:
-                expansion[tagged] = row
-        return expansion
-
-    def _expand_row(self, length: int, tagged: int, row: Row):
-        """Point the expansion's slots under a new row at it, before
-        `lengths` takes the row in: each slot that nothing or a shorter
-        terminal filled.  A new longest length rebuilds the expansion."""
-        lengths = self.lengths
-        if not lengths or length > lengths[0]:
-            self.expansion = self.expanded(length)
-            return
-        expansion = self.expansion
-        new = tagged if row.__class__ is str else row
-        free = lengths[0] - length
-        lo = tagged << free
-        for slot in range(lo, lo + (1 << free)):
-            e = expansion.get(slot)
-            # a shorter terminal's tagged key is smaller, a longer one's larger
-            if e is None or e.__class__ is int and e < tagged:
-                expansion[slot] = new
-
-    def _unexpand_row(self, length: int, tagged: int, fallback_len: Optional[int]):
-        """Point the expansion's slots that a removed row filled at the
-        terminal of length `fallback_len` above it, or drop them when there
-        is none, before `lengths` lets the row go: at the longest length the
-        row's own slot, below it the slots holding its key.  Losing the last
-        row of the longest length rebuilds the expansion."""
-        lengths, counts = self.lengths, self.counts
-        if counts is None:
-            if not self.by_key:
-                self.expansion = {}
-                return
-        elif length == lengths[0] and counts[0] == 1:
-            self.expansion = self.expanded(lengths[1])
-            return
-        expansion = self.expansion
-        new = None if fallback_len is None else tagged >> (length - fallback_len)
-        free = lengths[0] - length
-        lo = tagged << free
-        for slot in range(lo, lo + (1 << free)):
-            if not free or expansion.get(slot) == tagged:
-                if new is None:
-                    del expansion[slot]
-                else:
-                    expansion[slot] = new
+            self.remove_row(self.stride_width, tagged, shared)
 
     def rows_under(self, tagged: int, length: int) -> list[TreeTable]:
         """The child tables of the rows whose keys start with the
@@ -428,29 +346,14 @@ class TreeTable:
         longest local match, for both kinds of table (an SRAM table's
         exact-match rows expand its terminals, and a child's inherited value
         is the longest terminal matching its key, which is what the
-        expansion stores there).  A table with an `expansion` is probed
-        there instead, once, on its longest length's slot.  A childless
-        terminal, a next hop, ends the walk with its own value; a row with a
-        child is that child table, which passes the row's inherited value
-        down.  A miss ends the walk with the last value passed down.
+        expansion stores there).  A childless terminal, a next hop, ends the
+        walk with its own value; a row with a child is that child table,
+        which passes the row's inherited value down.  A miss ends the walk
+        with the last value passed down.
         """
         table = self
         value, vlen = None, -1
         start = 0   # the bits consumed above `table`
-        expansion = self.expansion
-        if expansion:   # an SRAM root with rows: one probe, on its longest length
-            top = self.lengths[0]
-            row = expansion.get((key >> (bits - top)) | (1 << top))
-            if row is None:
-                return value, vlen
-            if row.__class__ is int:
-                return self.by_key[row], row.bit_length() - 1
-            if row.bmp_value is not None:
-                value, vlen = row.bmp_value, row.bmp_local_len
-            start = self.stride_width
-            bits -= start
-            key &= (1 << bits) - 1
-            table = row
         while True:
             s = table.stride_width
             bits -= s
@@ -473,9 +376,117 @@ class TreeTable:
 
     def __repr__(self):
         return (
-            f"<TreeTable stride={self.stride_width}"
+            f"<{type(self).__name__} stride={self.stride_width}"
             f" entries={self.entry_count} kind={self.kind}>"
         )
+
+
+class ExpandedRoot(TreeTable):
+    """A root that `hybridize` made SRAM, which it replaces: the same table
+    plus `expansion`, the rows' controlled prefix expansion to the longest
+    length held, `lengths[0]`.  Each tagged slot of that length maps to the
+    child table filed there, else to the tagged key of the longest terminal
+    covering it, whose next hop and length are read from `by_key`: exactly
+    the SRAM rows the plan charges.  Each row writer makes its write, then
+    keeps the expansion current: a terminal of length `l` rewrites at most
+    `2 ** (lengths[0] - l)` slots, a child one, and a change of the longest
+    length rebuilds it.
+    """
+
+    __slots__ = ("expansion",)
+
+    def __init__(self, table: TreeTable):
+        for name in TreeTable.__slots__:
+            setattr(self, name, getattr(table, name))
+        self.expansion = self.expanded()
+
+    def expanded(self) -> dict[int, Union[int, TreeTable]]:
+        """The expansion built whole; a slot nothing covers is absent."""
+        top = self.max_local_length()
+        expansion: dict[int, Union[int, TreeTable]] = {}
+        by_key = self.by_key
+        for tagged in sorted(by_key):   # shortest first, so longer terminals win
+            row = by_key[tagged]
+            if row.__class__ is str:
+                free = top + 1 - tagged.bit_length()
+                lo = tagged << free
+                expansion.update(dict.fromkeys(range(lo, lo + (1 << free)), tagged))
+            else:
+                expansion[tagged] = row
+        return expansion
+
+    def add_row(self, length: int, tagged: int, row: Row, shared: dict):
+        """Point the slots under the new row that nothing or a shorter
+        terminal filled at it."""
+        before = self.max_local_length()
+        super().add_row(length, tagged, row, shared)
+        top = self.lengths[0]
+        if top > before:
+            self.expansion = self.expanded()
+            return
+        expansion = self.expansion
+        new = tagged if row.__class__ is str else row
+        free = top - length
+        lo = tagged << free
+        for slot in range(lo, lo + (1 << free)):
+            e = expansion.get(slot)
+            # a shorter terminal's tagged key is smaller, a longer one's larger
+            if e is None or e.__class__ is int and e < tagged:
+                expansion[slot] = new
+
+    def remove_row(self, length: int, tagged: int, shared: dict):
+        """Point the slots holding the row at the longest shorter terminal
+        matching its key, or drop them when there is none; returns that
+        terminal, (value, local length) or (None, None), for `tree_delete`
+        to reuse, or None when the expansion was rebuilt instead."""
+        top = self.lengths[0]
+        super().remove_row(length, tagged, shared)
+        if self.max_local_length() < top:
+            self.expansion = self.expanded()
+            return None
+        fallback = self.local_lpm(tagged >> 1, length - 1) if length else (None, None)
+        new = None if fallback[1] is None else tagged >> (length - fallback[1])
+        expansion = self.expansion
+        free = top - length
+        lo = tagged << free
+        for slot in range(lo, lo + (1 << free)):
+            if not free or expansion.get(slot) == tagged:
+                if new is None:
+                    del expansion[slot]
+                else:
+                    expansion[slot] = new
+        return fallback
+
+    def add_stub(self, tagged: int, child: TreeTable, in_order: bool, shared: dict):
+        super().add_stub(tagged, child, in_order, shared)
+        self.expansion[tagged] = child
+
+    def clear_child(self, tagged: int, child: TreeTable, shared: dict):
+        super().clear_child(tagged, child, shared)
+        if child.bmp_local_len == self.stride_width:   # the row is a terminal again
+            self.expansion[tagged] = tagged
+
+    def lookup(self, key: int, bits: int) -> tuple[Optional[str], int]:
+        """`TreeTable.lookup` with the root's level read by one probe of the
+        expansion.  A child table found there walks on by the plain
+        `TreeTable.lookup`, the root's stride added to the length it
+        matches; when it matches nothing the row's inherited value answers."""
+        expansion = self.expansion
+        if not expansion:   # a root with no rows
+            return None, -1
+        top = self.lengths[0]
+        row = expansion.get((key >> (bits - top)) | (1 << top))
+        if row is None:
+            return None, -1
+        if row.__class__ is int:
+            return self.by_key[row], row.bit_length() - 1
+        bits -= self.stride_width
+        value, length = row.lookup(key & ((1 << bits) - 1), bits)
+        if value is not None:
+            return value, self.stride_width + length
+        if row.bmp_value is None:
+            return None, -1
+        return row.bmp_value, row.bmp_local_len
 
 
 class TcamTree:
@@ -619,14 +630,11 @@ def tree_delete(tree: TcamTree, key: int, length: int) -> list[TreeTable]:
     shrunk = []
     # Only rows under the prefix that took its value change, and all of them
     # fall back to the next shorter terminal above it; a terminal kept for
-    # its child is one of them, and so becomes a pure stub.  So do the
-    # expansion slots that held a childless terminal.  That fallback is
-    # looked up once, and only when such a row or an expansion exists.
+    # its child is one of them, and so becomes a pure stub.  That fallback is
+    # looked up once, when such a row exists or an `ExpandedRoot`'s slots do.
     fallback = None
     if row.__class__ is str:
-        if table.expansion is not None:
-            fallback = table.local_lpm(tagged >> 1, rest_len - 1) if rest_len else (None, None)
-        table.remove_row(rest_len, tagged, shared, fallback and fallback[1])
+        fallback = table.remove_row(rest_len, tagged, shared)
         shrunk.append(table)
     elif row is None or row.bmp_local_len != rest_len:
         raise NotFound(f"prefix {bits_of(key, length)}/{length} not in tree")

@@ -779,6 +779,7 @@ class TestVerify:
         (("--width", "32", "--strides", "16-16", "--mode", "exhaustive"),
          "exhaustive verification of a 32-bit space is not tractable"),
         (("--mode", "sampled"), None),
+        (("--mode", "sampled", "--samples", "0"), "--seed has no effect:"),
     ])
     def test_seed_is_refused_when_no_address_is_sampled(self, args, error, tmp_path, capsys):
         trace = tmp_path / "trace.txt"

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 from typing import Optional
 
@@ -27,6 +28,8 @@ from tcamtree.prefixdb import bits_of
 from tcamtree.errors import DuplicatePrefix, NotFound, PrefixExceedsCoverage
 from tcamtree.tiler import (
     SRAM,
+    TCAM,
+    ExpandedRoot,
     TreeTable,
     tree_delete,
     tree_insert,
@@ -332,13 +335,14 @@ def counting_rows(table, kind=CountingDict):
 
 def check_root(tree, addresses):
     """The root's lookup equals `reference_walk` on each of `addresses`, in
-    value and matched length.  An SRAM root's expansion also equals one
-    rebuilt from scratch, slot by slot, and holds as many slots as the SRAM
-    rows `sram_rows_for_table` charges for the root."""
+    value and matched length.  An SRAM root is an `ExpandedRoot`, whose
+    expansion equals one rebuilt from scratch, slot by slot, and holds as
+    many slots as the SRAM rows `sram_rows_for_table` charges for the root."""
     root = tree.root
     for v in addresses:
         assert root.lookup(v, tree.address_width) == reference_walk(tree, v), v
-    if root.expansion is not None:
+    assert isinstance(root, ExpandedRoot) == (root.kind == SRAM)
+    if isinstance(root, ExpandedRoot):
         assert root.expansion == reference_expansion(root)
         assert len(root.expansion) == sram_rows_for_table(root)[1]
 
@@ -446,7 +450,8 @@ class TestProbeIndex:
         entries = [Prefix("", 0, "z"), Prefix("01", 2, "a"), Prefix("01101111", 8, "c")]
         tree = build_tree(PrefixDatabase(8, entries), StrideList.parse("4-4"))
         hybridize(tree, HybridizationConfig(factor=64), 9)
-        assert tree.root.kind == SRAM and tree.root.expansion
+        assert tree.root.kind == SRAM and isinstance(tree.root, ExpandedRoot)
+        assert tree.root.expansion
         calls = []
         local_lpm = TreeTable.local_lpm
         monkeypatch.setattr(
@@ -572,7 +577,8 @@ class TestProbeIndex:
                 tree_delete(tree, *key_of(p.bits))
             expansion = None
             if hybrid:
-                assert tree.root.kind == SRAM and len(tree.root.lengths) >= 3
+                assert tree.root.kind == SRAM and isinstance(tree.root, ExpandedRoot)
+                assert len(tree.root.lengths) >= 3
                 expansion = tree.root.expansion = CountingDict(tree.root.expansion)
             paths = [[] for _ in range(1 << 12)]
             for v, path in enumerate(paths):
@@ -596,6 +602,37 @@ class TestProbeIndex:
                 if expansion is not None:
                     assert expansion.reads.total() == 1, v
                     assert rows[tree.root].reads.total() <= 1, v
+
+
+class TestRootShape:
+    def test_only_an_sram_root_is_an_expanded_root(self):
+        # after `hybridize`, the SRAM root is an `ExpandedRoot` in `tree.root`
+        # and `tree.levels[0]` alike; every other table, SRAM ones included,
+        # is a plain 8-slot `TreeTable` with no `expansion`
+        db = parse_file(DATA_DIR / "synthetic-ipv4-500.txt", 32)
+        tree = build_tree(db, StrideList.parse("16-4-4-8"))
+        hybridize(tree, HybridizationConfig(factor=3), 14)
+        assert type(tree.root) is ExpandedRoot and tree.root.kind == SRAM
+        assert list(tree.levels[0]) == [tree.root]
+        others = tree.all_tables()[1:]
+        assert {t.kind for t in others} == {SRAM, TCAM}
+        assert all(type(t) is TreeTable and not hasattr(t, "expansion") for t in others)
+        assert len(TreeTable.__slots__) == 8
+        if sys.implementation.name == "cpython":   # 104 bytes with a ninth slot
+            assert {sys.getsizeof(t) for t in others} == {96}
+
+    @pytest.mark.parametrize("factor, kind", [(None, TCAM), (3, TCAM), (8, SRAM)])
+    def test_a_tcam_root_stays_a_tree_table(self, factor, kind):
+        # the /0 expands to 16 slots of the 4-bit root, which holds 2 rows:
+        # factor 3 refuses the conversion, factor 8 allows it
+        entries = [Prefix("", 0, "z"), Prefix("0101", 4, "a"), Prefix("01011111", 8, "c")]
+        tree = build_tree(PrefixDatabase(8, entries), StrideList.parse("4-4"))
+        if factor is not None:
+            hybridize(tree, HybridizationConfig(factor=factor), 9)
+        assert tree.root.kind == kind
+        assert type(tree.root) is (ExpandedRoot if kind == SRAM else TreeTable)
+        assert hasattr(tree.root, "expansion") == (kind == SRAM)
+        assert list(tree.levels[0]) == [tree.root]
 
 
 def walk_database(rng, width, strides):
@@ -632,7 +669,7 @@ class TestLookupWalk:
         assert tree.root.by_key.get(1) is not None   # the /0 entry
         if hybrid:
             hybridize(tree, HybridizationConfig(factor=1 << width), 9)
-            assert tree.root.expansion is not None
+            assert isinstance(tree.root, ExpandedRoot)
         check_root(tree, range(1 << width))
         sampled = range(1 << width) if width <= 8 else rng.sample(range(1 << width), 256)
         live = {p.bits for p in db.entries}
