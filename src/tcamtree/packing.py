@@ -60,11 +60,10 @@ def hybridize(tree: TcamTree, cfg: HybridizationConfig, tag_bits: int) -> list[i
     outermost terminals to the local maximum length is at most factor times
     its current row count.  `sram_rows_for_table` counts each such table
     once; a table with no terminal expands to nothing and stays TCAM:
-    expanding pure pointer tables saves nothing.  A row with a child is the
-    child table itself, so a walk reads the next stage's lookup off its
-    `kind`.  A converted root is replaced by an `ExpandedRoot`, which keeps
-    that expansion built, so each search reads it with one exact-match
-    probe; other SRAM tables keep their per-length probes.
+    expanding pure pointer tables saves nothing.  A converted root is
+    replaced by an `ExpandedRoot`, which keeps that expansion built, so each
+    search reads it with one exact-match probe; other SRAM tables keep their
+    per-length probes.
     """
     level_rows = [0] * len(tree.levels)
     # expanded <= factor * rows, in integers
@@ -181,16 +180,13 @@ def tag_and_pack(tree: TcamTree, grain: GrainSpec, tag_bits: int) -> list[SuperT
 
     Tables are taken largest-first (pairing large with small bounds the size of
     any one group) and a group closes at 2**tag_bits members.  The root stays
-    alone and untagged; SRAM tables are never tagged.
+    alone and untagged, since level 0 holds only the root and `_emit_group`
+    packs a lone table untagged; SRAM tables are never tagged.
     """
     result: list[SuperTable] = []
     for level_index, tables in enumerate(tree.levels):
         tcams = [t for t in tables if t.kind == TCAM]
         if not tcams:
-            continue
-        if level_index == 0:
-            for t in tcams:
-                result.append(SuperTable(0, 0, [t], grain))
             continue
         ordered = sorted(
             enumerate(tcams), key=lambda it: (-it[1].entry_count, it[0])

@@ -327,14 +327,6 @@ class PipelineState:
 
     # -- lookup ----------------------------------------------------------------
 
-    @property
-    def coverage(self) -> int:
-        return self.tree.coverage
-
-    @property
-    def address_width(self) -> int:
-        return self.tree.address_width
-
     def search(self, address: str) -> str:
         """The next hop of `address`; the overflow buffer wins ties by prefix length."""
         return self.search_value(address_value(address, self.tree.address_width))

@@ -21,9 +21,10 @@ the address's segment once, probes it shifted down to each length, longest
 first (per-length hashing, as in Waldvogel et al.; int keys as in Srinivasan
 & Varghese's controlled prefix expansion), and takes the first row it hits.
 An SRAM root, the one table hybridization expands whole, is an
-`ExpandedRoot`, which also keeps that expansion: one exact-match dict over
-the slots of its longest length, probed once per search, like the
-direct-indexed first level of Gupta, Lin & McKeown's DIR-24-8.  Keys and
+`ExpandedRoot`, which also keeps that expansion: one exact-match dict from
+the slots of its longest length to the tagged keys of the rows answering
+them, probed once per search, like the direct-indexed first level of Gupta,
+Lin & McKeown's DIR-24-8; the rows themselves stay in the dict.  Keys and
 segments are ints; the ternary text of a key (`key_text`) is made only for
 dumps.  The writes that add or remove a row keep the dict, the lengths and
 the expansion current, so searches are read-only.
@@ -385,12 +386,13 @@ class ExpandedRoot(TreeTable):
     """A root that `hybridize` made SRAM, which it replaces: the same table
     plus `expansion`, the rows' controlled prefix expansion to the longest
     length held, `lengths[0]`.  Each tagged slot of that length maps to the
-    child table filed there, else to the tagged key of the longest terminal
-    covering it, whose next hop and length are read from `by_key`: exactly
-    the SRAM rows the plan charges.  Each row writer makes its write, then
-    keeps the expansion current: a terminal of length `l` rewrites at most
-    `2 ** (lengths[0] - l)` slots, a child one, and a change of the longest
-    length rebuilds it.
+    tagged key of the longest row covering it, whose row is read from
+    `by_key`: exactly the SRAM rows the plan charges.  A full-length row
+    covers only its own slot, with or without a child, so a row gaining or
+    losing its child changes no slot, and only `add_row` and `remove_row`
+    keep the expansion current: a row of length `l` rewrites at most
+    `2 ** (lengths[0] - l)` slots, and a change of the longest length
+    rebuilds it.
     """
 
     __slots__ = ("expansion",)
@@ -400,24 +402,19 @@ class ExpandedRoot(TreeTable):
             setattr(self, name, getattr(table, name))
         self.expansion = self.expanded()
 
-    def expanded(self) -> dict[int, Union[int, TreeTable]]:
+    def expanded(self) -> dict[int, int]:
         """The expansion built whole; a slot nothing covers is absent."""
         top = self.max_local_length()
-        expansion: dict[int, Union[int, TreeTable]] = {}
-        by_key = self.by_key
-        for tagged in sorted(by_key):   # shortest first, so longer terminals win
-            row = by_key[tagged]
-            if row.__class__ is str:
-                free = top + 1 - tagged.bit_length()
-                lo = tagged << free
-                expansion.update(dict.fromkeys(range(lo, lo + (1 << free)), tagged))
-            else:
-                expansion[tagged] = row
+        expansion: dict[int, int] = {}
+        for tagged in sorted(self.by_key):   # shortest first, so longer rows win
+            free = top + 1 - tagged.bit_length()
+            lo = tagged << free
+            expansion.update(dict.fromkeys(range(lo, lo + (1 << free)), tagged))
         return expansion
 
     def add_row(self, length: int, tagged: int, row: Row, shared: dict):
-        """Point the slots under the new row that nothing or a shorter
-        terminal filled at it."""
+        """Point the slots under the new row that nothing or a shorter row
+        filled at it."""
         before = self.max_local_length()
         super().add_row(length, tagged, row, shared)
         top = self.lengths[0]
@@ -425,61 +422,61 @@ class ExpandedRoot(TreeTable):
             self.expansion = self.expanded()
             return
         expansion = self.expansion
-        new = tagged if row.__class__ is str else row
         free = top - length
         lo = tagged << free
         for slot in range(lo, lo + (1 << free)):
-            e = expansion.get(slot)
-            # a shorter terminal's tagged key is smaller, a longer one's larger
-            if e is None or e.__class__ is int and e < tagged:
-                expansion[slot] = new
+            # an absent slot reads 0; a shorter row's tagged key is
+            # smaller, a longer one's larger
+            if expansion.get(slot, 0) < tagged:
+                expansion[slot] = tagged
 
     def remove_row(self, length: int, tagged: int, shared: dict):
         """Point the slots holding the row at the longest shorter terminal
         matching its key, or drop them when there is none; returns that
         terminal, (value, local length) or (None, None), for `tree_delete`
-        to reuse, or None when the expansion was rebuilt instead."""
+        to reuse, or None when the expansion was rebuilt instead.  A row
+        with a child leaves only when `clear_child` collects a pure stub,
+        whose child already holds that terminal."""
+        row = self.by_key[tagged]
         top = self.lengths[0]
         super().remove_row(length, tagged, shared)
         if self.max_local_length() < top:
             self.expansion = self.expanded()
             return None
-        fallback = self.local_lpm(tagged >> 1, length - 1) if length else (None, None)
+        if row.__class__ is not str:
+            fallback = row.bmp_value, row.bmp_local_len
+        elif length:
+            fallback = self.local_lpm(tagged >> 1, length - 1)
+        else:
+            fallback = None, None
         new = None if fallback[1] is None else tagged >> (length - fallback[1])
         expansion = self.expansion
         free = top - length
         lo = tagged << free
         for slot in range(lo, lo + (1 << free)):
-            if not free or expansion.get(slot) == tagged:
+            if expansion.get(slot) == tagged:
                 if new is None:
                     del expansion[slot]
                 else:
                     expansion[slot] = new
         return fallback
 
-    def add_stub(self, tagged: int, child: TreeTable, in_order: bool, shared: dict):
-        super().add_stub(tagged, child, in_order, shared)
-        self.expansion[tagged] = child
-
-    def clear_child(self, tagged: int, child: TreeTable, shared: dict):
-        super().clear_child(tagged, child, shared)
-        if child.bmp_local_len == self.stride_width:   # the row is a terminal again
-            self.expansion[tagged] = tagged
-
     def lookup(self, key: int, bits: int) -> tuple[Optional[str], int]:
         """`TreeTable.lookup` with the root's level read by one probe of the
-        expansion.  A child table found there walks on by the plain
-        `TreeTable.lookup`, the root's stride added to the length it
-        matches; when it matches nothing the row's inherited value answers."""
+        expansion, which names the answering row in `by_key`.  A child table
+        there walks on by the plain `TreeTable.lookup`, the root's stride
+        added to the length it matches; when it matches nothing the row's
+        inherited value answers."""
         expansion = self.expansion
         if not expansion:   # a root with no rows
             return None, -1
         top = self.lengths[0]
-        row = expansion.get((key >> (bits - top)) | (1 << top))
-        if row is None:
+        tagged = expansion.get((key >> (bits - top)) | (1 << top))
+        if tagged is None:
             return None, -1
-        if row.__class__ is int:
-            return self.by_key[row], row.bit_length() - 1
+        row = self.by_key[tagged]
+        if row.__class__ is str:
+            return row, tagged.bit_length() - 1
         bits -= self.stride_width
         value, length = row.lookup(key & ((1 << bits) - 1), bits)
         if value is not None:

@@ -213,9 +213,9 @@ def reference_sram_rows(table) -> int:
 
 def reference_expansion(table) -> dict:
     """Reference for an SRAM root's `expansion`, slot by slot: each tagged
-    slot of the longest length held maps to the child table filed there,
-    else to the tagged key of the longest terminal whose key starts it,
-    found by trying each shorter length in turn."""
+    slot of the longest length held maps to its own key when a row with a
+    child is filed there, else to the tagged key of the longest terminal
+    whose key starts it, found by trying each shorter length in turn."""
     top = max((untag(t)[0] for t in table.by_key), default=None)
     if top is None:
         return {}
@@ -224,7 +224,7 @@ def reference_expansion(table) -> dict:
     for slot in range(1 << top, 2 << top):
         row = table.by_key.get(slot)
         if row is not None and row.__class__ is not str:
-            expansion[slot] = row
+            expansion[slot] = slot
             continue
         for free in range(top + 1):
             if slot >> free in terminals:
@@ -492,9 +492,9 @@ def state_vector(state: PipelineState, hops: HopIds) -> np.ndarray:
     overlays the overflow buffer with explicit length comparison (overflow
     wins length ties, mirroring the scalar path).
     """
-    width = state.address_width
-    coverage = state.coverage
     tree = state.tree
+    width = tree.address_width
+    coverage = tree.coverage
     cov_size = 1 << coverage
 
     gid = {id(t): i for i, t in enumerate(tree.all_tables())}
@@ -564,7 +564,7 @@ def state_vector(state: PipelineState, hops: HopIds) -> np.ndarray:
 def full_space_mismatches(db_entries, state: PipelineState, limit: int = 5):
     """(count, samples) of addresses where the state disagrees with the oracle."""
     hops = HopIds()
-    width = state.address_width
+    width = state.tree.address_width
     want = oracle_vector(db_entries, width, hops)
     got = state_vector(state, hops)
     bad = np.nonzero(want != got)[0]

@@ -345,6 +345,7 @@ def check_root(tree, addresses):
     if isinstance(root, ExpandedRoot):
         assert root.expansion == reference_expansion(root)
         assert len(root.expansion) == sram_rows_for_table(root)[1]
+        assert all(tagged in root.by_key for tagged in root.expansion.values())
 
 
 def check_index(tree, rng, grown=()):
@@ -460,6 +461,24 @@ class TestProbeIndex:
         tree_delete(tree, *key_of("01"))
         assert len(calls) == 1
         assert {k: (e.bmp_value, e.bmp_local_len) for k, e in stubs(tree.root)} == {0b0110: ("z", 0)}
+        check_root(tree, range(1 << 8))
+
+    def test_sram_root_collecting_a_pure_stub_makes_no_fallback_match(self, monkeypatch):
+        # Deleting 01101111/8 empties the child at 0110, a pure stub of the
+        # SRAM root: its child already holds the 01/2 the slot falls back to.
+        entries = [Prefix("", 0, "z"), Prefix("01", 2, "a"), Prefix("1111", 4, "b"),
+                   Prefix("01101111", 8, "c")]
+        tree = build_tree(PrefixDatabase(8, entries), StrideList.parse("4-4"))
+        hybridize(tree, HybridizationConfig(factor=64), 2)
+        assert isinstance(tree.root, ExpandedRoot)
+        calls = []
+        local_lpm = TreeTable.local_lpm
+        monkeypatch.setattr(
+            TreeTable, "local_lpm", lambda t, *key: calls.append(key) or local_lpm(t, *key)
+        )
+        tree_delete(tree, *key_of("01101111"))
+        assert calls == []
+        assert tree.root.expansion == reference_expansion(tree.root)
         check_root(tree, range(1 << 8))
 
     @pytest.mark.parametrize("deleted, kept", [
@@ -620,6 +639,30 @@ class TestRootShape:
         assert len(TreeTable.__slots__) == 8
         if sys.implementation.name == "cpython":   # 104 bytes with a ninth slot
             assert {sys.getsizeof(t) for t in others} == {96}
+        # a row gaining or losing its child changes no slot
+        assert "add_stub" not in ExpandedRoot.__dict__
+        assert "clear_child" not in ExpandedRoot.__dict__
+
+    def test_a_terminal_gaining_and_losing_a_child_keeps_every_slot(self):
+        # 0000/4 is a full-length terminal of the SRAM root: inserting
+        # 00001111/8 gives it a child and deleting that collects it again,
+        # and its slot holds its own key throughout
+        entries = [Prefix("", 0, "z"), Prefix("01", 2, "a"), Prefix("0000", 4, "t"),
+                   Prefix("11110000", 8, "c")]
+        tree = build_tree(PrefixDatabase(8, entries), StrideList.parse("4-4"))
+        hybridize(tree, HybridizationConfig(factor=64), 9)
+        root = tree.root
+        assert isinstance(root, ExpandedRoot)
+        start = dict(root.expansion)
+        assert start[0b10000] == 0b10000
+        tree_insert(tree, *key_of("00001111"), "d")
+        assert not isinstance(root.by_key[0b10000], str)
+        assert root.expansion == start
+        check_root(tree, range(1 << 8))
+        tree_delete(tree, *key_of("00001111"))
+        assert root.by_key[0b10000] == "t"
+        assert root.expansion == start
+        check_root(tree, range(1 << 8))
 
     @pytest.mark.parametrize("factor, kind", [(None, TCAM), (3, TCAM), (8, SRAM)])
     def test_a_tcam_root_stays_a_tree_table(self, factor, kind):

@@ -26,7 +26,7 @@ from tests.helpers import (
 def assert_vector_matches_scalar(state):
     hops = HopIds()
     vec = state_vector(state, hops)
-    for i, address in enumerate(all_addresses(state.address_width)):
+    for i, address in enumerate(all_addresses(state.tree.address_width)):
         assert hops.label(int(vec[i])) == state.search(address), address
 
 
