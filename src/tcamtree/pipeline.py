@@ -256,7 +256,12 @@ def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowB
 
 
 class PipelineState:
-    """A deployable lookup structure: tree, packing, optional placement, overflow."""
+    """A deployable lookup structure: tree, packing, optional placement, overflow.
+
+    `sram_rows` is the plan's pooled SRAM row count, as hybridized; updates
+    do not change it yet, though they add and drop rows of SRAM tables
+    (defect (a), ROADMAP item 2).
+    """
 
     def __init__(
         self,
@@ -266,6 +271,7 @@ class PipelineState:
         grain: GrainSpec,
         tag_bits: int,
         supertables: list[SuperTable],
+        sram_rows: int,
         plan: Optional[PipelinePlan] = None,
     ):
         self.tree = tree
@@ -274,7 +280,7 @@ class PipelineState:
         self.tag_bits = tag_bits
         self.supertables = supertables
         self.plan = plan
-        self.sram_rows = 0
+        self.sram_rows = sram_rows
         self._st_of: dict[TreeTable, SuperTable] = {}
         self._level_supertables: dict[int, list[SuperTable]] = {}   # each in `supertables` order
         for st in supertables:
@@ -314,16 +320,15 @@ class PipelineState:
                     if rows:
                         pools[level_index] = ceil_div(rows, hybrid.sram_spec.page_depth)
                 plan = map_to_pipeline(supertables, pools, profile)
-            state = cls(
+            return cls(
                 tree,
                 _long_entries(db, strides.coverage, overflow_capacity),
                 grain=grain,
                 tag_bits=tag,
                 supertables=supertables,
+                sram_rows=sum(level_rows),
                 plan=plan,
             )
-            state.sram_rows = sum(level_rows)
-            return state
 
     # -- lookup ----------------------------------------------------------------
 
@@ -385,79 +390,60 @@ class PipelineState:
     # -- capacity bookkeeping ------------------------------------------------------
 
     def _place(self, grown: list[tuple[int, TreeTable]]) -> bool:
-        """Make room for the rows an insert added, shallowest table first.
+        """Place the rows an insert added, shallowest table first, or change
+        nothing and return False when a block row finds no stage room.
 
-        Each (level, table) in `grown` gained one row; no two share a level.  A
-        packed table's super-table grows a block row at a time; a new table
-        joins the last super-table of its level with room for another member,
-        growing it if needed, or else opens a super-table of its own.  Memberships
-        and entry counts change only once every block row is placed; if one
-        cannot be, the block rows are taken back, the stage map is restored
-        from its snapshot, and False returned.  Without a stage map rows are
+        Each (level, table) in `grown` gained one row; no two share a level.
+        The row goes to its table's super-table; a new table's row goes to the
+        last super-table of its level with room for another member, or else to
+        a new one of its own, whose constructor counts the row and its first
+        block row.  A row takes one block row when its super-table is full or
+        new, and never more: capacity never falls below `total_entries`.  When
+        a host finds no stage room, no new super-table is tried: its tag is no
+        narrower and its level window the same, and `place` fits no more
+        blocks where fewer did not fit.  Only the stage map changes until
+        every block row is placed, so a failure restores just its snapshot,
+        taken before the first placement.  Without a stage map rows are
         counted, never refused.
         """
         plan = self.plan
-        saved: list = []   # the stage map's snapshot, once a row may be placed
-        rows: list[tuple[SuperTable, list[Span]]] = []   # one per block row added
-        gained: list[SuperTable] = []
-        joins: list[tuple[SuperTable, TreeTable]] = []
-        opened: list[SuperTable] = []
+        saved = None
+        rows = []   # (super-table, table joining it or None, opened, new block row's spans or None)
         for level, table in grown:
             if table.kind == SRAM:
                 continue
             st = self._st_of.get(table)
-            if st is not None:
-                if not self._grow(st, st.total_entries + 1, rows, saved):
-                    break
-                gained.append(st)
-                continue
-            host = self._host_for_level(level)
-            if host is not None and self._grow(host, host.total_entries + 1, rows, saved):
-                joins.append((host, table))
-                continue
-            st = SuperTable(level, self.tag_bits, [table], self.grain)
-            st.allocated_rows = 0   # its first block row is placed like any other
-            if not self._grow(st, st.total_entries, rows, saved):
-                break
-            opened.append(st)
-        else:
-            if plan is not None:
-                for st, spans in rows:
-                    plan.extra_spans.setdefault(st, []).extend(spans)
-            for st in gained:
-                st.total_entries += 1
-            for st in opened:
+            joins = st is None
+            if joins:
+                st = self._host_for_level(level)
+            opened = st is None
+            if opened:
+                st = SuperTable(level, self.tag_bits, [table], self.grain)
+            spans = None
+            if opened or st.empty_entries == 0:
+                spans = []
+                if plan is not None:
+                    if saved is None:
+                        saved = (dict(plan.level_min_stage), dict(plan.level_max_stage),
+                                 list(plan._tcam_next))
+                    spans = plan.place(level, st.horizontal_blocks, sram=False)
+                    if spans is None:
+                        plan.level_min_stage, plan.level_max_stage, plan._tcam_next = saved
+                        return False
+            rows.append((st, table if joins else None, opened, spans))
+        for st, table, opened, spans in rows:
+            if opened:
                 self.supertables.append(st)
                 self._level_supertables.setdefault(st.level_index, []).append(st)
-                (table,) = st.members
+            else:
+                st.total_entries += 1
+                st.allocated_rows += spans is not None
+                if table is not None:
+                    st.members[table] = None
+            if table is not None:
                 self._st_of[table] = st
-            for host, table in joins:
-                host.members[table] = None
-                host.total_entries += 1
-                self._st_of[table] = host
-            return True
-        for st, _ in rows:
-            st.allocated_rows -= 1
-        plan.level_min_stage, plan.level_max_stage, plan._tcam_next = saved
-        return False
-
-    def _grow(self, st: SuperTable, entries: int, rows: list, saved: list) -> bool:
-        """Add block rows to `st` until it holds `entries` rows, noting each in
-        `rows`; False when the stage map has no room for the next one.  The
-        stage bounds and the free TCAM space are copied into `saved` before
-        the first placement, when it is still empty."""
-        while st.entry_capacity < entries:
-            spans: list[Span] = []
-            plan = self.plan
-            if plan is not None:
-                if not saved:
-                    saved += (dict(plan.level_min_stage), dict(plan.level_max_stage),
-                              list(plan._tcam_next))
-                spans = plan.place(st.level_index, st.horizontal_blocks, sram=False)
-                if spans is None:
-                    return False
-            st.allocated_rows += 1
-            rows.append((st, spans))
+            if spans:
+                plan.extra_spans.setdefault(st, []).extend(spans)
         return True
 
     def _host_for_level(self, level: int) -> Optional[SuperTable]:

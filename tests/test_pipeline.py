@@ -259,6 +259,22 @@ class TestInsert:
         count, samples = full_space_mismatches(entries, state)
         assert count == 0, samples
 
+    def test_a_row_with_room_left_takes_no_block_row(self):
+        db = PrefixDatabase(
+            8, [Prefix(format(i, "06b"), 6, f"h{i}") for i in range(3)]
+        )
+        profile = PipelineProfile(stage_count=4, tcam_blocks_per_stage=4, sram_pages_per_stage=4)
+        state = PipelineState.planned(
+            db, StrideList.parse("6-2"), grain=GrainSpec(8, 4), profile=profile
+        )
+        (root_super,) = state.supertables
+        assert root_super.empty_entries == 1
+        blocks = list(state.plan._tcam_next)
+        state.insert(Prefix("111111", 6, "new"))
+        assert root_super.empty_entries == 0 and root_super.allocated_rows == 1
+        assert state.plan._tcam_next == blocks and not state.plan.extra_spans
+        assert state.search("11111100") == "new"
+
     def test_no_stage_room_spills_to_overflow(self):
         grain = GrainSpec(8, 4)
         db = PrefixDatabase(
@@ -275,6 +291,52 @@ class TestInsert:
         assert state.search("11111111") == "new"
         # the root's first new block row found no room, so no row was placed
         assert (plan.level_min_stage, plan.level_max_stage, plan._tcam_next) == before
+
+    def test_a_host_without_stage_room_spills_without_a_second_try(self, monkeypatch):
+        # Level 1 is one packed super-table, full, with room for two more
+        # members, alone in stage 2.  The new level-1 table's host asks for a
+        # block row there and finds none; a super-table of its own would ask
+        # for as many blocks in the same window, so it is not tried.
+        from tcamtree.pipeline import PipelinePlan
+
+        db = PrefixDatabase(8, [
+            Prefix(bits, 8, f"h{i}")
+            for i, bits in enumerate(["00000000", "00000001", "00010000", "00010001"])
+        ])
+        profile = PipelineProfile(stage_count=2, tcam_blocks_per_stage=1, sram_pages_per_stage=1)
+        state = PipelineState.planned(
+            db, StrideList.parse("4-4"), grain=GrainSpec(8, 4), tag_bits=2, profile=profile
+        )
+        plan = state.plan
+        (level1,) = [st_ for st_ in state.supertables if st_.level_index == 1]
+        assert level1.tag_bits == 2 and len(level1.members) == 2
+        assert level1.total_entries == level1.entry_capacity == 4
+
+        def snapshot():
+            return (
+                list(state.supertables),
+                [(list(st_.members), st_.total_entries, st_.allocated_rows)
+                 for st_ in state.supertables],
+                dict(state._st_of),
+                {st_: list(spans) for st_, spans in plan.extra_spans.items()},
+                list(plan._tcam_next),
+                dict(plan.level_min_stage),
+                dict(plan.level_max_stage),
+            )
+
+        before = snapshot()
+        calls = []
+        place = PipelinePlan.place
+        monkeypatch.setattr(
+            PipelinePlan, "place",
+            lambda self, level, amount, sram: calls.append((level, amount)) or place(
+                self, level, amount, sram),
+        )
+        state.insert(Prefix("00101111", 8, "new"))
+        assert calls == [(1, 1)]
+        assert state.overflow.contains("00101111")
+        assert snapshot() == before
+        assert state.search("00101111") == "new" and state.search("00010001") == "h3"
 
     def test_spilled_insert_restores_stage_bounds(self):
         # The root grows a block row into stage 2, then the new level-1 table
