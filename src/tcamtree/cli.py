@@ -75,8 +75,10 @@ def _improvement_fields(improvement: Optional[Fraction]) -> dict:
     }
 
 
-def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
-    """Run build -> (hybridize) -> tag -> map -> bounds; returns (state, report)."""
+def _planned_state(db: PrefixDatabase, cfg: PlanConfig, profile: Optional[PipelineProfile]):
+    """The plan's state, stage-mapped on `profile` when given, and its
+    threshold length; an empty database and a coverage outside (0, 1] are
+    refused first."""
     if len(db) == 0:
         raise EmptyDatabase("cannot plan for an empty database")
     threshold = max_threshold_length(db, cfg.coverage)
@@ -85,10 +87,16 @@ def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
         cfg.strides,
         grain=cfg.grain,
         tag_bits=cfg.tag_bits,
-        profile=cfg.profile if map_stages else None,
+        profile=profile,
         hybrid=cfg.hybrid_config(),
         overflow_capacity=cfg.overflow_capacity,
     )
+    return state, threshold
+
+
+def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
+    """Run build -> (hybridize) -> tag -> map -> bounds; returns (state, report)."""
+    state, threshold = _planned_state(db, cfg, cfg.profile if map_stages else None)
     split = lean_row(db, cfg.strides.boundaries[0]) if len(cfg.strides) >= 2 else None
     breport = bounds_model.build_report(
         entry_count=len(db),
@@ -305,7 +313,7 @@ def inject_fault(state: PipelineState):
 
 def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,
                max_mismatches: int, trace: Optional[str] = None, seed: int = 0):
-    state, _ = build_plan(db, cfg, map_stages=False)
+    state, _ = _planned_state(db, cfg, None)
     if fault:
         inject_fault(state)
     width = db.address_width

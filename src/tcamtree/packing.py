@@ -178,8 +178,8 @@ def _emit_group(level_index, group, tag_bits, grain, out):
 def tag_and_pack(tree: TcamTree, grain: GrainSpec, tag_bits: int) -> list[SuperTable]:
     """Group each level's TCAM tables into super-tables.
 
-    Tables are taken largest-first (pairing large with small bounds the size of
-    any one group) and a group closes at 2**tag_bits members.  The root stays
+    Tables are taken largest-first, ties in level order, and each run of
+    2**tag_bits consecutive tables in that order is one group.  The root stays
     alone and untagged, since level 0 holds only the root and `_emit_group`
     packs a lone table untagged; SRAM tables are never tagged.
     """

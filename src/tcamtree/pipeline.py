@@ -4,8 +4,9 @@ Placement honors one hard constraint, stated per level: every level's
 blocks and pages sit after every stage of the level above (the RMT stage
 dependency), and `PipelinePlan.place` is the one way to take stage space.
 `search` checks an address and turns it into an int once
-(`prefixdb.address_value`) and walks the tree in one call,
-`TreeTable.lookup` on the root: match/action per level, in one frame.
+(`prefixdb.address_value`) and walks the tree from the root's `lookup`:
+match/action per level, in the one loop of `TreeTable.lookup`, which an SRAM
+root's `ExpandedRoot.lookup` enters below its own level.
 Entries that the planned structure cannot hold (too long for the stride
 coverage, or no block space left) sit in a small overflow buffer; its
 matches are compared against the tree's by explicit prefix length, overflow

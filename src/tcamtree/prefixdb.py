@@ -175,9 +175,6 @@ class PrefixDatabase:
     def __len__(self):
         return len(self._lengths)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __eq__(self, other):
         return (
             isinstance(other, PrefixDatabase)

@@ -16,7 +16,7 @@ therefore share one lookup.  Each table keeps its rows in one plain dict
 keyed by the tagged key `(1 << l) | bits` of a row of specified length `l`
 (the marker bit keeps lengths apart, as in a heap-numbered unibit trie),
 beside the lengths present, longest first.  The search walk,
-`TreeTable.lookup`, runs down the tree in one frame: at each level it tags
+`TreeTable.lookup`, runs down the tree in one loop: at each level it tags
 the address's segment once, probes it shifted down to each length, longest
 first (per-length hashing, as in Waldvogel et al.; int keys as in Srinivasan
 & Varghese's controlled prefix expansion), and takes the first row it hits.
@@ -24,7 +24,9 @@ An SRAM root, the one table hybridization expands whole, is an
 `ExpandedRoot`, which also keeps that expansion: one exact-match dict from
 the slots of its longest length to the tagged keys of the rows answering
 them, probed once per search, like the direct-indexed first level of Gupta,
-Lin & McKeown's DIR-24-8; the rows themselves stay in the dict.  Keys and
+Lin & McKeown's DIR-24-8; the rows themselves stay in the dict.  A child
+table found there takes the walk on, handed the bits the root consumed and
+the value it passes down, so that one loop makes every answer.  Keys and
 segments are ints; the ternary text of a key (`key_text`) is made only for
 dumps.  The writes that add or remove a row keep the dict, the lengths and
 the expansion current, so searches are read-only.
@@ -324,23 +326,25 @@ class TreeTable:
     def local_lpm(self, tagged: int, length: int):
         """Longest terminal entry matching the `length`-bit prefix tagged
         `tagged`, the first bits of a segment: (value, local length), or
-        (None, None) when nothing does."""
+        (None, None) when nothing does.  `length` is below the stride, so
+        every row it can meet is a childless terminal, its next hop."""
         by_key = self.by_key
         for l in self.lengths:
             if l <= length:
                 e = by_key.get(tagged >> (length - l))
                 if e is not None:
-                    if e.__class__ is str:
-                        return e, l
-                    if e.bmp_local_len == l:
-                        return e.bmp_value, l
+                    return e, l
         return None, None
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, key: int, bits: int) -> tuple[Optional[str], int]:
+    def lookup(self, key: int, bits: int, start: int = 0, value: Optional[str] = None,
+               vlen: int = -1) -> tuple[Optional[str], int]:
         """Walk down from this table over the `bits`-bit value `key`: (value,
-        matched length) or (None, -1).
+        matched length) or (None, -1).  The walk's state at this table is
+        `start`, the address bits consumed above it, and `value`, the value
+        passed down to it, matched at length `vlen`; the defaults start a
+        walk at the root.
 
         Each level shifts its segment out of `key`, tags it once and probes
         it shifted down to each length, longest first; the first hit is the
@@ -353,8 +357,6 @@ class TreeTable:
         with the last value passed down.
         """
         table = self
-        value, vlen = None, -1
-        start = 0   # the bits consumed above `table`
         while True:
             s = table.stride_width
             bits -= s
@@ -464,9 +466,8 @@ class ExpandedRoot(TreeTable):
     def lookup(self, key: int, bits: int) -> tuple[Optional[str], int]:
         """`TreeTable.lookup` with the root's level read by one probe of the
         expansion, which names the answering row in `by_key`.  A child table
-        there walks on by the plain `TreeTable.lookup`, the root's stride
-        added to the length it matches; when it matches nothing the row's
-        inherited value answers."""
+        there takes the walk on by the plain `TreeTable.lookup`, handed the
+        root's stride as the bits consumed and the row's inherited value."""
         expansion = self.expansion
         if not expansion:   # a root with no rows
             return None, -1
@@ -478,12 +479,9 @@ class ExpandedRoot(TreeTable):
         if row.__class__ is str:
             return row, tagged.bit_length() - 1
         bits -= self.stride_width
-        value, length = row.lookup(key & ((1 << bits) - 1), bits)
-        if value is not None:
-            return value, self.stride_width + length
-        if row.bmp_value is None:
-            return None, -1
-        return row.bmp_value, row.bmp_local_len
+        value = row.bmp_value
+        return row.lookup(key & ((1 << bits) - 1), bits, self.stride_width, value,
+                          -1 if value is None else row.bmp_local_len)
 
 
 class TcamTree:
@@ -565,7 +563,7 @@ def descend(tree: TcamTree, key: int, length: int, grown: Optional[list],
             if path is not None:
                 return level, None, key, length
             if row is None:
-                row = tree.new_table(level + 1, *table.local_lpm(tagged, s))
+                row = tree.new_table(level + 1, *table.local_lpm(tagged >> 1, s - 1))
                 if grown is not None:
                     grown.append((level, table))
             else:

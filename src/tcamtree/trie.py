@@ -48,19 +48,13 @@ class LeanLevelTable:
         self.rows = tuple(rows)
         self._by_depth = {r.depth: r for r in self.rows}
 
-    @property
-    def max_depth(self) -> int:
-        return self.rows[-1].depth if self.rows else 0
-
     def row(self, depth: int) -> LeanLevelRow:
         try:
             return self._by_depth[depth]
         except KeyError:
             raise LevelOutOfRange(f"no lean-level row for depth {depth}") from None
 
-    def to_csv(self, min_level: int = 1, max_level: Optional[int] = None) -> str:
-        if max_level is None:
-            max_level = self.max_depth
+    def to_csv(self, min_level: int, max_level: int) -> str:
         lines = ["level,b_percent,worst_overhead_percent"]
         for depth in range(min_level, max_level + 1):
             r = self.row(depth)

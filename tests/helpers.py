@@ -20,9 +20,10 @@ import numpy as np
 
 from tcamtree import Prefix, PrefixDatabase, StrideList, blocks_for_table, parse_database
 from tcamtree.errors import DuplicatePrefix, PlannerError
+from tcamtree.packing import sram_rows_for_table
 from tcamtree.pipeline import PipelineState
 from tcamtree.prefixdb import DEFAULT_NEXT_HOP
-from tcamtree.tiler import TCAM, TcamTree, key_text, tree_insert
+from tcamtree.tiler import SRAM, TCAM, TcamTree, key_text, tree_insert
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -231,6 +232,16 @@ def reference_expansion(table) -> dict:
                 expansion[slot] = slot >> free
                 break
     return expansion
+
+
+def check_expansion_counts(tree) -> int:
+    """Each SRAM table's expansion, rebuilt slot by slot, holds as many slots
+    as the SRAM rows `sram_rows_for_table` charges for it; returns the count
+    of SRAM tables checked."""
+    sram = [t for t in tree.all_tables() if t.kind == SRAM]
+    for t in sram:
+        assert len(reference_expansion(t)) == sram_rows_for_table(t)[1], t
+    return len(sram)
 
 
 def stub_counts(tree, pure: bool = False) -> dict[int, int]:

@@ -20,7 +20,14 @@ from tcamtree import cli
 from tcamtree.cli import PlanConfig, build_plan, main
 from tcamtree.tiler import SRAM, TCAM, TreeTable
 
-from tests.helpers import random_database, random_strides, row_at, terminal_count, total_entries
+from tests.helpers import (
+    check_expansion_counts,
+    random_database,
+    random_strides,
+    row_at,
+    terminal_count,
+    total_entries,
+)
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data" / "table1.txt"
@@ -590,6 +597,68 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err.startswith("error: grain widths") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, extra, line",
+        [
+            ("plan", (), "cannot plan for an empty database"),
+            ("verify", (), "cannot plan for an empty database"),
+            ("sweep-grain", ("--widths", "44"), "cannot sweep an empty database"),
+        ],
+    )
+    def test_empty_database_is_refused(self, command, extra, line, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# nothing\n")
+        code, out, err = run(
+            capsys, command, "--db", str(empty), "--width", "6", "--strides", "3-3", *extra
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {line}\n"
+
+    @pytest.mark.parametrize("value", ["0", "3/2", "-1"])
+    @pytest.mark.parametrize("command", ["plan", "verify"])
+    def test_coverage_outside_the_unit_interval_is_refused(self, command, value, capsys):
+        code, out, err = run(
+            capsys, command, "--db", str(DATA), "--width", "6", "--strides", "3-3",
+            "--coverage", value,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: coverage must lie in (0, 1]\n"
+
+    def test_profile_not_an_object_is_named(self, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        path.write_text("[16, 24, 80]")
+        err = self.plan_error(capsys, "--profile", str(path))
+        assert err == (
+            f"error: profile {path}: expected a JSON object with keys stage_count,"
+            " tcam_blocks_per_stage, sram_pages_per_stage\n"
+        )
+
+    def test_dotted_trace_line_needs_width_32(self, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("100110\n10.0.0.1\n")
+        code, out, err = run(
+            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
+            "--trace", str(trace),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: line 2: dotted addresses need width 32\n"
+
+
+
+def benchmark_table(monkeypatch, shape: str):
+    """The seed-1 50k table of the benchmark workload of `gen` shape `shape`."""
+    import sys
+
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    fresh_gen = "gen" not in sys.modules
+    import gen
+
+    if fresh_gen:
+        sys.modules.pop("gen")
+    db, _ = gen.make_table(getattr(gen, shape), 50_000, 1)
+    return db
+
 
 class TestGolden:
     """`plan` output, byte for byte, against reports committed from an earlier
@@ -643,18 +712,9 @@ class TestGolden:
                                            capsys):
         # the seed-1 50k tables of the benchmark's two workloads, written under
         # a fixed relative name, since the report names its database
-        import sys
-
         from tcamtree.prefixdb import serialize
 
-        monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        fresh_gen = "gen" not in sys.modules
-        import gen
-
-        if fresh_gen:
-            sys.modules.pop("gen")
-        db, _ = gen.make_table(getattr(gen, shape), 50_000, 1)
+        db = benchmark_table(monkeypatch, shape)
         monkeypatch.chdir(tmp_path)
         Path("table.txt").write_bytes(serialize(db).encode())
         code, _, _ = run(
@@ -663,6 +723,30 @@ class TestGolden:
         )
         assert code == 0
         assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "table, width, strides, tag_bits",
+        [
+            ("table1.txt", 6, "2-2-2", None),
+            ("synthetic-ipv4-500.txt", 32, "16-4-4-8", 14),
+            ("IPV4", 32, "16-4-4-8", 14),
+        ],
+    )
+    def test_hybridized_golden_sram_tables_expand_to_their_rows(
+        self, table, width, strides, tag_bits, monkeypatch
+    ):
+        # the plans of the hybridized goldens above; IPV4 is the seed-1 50k
+        # benchmark table
+        if table == "IPV4":
+            db = benchmark_table(monkeypatch, table)
+        else:
+            db = parse_file(GOLDEN.parent / table, width)
+        cfg = PlanConfig(
+            db_path=table, address_width=width, strides=StrideList.parse(strides),
+            hybridize=True, tag_bits=tag_bits,
+        )
+        state, _ = build_plan(db, cfg)
+        assert check_expansion_counts(state.tree) > 0
 
     @pytest.mark.parametrize(
         "golden, db, width",
@@ -715,6 +799,44 @@ class TestVerify:
             lines = out.splitlines()
             assert lines[0] == f"FAIL 32 of 64 addresses mismatch; first {listed}:"
             assert len(lines) == 1 + listed
+
+    @pytest.mark.parametrize("hybrid", [(), ("--hybridize",)])
+    def test_fault_injection_reaches_a_terminal_kept_for_its_child(self, hybrid, tmp_path,
+                                                                  capsys):
+        # 100/3 ends at the root's full stride and keeps the child that
+        # 100110/6 needs, so 100xxx but 100110 is answered by the value that
+        # child holds for it: each address under 1/1 mismatches
+        db = tmp_path / "db.txt"
+        db.write_text("100000/3 A\n100110/6 E\n100000/1 B\n")
+        state = PipelineState.planned(parse_file(db, 6), StrideList.parse("3-3"))
+        assert row_at(state.tree.root, 3, 0b100).bmp_local_len == 3
+        code, out, _ = run(
+            capsys, "verify", "--db", str(db), "--width", "6", "--strides", "3-3",
+            "--inject-fault", "--max-mismatches", "64", *hybrid,
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL 32 of 64 addresses mismatch; first 32:"
+        expected = {v: "E" if v == 0b100110 else "A" if v >> 3 == 0b100 else "B"
+                    for v in range(32, 64)}
+        assert lines[1:] == [f"({v:06b}, {hop}?corrupt, {hop})" for v, hop in expected.items()]
+
+    def test_builds_no_report(self, monkeypatch, capsys):
+        # verify checks the state alone: the lean row, the bounds model, the
+        # resource totals and the report are never made
+        from tcamtree import bounds
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify built part of a plan report")
+
+        for module, name in ((cli, "_render_report"), (bounds, "build_report"),
+                             (cli, "lean_row"), (cli, "resource_totals")):
+            monkeypatch.setattr(module, name, forbidden)
+        for hybrid in ((), ("--hybridize",)):
+            code, out, _ = run(
+                capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3", *hybrid
+            )
+            assert (code, out) == (0, "PASS 64/64\n")
 
     def test_pass_with_an_overflow_buffer(self, capsys):
         code, out, _ = run(

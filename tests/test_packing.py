@@ -25,6 +25,7 @@ from tcamtree.tiler import SRAM, TCAM, TcamTree, TreeTable, tree_delete, tree_in
 from tests.helpers import (
     DATA_DIR,
     all_addresses,
+    check_expansion_counts,
     covered_ranges,
     key_of,
     pre_tag_blocks,
@@ -133,6 +134,7 @@ class TestHybridize:
             sum(sram_rows_for_table(t)[1] for t in tables if t.kind == SRAM)
             for tables in hybrid.levels
         ]
+        check_expansion_counts(hybrid)
         for address in all_addresses(width):
             assert tree_search(hybrid, address) == oracle_lookup(db, address)
 

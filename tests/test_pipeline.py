@@ -22,7 +22,7 @@ from tcamtree.errors import (
     OverflowFull,
     StageDepthExceeded,
 )
-from tcamtree.pipeline import OverflowBuffer, PipelineProfile, PipelineState
+from tcamtree.pipeline import OverflowBuffer, PipelinePlan, PipelineProfile, PipelineState, Span
 from tcamtree.tiler import TCAM, TcamTree, TreeTable
 
 from tests.helpers import (
@@ -146,6 +146,37 @@ class TestMapToPipeline:
         b = PipelineState.planned(db, StrideList.parse("3-3"), profile=profile)
         assert a.plan.placements == b.plan.placements
 
+    def test_place_stops_a_spill_at_a_full_stage(self):
+        # stage 1 has one block free and stage 2 none, so a run from stage 1
+        # stops at stage 2, and the next run that fits starts at stage 3
+        plan = PipelinePlan(PipelineProfile(3, 2, 0))
+        plan._tcam_next[1:] = [1, 2, 0]
+        assert plan.place(0, 2, sram=False) == [Span(3, 0, 2)]
+        assert plan.place(0, 2, sram=False) is None
+        assert plan._tcam_next[1:] == [1, 2, 2]
+        assert (plan.level_min_stage, plan.level_max_stage) == ({0: 3}, {0: 3})
+
+    def test_entries_all_beyond_coverage_place_no_block(self, monkeypatch):
+        # every entry goes to the overflow buffer, so the root super-table
+        # has no block and level 0 asks for no stage space
+        place = PipelinePlan.place
+        calls = []
+
+        def counted(plan, *args, **kwargs):
+            calls.append(args)
+            return place(plan, *args, **kwargs)
+
+        monkeypatch.setattr(PipelinePlan, "place", counted)
+        db = PrefixDatabase(6, [Prefix("1010", 4, "A"), Prefix("01", 2, "B")])
+        profile = PipelineProfile(stage_count=2, tcam_blocks_per_stage=4, sram_pages_per_stage=4)
+        state = PipelineState.planned(db, StrideList.parse("1"), profile=profile)
+        assert calls == []
+        assert len(state.overflow) == 2 and state.tree.root.entry_count == 0
+        assert [st.allocated_blocks for st in state.supertables] == [0]
+        assert state.plan.placements == [[]] and state.plan.stages_used() == 0
+        for address in all_addresses(6):
+            assert state.search(address) == oracle_lookup(db, address)
+
 
 class TestSearch:
     def test_table1_walk_examples(self):
@@ -207,6 +238,14 @@ class TestInsert:
         state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         with pytest.raises(DuplicatePrefix):
             state.insert(Prefix("1000", 4, "Z"))
+
+    def test_duplicate_overflow_insert_rejected(self):
+        state = PipelineState.planned(table1_db(), StrideList.parse("3-2"))
+        state.insert(Prefix("110011", 6, "Z"))
+        held = dict(state.overflow.entries)
+        with pytest.raises(DuplicatePrefix):
+            state.insert(Prefix("110011", 6, "Y"))
+        assert state.overflow.entries == held and held[6, 0b110011] == "Z"
 
     def test_prefix_longer_than_the_width_is_refused(self):
         # refused before it reaches the overflow buffer, so searches still answer
@@ -297,8 +336,6 @@ class TestInsert:
         # members, alone in stage 2.  The new level-1 table's host asks for a
         # block row there and finds none; a super-table of its own would ask
         # for as many blocks in the same window, so it is not tried.
-        from tcamtree.pipeline import PipelinePlan
-
         db = PrefixDatabase(8, [
             Prefix(bits, 8, f"h{i}")
             for i, bits in enumerate(["00000000", "00000001", "00010000", "00010001"])

@@ -749,6 +749,38 @@ class TestRowKinds:
         assert row_at(root, 3, 0b101) is hop
         assert list(root.stub_keys) == [] and not tree.levels[1]
 
+    def test_local_lpm_is_asked_below_the_stride(self, monkeypatch):
+        # the bulk build, inserts, deletes and SRAM row counts ask only
+        # lengths whose rows are all childless terminals
+        asked = []
+        local_lpm = TreeTable.local_lpm
+
+        def recorded(table, tagged, length):
+            asked.append((length, table.stride_width))
+            return local_lpm(table, tagged, length)
+
+        monkeypatch.setattr(TreeTable, "local_lpm", recorded)
+        for seed in range(40):
+            rng = random.Random(seed)
+            width = rng.randint(2, 10)
+            db = random_database(rng, width, max_entries=40)
+            tree = build_tree(db, random_strides(rng, width))
+            if seed % 2:
+                hybridize(tree, HybridizationConfig(factor=rng.choice([1.5, 3, 8])), 9)
+            live = {p.bits for p in db.entries}
+            for _ in range(20):
+                length = rng.randint(0, width)
+                bits = format(rng.getrandbits(length), f"0{length}b") if length else ""
+                if bits in live:
+                    live.remove(bits)
+                    tree_delete(tree, *key_of(bits))
+                else:
+                    live.add(bits)
+                    tree_insert(tree, *key_of(bits), "u")
+            for t in tree.all_tables():
+                sram_rows_for_table(t)
+        assert asked and all(length < stride for length, stride in asked)
+
 
 def edit_state(tree):
     """What a failed delete must leave as it was: the nested rows, each
