@@ -319,6 +319,8 @@ def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,
     width = db.address_width
     if trace is not None:
         addresses = read_trace(trace, width)
+        if not addresses:   # a replay of nothing would check nothing
+            raise ValueError(f"{trace}: the trace holds no address")
     else:
         addresses = verification_addresses(db, mode, samples, seed)
     mismatches = []
@@ -443,6 +445,8 @@ def _require_nonnegative(args, *names):
 def _fraction_flag(args, name: str) -> Fraction:
     raw = getattr(args, name)
     try:
+        if "e" in raw.lower():   # Fraction("1e999999999") builds 10 ** 999999999
+            raise ValueError
         return Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--{name} must be a fraction or decimal, got {raw!r}") from None

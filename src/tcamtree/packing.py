@@ -93,15 +93,15 @@ def sram_rows_for_table(table: TreeTable) -> tuple[int, int]:
     - l)` over each terminal of length `l` that no shorter terminal covers,
     one `local_lpm` probe of its tagged key less one bit.  `rows`, the
     exact-match rows a converted table occupies, adds the rows with a child
-    that no terminal covers, those whose child's `bmp_local_len` is None."""
+    that no terminal covers, those whose child's `bmp_local_len` is -1."""
     target = table.max_local_length()
     expanded = uncovered = 0
     for tagged, e in table.by_key.items():
         l = tagged.bit_length() - 1
         if e.__class__ is str or e.bmp_local_len == l:
-            if l == 0 or table.local_lpm(tagged >> 1, l - 1)[1] is None:
+            if table.local_lpm(tagged >> 1, l - 1)[1] < 0:
                 expanded += 1 << (target - l)
-        elif e.bmp_local_len is None:
+        elif e.bmp_local_len < 0:
             uncovered += 1
     return expanded, expanded + uncovered
 
@@ -126,7 +126,7 @@ class SuperTable:
                 f"{len(self.members)} members cannot be told apart by {tag_bits} tag bits"
             )
         # Same-level tables share one stride width.
-        self.effective_width = tag_bits + max(t.stride_width for t in self.members)
+        self.effective_width = tag_bits + next(iter(self.members)).stride_width
         self.total_entries = sum(t.entry_count for t in self.members)
         # Entry capacity as mapped; updates may extend it a block row at a time.
         self.allocated_rows = ceil_div(self.total_entries, grain.depth)
@@ -188,11 +188,10 @@ def tag_and_pack(tree: TcamTree, grain: GrainSpec, tag_bits: int) -> list[SuperT
         tcams = [t for t in tables if t.kind == TCAM]
         if not tcams:
             continue
-        ordered = sorted(
-            enumerate(tcams), key=lambda it: (-it[1].entry_count, it[0])
-        )
+        # a stable sort, so ties stay in level order
+        tcams.sort(key=lambda t: -t.entry_count)
         group: list[TreeTable] = []
-        for _, t in ordered:
+        for t in tcams:
             if len(group) >= (1 << tag_bits):
                 _emit_group(level_index, group, tag_bits, grain, result)
                 group = []

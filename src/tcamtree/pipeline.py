@@ -30,7 +30,7 @@ from .packing import (
     HybridizationConfig,
     SuperTable,
     hybridize,
-    sram_rows_for_table,  # noqa: F401 -- perfbench/tracer.py times it through this module
+    sram_rows_for_table,  # noqa: F401 -- never called here; perfbench/tracer.py patches this name
     tag_and_pack,
 )
 from .prefixdb import DEFAULT_NEXT_HOP, Prefix, PrefixDatabase, address_value
@@ -344,7 +344,7 @@ class PipelineState:
         value, length = tree.root.lookup(key, tree.address_width)
         if self.overflow.entries:
             over_value, over_len = self.overflow.lpm(key)
-            if over_value is not None and over_len >= length:
+            if over_len >= length:
                 value = over_value
         return value if value is not None else DEFAULT_NEXT_HOP
 

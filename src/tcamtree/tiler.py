@@ -188,7 +188,8 @@ class TreeTable:
     A child table also holds what the row that points at it inherits (a row
     and its child are one-to-one): `bmp_value`, the value of the longest of
     the parent's terminals matching the row's key, and `bmp_local_len`, that
-    terminal's local length (None, None when none does, and for the root).
+    terminal's local length: (None, -1), the walk's own "no match", when
+    none does, and for the root.
     The row is itself a terminal, a database prefix ending in the parent,
     exactly when that local length is the parent's stride.
 
@@ -202,7 +203,7 @@ class TreeTable:
     )
 
     def __init__(self, stride_width: int, bmp_value: Optional[str] = None,
-                 bmp_local_len: Optional[int] = None):
+                 bmp_local_len: int = -1):
         self.stride_width = stride_width
         self.kind = TCAM
         self.by_key: dict[int, Row] = {}
@@ -326,7 +327,7 @@ class TreeTable:
     def local_lpm(self, tagged: int, length: int):
         """Longest terminal entry matching the `length`-bit prefix tagged
         `tagged`, the first bits of a segment: (value, local length), or
-        (None, None) when nothing does.  `length` is below the stride, so
+        (None, -1) when nothing does.  `length` is below the stride, so
         every row it can meet is a childless terminal, its next hop."""
         by_key = self.by_key
         for l in self.lengths:
@@ -334,7 +335,7 @@ class TreeTable:
                 e = by_key.get(tagged >> (length - l))
                 if e is not None:
                     return e, l
-        return None, None
+        return None, -1
 
     # -- lookup ------------------------------------------------------------
 
@@ -435,23 +436,22 @@ class ExpandedRoot(TreeTable):
     def remove_row(self, length: int, tagged: int, shared: dict):
         """Point the slots holding the row at the longest shorter terminal
         matching its key, or drop them when there is none; returns that
-        terminal, (value, local length) or (None, None), for `tree_delete`
-        to reuse, or None when the expansion was rebuilt instead.  A row
-        with a child leaves only when `clear_child` collects a pure stub,
-        whose child already holds that terminal."""
+        terminal, (value, local length) or (None, -1), for `tree_delete`
+        to reuse, or None when the expansion was rebuilt instead.  A next
+        hop's is one `local_lpm` call, which at length 0 meets nothing; a
+        row with a child leaves only when `clear_child` collects a pure
+        stub, whose child already holds that terminal."""
         row = self.by_key[tagged]
         top = self.lengths[0]
         super().remove_row(length, tagged, shared)
         if self.max_local_length() < top:
             self.expansion = self.expanded()
             return None
-        if row.__class__ is not str:
-            fallback = row.bmp_value, row.bmp_local_len
-        elif length:
+        if row.__class__ is str:
             fallback = self.local_lpm(tagged >> 1, length - 1)
         else:
-            fallback = None, None
-        new = None if fallback[1] is None else tagged >> (length - fallback[1])
+            fallback = row.bmp_value, row.bmp_local_len
+        new = None if fallback[1] < 0 else tagged >> (length - fallback[1])
         expansion = self.expansion
         free = top - length
         lo = tagged << free
@@ -479,9 +479,8 @@ class ExpandedRoot(TreeTable):
         if row.__class__ is str:
             return row, tagged.bit_length() - 1
         bits -= self.stride_width
-        value = row.bmp_value
-        return row.lookup(key & ((1 << bits) - 1), bits, self.stride_width, value,
-                          -1 if value is None else row.bmp_local_len)
+        return row.lookup(key & ((1 << bits) - 1), bits, self.stride_width, row.bmp_value,
+                          row.bmp_local_len)
 
 
 class TcamTree:
@@ -503,7 +502,7 @@ class TcamTree:
         self.root = self.new_table(0)
 
     def new_table(self, level_index: int, bmp_value: Optional[str] = None,
-                  bmp_local_len: Optional[int] = None) -> TreeTable:
+                  bmp_local_len: int = -1) -> TreeTable:
         t = TreeTable(self.stride_list[level_index], bmp_value, bmp_local_len)
         self.levels[level_index][t] = None
         return t
@@ -602,8 +601,7 @@ def tree_insert(tree: TcamTree, key: int, length: int, value: str) -> list[tuple
     # row with a child at the prefix's own key becomes the terminal this way.
     # The full-length terminals under it are at least as long, so they keep theirs.
     for child in table.rows_under(tagged, rest_len):
-        local_len = child.bmp_local_len
-        if local_len is None or local_len < rest_len:
+        if child.bmp_local_len < rest_len:
             child.bmp_value = value
             child.bmp_local_len = rest_len
     return grown
@@ -636,7 +634,7 @@ def tree_delete(tree: TcamTree, key: int, length: int) -> list[TreeTable]:
     for child in table.rows_under(tagged, rest_len):
         if child.bmp_local_len == rest_len:
             if fallback is None:
-                fallback = table.local_lpm(tagged >> 1, rest_len - 1) if rest_len else (None, None)
+                fallback = table.local_lpm(tagged >> 1, rest_len - 1) if rest_len else (None, -1)
             child.bmp_value, child.bmp_local_len = fallback
     # lazy upward collection of emptied tables
     while not table.by_key and path:

@@ -74,7 +74,7 @@ class RowView(NamedTuple):
     with a child (the child table) alike."""
 
     bmp_value: Optional[str]
-    bmp_local_len: Optional[int]
+    bmp_local_len: int
     child: object
 
 
@@ -126,11 +126,11 @@ def ordered_scan_lookup(ordered_rows, segment: str):
 
 def scan_local_lpm(table, key: str):
     """Reference for a stub's inherited value: the longest of the table's
-    terminal rows matching `key`, found by scanning every row."""
-    best_val, best_len = None, None
+    terminal rows matching `key`, found by scanning every row, or (None, -1)."""
+    best_val, best_len = None, -1
     for bits, length, value in terminal_prefixes(table):
         bits = key_text(bits, length, length)
-        if (best_len is None or length > best_len) and key.startswith(bits):
+        if length > best_len and key.startswith(bits):
             best_val, best_len = value, length
     return best_val, best_len
 

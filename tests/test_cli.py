@@ -459,7 +459,7 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err == "error: --widths must be comma-separated integers, got '4_4,+18'\n"
 
-    @pytest.mark.parametrize("value", ["1/0", "abc"])
+    @pytest.mark.parametrize("value", ["1/0", "abc", "1e5", "2E-3"])
     @pytest.mark.parametrize(
         "command, flag, extra",
         [
@@ -869,6 +869,18 @@ class TestVerify:
         )
         assert code == 0
         assert out == "PASS 3/3\n"
+
+    @pytest.mark.parametrize("text", ["", "\n# comment only\n\n"])
+    def test_trace_with_no_address_is_refused(self, text, tmp_path, capsys):
+        # it used to print PASS 0/0 and exit 0, having checked nothing
+        trace = tmp_path / "trace.txt"
+        trace.write_text(text)
+        code, out, err = run(
+            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
+            "--trace", str(trace),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {trace}: the trace holds no address\n"
 
     def test_trace_rejects_bad_lines(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"

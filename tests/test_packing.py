@@ -149,7 +149,7 @@ def check_sram_counts(tree):
             ranges = covered_ranges(terminals, t.max_local_length())
             want = (sum(hi - lo for lo, hi in ranges), reference_sram_rows(t))
         else:
-            want = (0, sum(1 for _, e in stubs(t) if e.bmp_local_len is None))
+            want = (0, sum(1 for _, e in stubs(t) if e.bmp_local_len == -1))
         assert sram_rows_for_table(t) == want
 
 

@@ -628,14 +628,17 @@ def audit_tree(tree, levels_before):
     for table in tree.all_tables():
         # a row of length l is a terminal of local length l, or a stub at the
         # full stride that inherits a strictly shorter local length or none,
-        # so reading a row's kind off its local length is unambiguous; every
-        # tagged key carries a length no longer than the stride
+        # (None, -1), so reading a row's kind off its local length is
+        # unambiguous; every tagged key carries a length no longer than the
+        # stride
         for tagged, e in table.by_key.items():
             length, _ = untag(tagged)
             assert 0 < tagged < 2 << table.stride_width
             if not is_terminal(e, length):
                 assert length == table.stride_width and e.__class__ is not str
-                assert e.bmp_local_len is None or e.bmp_local_len < length
+                assert -1 <= e.bmp_local_len < length
+            if e.__class__ is not str:
+                assert (e.bmp_value is None) == (e.bmp_local_len == -1)
         assert (table.lengths, table.counts) == recounted_lengths(table)
         assert list(table.stub_keys) == recounted_stub_keys(table)
 

@@ -483,7 +483,7 @@ class TestProbeIndex:
 
     @pytest.mark.parametrize("deleted, kept", [
         ("01", {0b0110: ("b", 3), 0b1111: ("z", 0)}),
-        ("", {0b0110: ("b", 3), 0b1111: (None, None)}),
+        ("", {0b0110: ("b", 3), 0b1111: (None, -1)}),
     ])
     def test_delete_no_row_inherited_makes_no_fallback_match(self, monkeypatch, deleted, kept):
         # The stub at 0110 lies under 01/2 but inherits 011/3, so deleting 01
