@@ -311,18 +311,13 @@ def inject_fault(state: PipelineState):
                 e.bmp_value = e.bmp_value + "?corrupt"
 
 
-def run_verify(db, cfg: PlanConfig, mode: str, samples: int, fault: bool,
-               max_mismatches: int, trace: Optional[str] = None, seed: int = 0):
+def run_verify(db, cfg: PlanConfig, addresses, fault: bool, max_mismatches: int):
+    """Plan `db`, inject a fault if asked, and check each of `addresses` (int
+    values) against the reference lookup."""
     state, _ = _planned_state(db, cfg, None)
     if fault:
         inject_fault(state)
     width = db.address_width
-    if trace is not None:
-        addresses = read_trace(trace, width)
-        if not addresses:   # a replay of nothing would check nothing
-            raise ValueError(f"{trace}: the trace holds no address")
-    else:
-        addresses = verification_addresses(db, mode, samples, seed)
     mismatches = []
     checked = total = 0
     for address in addresses:
@@ -567,10 +562,15 @@ def main(argv=None) -> int:
                 if args.samples == 0:
                     raise ValueError("--seed has no effect: --samples 0 draws no address")
             cfg = _plan_config(args)
+            if args.trace is not None:
+                addresses = read_trace(args.trace, args.width)
+                if not addresses:   # a replay of nothing would check nothing
+                    raise ValueError(f"{args.trace}: the trace holds no address")
             db = parse_file(args.db, args.width)
+            if args.trace is None:
+                addresses = verification_addresses(db, args.mode, args.samples, args.seed or 0)
             checked, total, mismatches = run_verify(
-                db, cfg, args.mode, args.samples, args.inject_fault,
-                args.max_mismatches, trace=args.trace, seed=args.seed or 0,
+                db, cfg, addresses, args.inject_fault, args.max_mismatches
             )
             if total:
                 lines = [f"FAIL {total} of {checked} addresses mismatch; first {len(mismatches)}:"]

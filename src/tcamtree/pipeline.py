@@ -123,8 +123,6 @@ class PipelinePlan:
             return []
         first, last = self.window(level)
         for start in range(first, last + 1):
-            if self._free(start, sram) <= 0:
-                continue
             takes = []
             remaining = amount
             stage = start
@@ -283,9 +281,7 @@ class PipelineState:
         self.plan = plan
         self.sram_rows = sram_rows
         self._st_of: dict[TreeTable, SuperTable] = {}
-        self._level_supertables: dict[int, list[SuperTable]] = {}   # each in `supertables` order
         for st in supertables:
-            self._level_supertables.setdefault(st.level_index, []).append(st)
             for t in st.members:
                 self._st_of[t] = st
 
@@ -351,8 +347,9 @@ class PipelineState:
     # -- updates -----------------------------------------------------------------
 
     def insert(self, prefix: Prefix):
-        """Add one prefix: insert it into the tree and place the rows it added,
-        or roll back and spill it to the overflow buffer."""
+        """Add one prefix: insert it into the tree and place the rows it added.
+        A prefix beyond the stride coverage, or one whose rows find no stage
+        room (the tree insert is rolled back), spills to the overflow buffer."""
         tree = self.tree
         if prefix.length > tree.address_width:
             raise LengthOutOfRange(
@@ -361,13 +358,10 @@ class PipelineState:
         key = int(prefix.bits or "0", 2)
         if self.overflow.entries and (prefix.length, key) in self.overflow.entries:
             raise DuplicatePrefix(f"prefix {prefix} already present")
-        if prefix.length > tree.coverage:
-            self.overflow.add(prefix.length, key, prefix.next_hop)
-            return
-        grown = tree_insert(tree, key, prefix.length, prefix.next_hop)
-        if self._place(grown):
-            return
-        tree_delete(tree, key, prefix.length)
+        if prefix.length <= tree.coverage:
+            if self._place(tree_insert(tree, key, prefix.length, prefix.next_hop)):
+                return
+            tree_delete(tree, key, prefix.length)
         self.overflow.add(prefix.length, key, prefix.next_hop)
 
     def delete(self, prefix: Prefix):
@@ -435,7 +429,6 @@ class PipelineState:
         for st, table, opened, spans in rows:
             if opened:
                 self.supertables.append(st)
-                self._level_supertables.setdefault(st.level_index, []).append(st)
             else:
                 st.total_entries += 1
                 st.allocated_rows += spans is not None
@@ -448,9 +441,10 @@ class PipelineState:
         return True
 
     def _host_for_level(self, level: int) -> Optional[SuperTable]:
-        """The last of the level's super-tables with room for another member."""
-        for st in reversed(self._level_supertables.get(level, ())):
-            if len(st.members) < (1 << st.tag_bits):
+        """The last of the level's super-tables with room for another member,
+        read off `supertables` from the end; None when none has room."""
+        for st in reversed(self.supertables):
+            if st.level_index == level and len(st.members) < 1 << st.tag_bits:
                 return st
         return None
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -643,12 +646,76 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err == "error: line 2: dotted addresses need width 32\n"
 
+    @pytest.mark.parametrize(
+        "extra, line",
+        [
+            (("--strides", "3-4"), "strides cover 7 bits but addresses have 6"),
+            (("--hybridize", "--factor", "1/2"), "conversion factor must be >= 1"),
+            (("--grain", "0x4"), "grain width and depth must be >= 1"),
+        ],
+    )
+    def test_plan_flags_out_of_range_are_named(self, extra, line, capsys):
+        assert self.plan_error(capsys, *extra) == f"error: {line}\n"
+
+    def test_profile_without_stages_is_named(self, tmp_path, capsys):
+        path = self.profile(
+            tmp_path, stage_count=0, tcam_blocks_per_stage=4, sram_pages_per_stage=4
+        )
+        err = self.plan_error(capsys, "--profile", path)
+        assert err == f"error: profile {path}: stage_count must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("01/3 A\n", "line 1: bits shorter than stated length 3"),
+            ("0101010/6 A\n", "line 1: bits longer than address width 6"),
+        ],
+    )
+    def test_database_bits_that_miss_the_length_are_named(self, text, line, tmp_path, capsys):
+        db = tmp_path / "db.txt"
+        db.write_text(text)
+        assert self.plan_error(capsys, "--db", str(db)) == f"error: {line}\n"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("", "{trace}: the trace holds no address"), ("101\n", "line 1: expected a 6-bit address")],
+        ids=["empty", "short"],
+    )
+    def test_bad_trace_wins_over_a_missing_database(self, text, line, tmp_path, capsys):
+        # the trace is read before the database, so a bad one is refused at once
+        trace = tmp_path / "trace.txt"
+        trace.write_text(text)
+        code, out, err = run(
+            capsys, "verify", "--db", "/nonexistent/db.txt", "--width", "6",
+            "--strides", "3-3", "--trace", str(trace),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {line.format(trace=trace)}\n"
+
+
+def test_module_entry_point():
+    """`python -m tcamtree` runs the same `main`: a report, a refused flag
+    and a failed verification, with their exit codes."""
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "tcamtree", *argv], cwd=ROOT, capture_output=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+
+    table = ("--db", "tests/data/table1.txt", "--width", "6")
+    proc = module("plan", *table, "--strides", "3-3")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "table1-3-3.json").read_bytes()
+    proc = module("plan", *table, "--strides", "3-x")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    proc = module("verify", *table, "--strides", "3-3", "--inject-fault")
+    assert proc.returncode == 1 and proc.stdout.startswith(b"FAIL")
 
 
 def benchmark_table(monkeypatch, shape: str):
     """The seed-1 50k table of the benchmark workload of `gen` shape `shape`."""
-    import sys
-
     monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     fresh_gen = "gen" not in sys.modules
@@ -1068,7 +1135,6 @@ def bench(monkeypatch):
     """perfbench/run.py, loaded read-only: no bytecode written, and the `gen`
     module it imports dropped again unless it was loaded before."""
     import importlib.util
-    import sys
 
     monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])   # for `gen`
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)

@@ -661,7 +661,6 @@ def audit(state, planned_supertables):
     by_level = {}
     for st_ in state.supertables:
         by_level.setdefault(st_.level_index, []).append(st_)
-    assert state._level_supertables == by_level
     for level, sts in by_level.items():
         room = [st_ for st_ in sts if len(st_.members) < 2**st_.tag_bits]
         assert state._host_for_level(level) is (room[-1] if room else None)

@@ -119,6 +119,13 @@ class TestBuildTree:
         with pytest.raises(PrefixExceedsCoverage):
             build_tree(table1_db(), StrideList.parse("3-2"))
 
+    def test_insert_beyond_coverage_is_refused_unchanged(self):
+        tree = build_tree(table1_db().restricted(5), StrideList.parse("3-2"))
+        before = tree.structure()
+        with pytest.raises(PrefixExceedsCoverage, match="length 6 exceeds coverage 5"):
+            tree_insert(tree, *key_of("100101"), "Z")
+        assert tree.structure() == before
+
     def test_rejects_duplicates_on_insert(self):
         tree = build_tree(table1_db(), StrideList.parse("3-3"))
         with pytest.raises(DuplicatePrefix):
