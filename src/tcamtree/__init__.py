@@ -33,7 +33,6 @@ from .pipeline import (
 )
 from .prefixdb import (
     DEFAULT_NEXT_HOP,
-    MaxThreshold,
     Prefix,
     PrefixDatabase,
     max_threshold_length,
@@ -63,7 +62,6 @@ __all__ = [
     "GrainSpec",
     "HybridizationConfig",
     "LeanLevelTable",
-    "MaxThreshold",
     "OverflowBuffer",
     "PipelinePlan",
     "PipelineProfile",

@@ -94,13 +94,13 @@ def _planned_state(db: PrefixDatabase, cfg: PlanConfig, profile: Optional[Pipeli
     return state, threshold
 
 
-def build_plan(db: PrefixDatabase, cfg: PlanConfig, map_stages: bool = True):
+def build_plan(db: PrefixDatabase, cfg: PlanConfig):
     """Run build -> (hybridize) -> tag -> map -> bounds; returns (state, report)."""
-    state, threshold = _planned_state(db, cfg, cfg.profile if map_stages else None)
+    state, threshold = _planned_state(db, cfg, cfg.profile)
     split = lean_row(db, cfg.strides.boundaries[0]) if len(cfg.strides) >= 2 else None
     breport = bounds_model.build_report(
         entry_count=len(db),
-        threshold_length=threshold.length,
+        threshold_length=threshold,
         baseline_width=cfg.strides.coverage,
         grain=cfg.grain,
         split=split,
@@ -138,30 +138,22 @@ def _render_report(db, cfg, state, resources, breport, threshold) -> dict:
             "feasible": breport.tiling.feasible,
             "epsilon_bound": str(breport.tiling.epsilon_bound),
         }
-    pipeline = None
-    if state.plan is not None:
-        placements = []
-        for i, st in enumerate(state.supertables):
-            placements.append(
-                {
-                    "supertable": i,
-                    "level": st.level_index,
-                    "tag_bits": st.tag_bits,
-                    "member_tables": len(st.members),
-                    "blocks": st.allocated_blocks,
-                    "spans": [[s.stage, s.start, s.count] for s in state.plan.placements[i]],
-                }
-            )
-        sram_spans = [
-            {"level": level, "spans": [[s.stage, s.start, s.count] for s in spans]}
-            for level, spans in sorted(state.plan.sram_spans.items())
-        ]
-        pipeline = {
-            "stage_count": cfg.profile.stage_count,
-            "stages_used": state.plan.stages_used(),
-            "placements": placements,
-            "sram_spans": sram_spans,
-        }
+    placements = []
+    for i, st in enumerate(state.supertables):
+        placements.append(
+            {
+                "supertable": i,
+                "level": st.level_index,
+                "tag_bits": st.tag_bits,
+                "member_tables": len(st.members),
+                "blocks": st.allocated_blocks,
+                "spans": [[s.stage, s.start, s.count] for s in state.plan.placements[i]],
+            }
+        )
+    sram_spans = [
+        {"level": level, "spans": [[s.stage, s.start, s.count] for s in spans]}
+        for level, spans in sorted(state.plan.sram_spans.items())
+    ]
     report = {
         "config": {
             "db": str(cfg.db_path),
@@ -183,7 +175,7 @@ def _render_report(db, cfg, state, resources, breport, threshold) -> dict:
         "database": {
             "entry_count": len(db),
             "max_length": db.max_length(),
-            "threshold_length": threshold.length,
+            "threshold_length": threshold,
             "overflow_entries": len(state.overflow),
         },
         "resources": {
@@ -211,7 +203,12 @@ def _render_report(db, cfg, state, resources, breport, threshold) -> dict:
             "terminal_entries": len(db) - len(state.overflow),
             "total_entries": sum(level["entries"] for level in levels),
         },
-        "pipeline": pipeline,
+        "pipeline": {
+            "stage_count": cfg.profile.stage_count,
+            "stages_used": state.plan.stages_used(),
+            "placements": placements,
+            "sram_spans": sram_spans,
+        },
         "notes": notes,
     }
     return report
@@ -274,12 +271,12 @@ def exhaustive(mode: str, width: int) -> bool:
     return mode == "exhaustive" or (mode == "auto" and width <= 16)
 
 
-def verification_addresses(db: PrefixDatabase, mode: str, samples: int, seed: int):
-    """Addresses as int values: exhaustive for small widths; otherwise every
-    prefix padded with zeros and with ones, in file order, then seeded
-    samples."""
+def verification_addresses(db: PrefixDatabase, every: bool, samples: int, seed: int):
+    """Addresses as int values: all of them when `every` (as `exhaustive`
+    decides); otherwise every prefix padded with zeros and with ones, in file
+    order, then seeded samples."""
     width = db.address_width
-    if exhaustive(mode, width):
+    if every:
         yield from range(1 << width)
         return
     seen = set()
@@ -349,7 +346,7 @@ def sweep_rows(db, strides: StrideList, widths, depth_rule: str, reference: Grai
         raise ValueError(f"grain widths must be >= 1, got {min(widths)}")
     threshold = max_threshold_length(db, threshold_coverage)
     ref_bits = bounds_model.single_tcam_baseline(
-        len(db), max(threshold.length, 1), reference
+        len(db), max(threshold, 1), reference
     )[1]
     tree = build_tree(db.restricted(strides.coverage), strides)
     rows = []
@@ -360,7 +357,7 @@ def sweep_rows(db, strides: StrideList, widths, depth_rule: str, reference: Grai
             depth = reference.depth
         grain = GrainSpec(width, depth)
         _, single_bits = bounds_model.single_tcam_baseline(
-            len(db), max(threshold.length, 1), grain
+            len(db), max(threshold, 1), grain
         )
         supertables = tag_and_pack(tree, grain, grain.default_tag_bits)
         plan_bits = sum(st.block_count for st in supertables) * grain.bits
@@ -551,24 +548,27 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             _require_nonnegative(args, "samples", "max_mismatches")
-            if args.seed is not None:
-                if args.trace is not None:
-                    raise ValueError("--seed has no effect: --trace replays the file's addresses")
-                if exhaustive(args.mode, args.width):
-                    raise ValueError(
-                        f"--seed has no effect: --mode {args.mode} checks every address"
-                        f" of a {args.width}-bit space"
-                    )
-                if args.samples == 0:
-                    raise ValueError("--seed has no effect: --samples 0 draws no address")
+            if args.seed is not None and args.trace is not None:
+                raise ValueError("--seed has no effect: --trace replays the file's addresses")
             cfg = _plan_config(args)
             if args.trace is not None:
                 addresses = read_trace(args.trace, args.width)
                 if not addresses:   # a replay of nothing would check nothing
                     raise ValueError(f"{args.trace}: the trace holds no address")
+            else:
+                # an intractable exhaustive check is refused before the database is read
+                every = exhaustive(args.mode, args.width)
+                if args.seed is not None:
+                    if every:
+                        raise ValueError(
+                            f"--seed has no effect: --mode {args.mode} checks every address"
+                            f" of a {args.width}-bit space"
+                        )
+                    if args.samples == 0:
+                        raise ValueError("--seed has no effect: --samples 0 draws no address")
             db = parse_file(args.db, args.width)
             if args.trace is None:
-                addresses = verification_addresses(db, args.mode, args.samples, args.seed or 0)
+                addresses = verification_addresses(db, every, args.samples, args.seed or 0)
             checked, total, mismatches = run_verify(
                 db, cfg, addresses, args.inject_fault, args.max_mismatches
             )

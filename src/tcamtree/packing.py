@@ -184,20 +184,13 @@ def tag_and_pack(tree: TcamTree, grain: GrainSpec, tag_bits: int) -> list[SuperT
     packs a lone table untagged; SRAM tables are never tagged.
     """
     result: list[SuperTable] = []
+    size = 1 << tag_bits
     for level_index, tables in enumerate(tree.levels):
         tcams = [t for t in tables if t.kind == TCAM]
-        if not tcams:
-            continue
         # a stable sort, so ties stay in level order
         tcams.sort(key=lambda t: -t.entry_count)
-        group: list[TreeTable] = []
-        for t in tcams:
-            if len(group) >= (1 << tag_bits):
-                _emit_group(level_index, group, tag_bits, grain, result)
-                group = []
-            group.append(t)
-        if group:
-            _emit_group(level_index, group, tag_bits, grain, result)
+        for i in range(0, len(tcams), size):
+            _emit_group(level_index, tcams[i : i + size], tag_bits, grain, result)
     return result
 
 

@@ -94,8 +94,7 @@ class PipelinePlan:
         self.extra_spans: dict[SuperTable, list[Span]] = {}   # growth during updates
         self._tcam_next = [0] * (profile.stage_count + 1)   # index 0 unused
         self._sram_next = [0] * (profile.stage_count + 1)
-        self.level_min_stage: dict[int, int] = {}
-        self.level_max_stage: dict[int, int] = {}
+        self.level_stages: dict[int, tuple[int, int]] = {}   # level -> (first, last) stage
 
     # -- capacity ------------------------------------------------------------
 
@@ -107,12 +106,9 @@ class PipelinePlan:
     def window(self, level: int) -> tuple[int, int]:
         """Stages a level-`level` placement may legally occupy right now: after
         every stage of the shallower levels, before every stage of the deeper."""
-        first = max((s for l, s in self.level_max_stage.items() if l < level), default=0) + 1
-        last = min(
-            (s for l, s in self.level_min_stage.items() if l > level),
-            default=self.profile.stage_count + 1,
-        ) - 1
-        return first, last
+        above = [hi for l, (_, hi) in self.level_stages.items() if l < level]
+        below = [lo for l, (lo, _) in self.level_stages.items() if l > level]
+        return max(above, default=0) + 1, min(below, default=self.profile.stage_count + 1) - 1
 
     def place(self, level: int, amount: int, sram: bool) -> Optional[list[Span]]:
         """Take `amount` blocks (or SRAM pages) for level `level`: contiguous
@@ -134,9 +130,8 @@ class PipelinePlan:
                 remaining -= take
                 stage += 1
             if remaining == 0:
-                lo, hi = start, stage - 1
-                self.level_min_stage[level] = min(self.level_min_stage.get(level, lo), lo)
-                self.level_max_stage[level] = max(self.level_max_stage.get(level, hi), hi)
+                lo, hi = self.level_stages.get(level, (start, stage - 1))
+                self.level_stages[level] = min(lo, start), max(hi, stage - 1)
                 nxt = self._sram_next if sram else self._tcam_next
                 spans = []
                 for stage, take in takes:
@@ -146,8 +141,7 @@ class PipelinePlan:
         return None
 
     def stages_used(self) -> int:
-        highs = list(self.level_max_stage.values())
-        return max(highs) if highs else 0
+        return max((hi for _, hi in self.level_stages.values()), default=0)
 
 
 def map_to_pipeline(
@@ -194,12 +188,11 @@ def map_to_pipeline(
                     pages_short=max(0, pages - free),
                 )
             plan.sram_spans[level] = spans
-    placed = sorted(plan.level_min_stage)
-    for above, below in zip(placed, placed[1:]):
-        if plan.level_max_stage[above] >= plan.level_min_stage[below]:
+    placed = sorted(plan.level_stages.items())
+    for (above, (_, reach)), (below, (start, _)) in zip(placed, placed[1:]):
+        if reach >= start:
             raise AssertionError(
-                f"level {above} reaches stage {plan.level_max_stage[above]},"
-                f" level {below} starts in stage {plan.level_min_stage[below]}"
+                f"level {above} reaches stage {reach}, level {below} starts in stage {start}"
             )
     return plan
 
@@ -419,11 +412,10 @@ class PipelineState:
                 spans = []
                 if plan is not None:
                     if saved is None:
-                        saved = (dict(plan.level_min_stage), dict(plan.level_max_stage),
-                                 list(plan._tcam_next))
+                        saved = dict(plan.level_stages), list(plan._tcam_next)
                     spans = plan.place(level, st.horizontal_blocks, sram=False)
                     if spans is None:
-                        plan.level_min_stage, plan.level_max_stage, plan._tcam_next = saved
+                        plan.level_stages, plan._tcam_next = saved
                         return False
             rows.append((st, table if joins else None, opened, spans))
         for st, table, opened, spans in rows:

@@ -24,7 +24,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from ._util import parse_decimal, paused_gc
 from .errors import DuplicatePrefix, EmptyDatabase, LengthOutOfRange, MalformedLine
@@ -197,14 +197,6 @@ class PrefixDatabase:
         return PrefixDatabase._from_columns(self.address_width, by_length, lengths)
 
 
-@dataclass(frozen=True)
-class MaxThreshold:
-    """Smallest length covering at least `coverage_fraction` of the entries."""
-
-    length: int
-    coverage_fraction: Fraction
-
-
 def dotted_to_bits(token: str) -> str:
     parts = token.split(".")
     if len(parts) != 4:
@@ -271,7 +263,7 @@ def _canonical_form(address_width: int):
     return pattern, {str(length): length for length in range(address_width + 1)}
 
 
-def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabase:
+def parse_database(text: str, address_width: int) -> PrefixDatabase:
     """Parse the canonical text format, preserving file order and rejecting
     duplicates.  The text is read a piece at a time.  One pattern split
     gives the fields of each line of the piece, and the canonical lines go
@@ -279,8 +271,6 @@ def parse_database(text: Union[str, bytes], address_width: int) -> PrefixDatabas
     line reader reads the rest of the piece.  So every other form, and
     every error, is read by the line reader."""
     with paused_gc:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
         columns = _Columns(address_width)
         pattern, length_of = _canonical_form(address_width)
         lineno = 1
@@ -379,7 +369,7 @@ def oracle_lookup_value(db: PrefixDatabase, value: int) -> str:
     return DEFAULT_NEXT_HOP
 
 
-def max_threshold_length(db: PrefixDatabase, coverage=Fraction(99, 100)) -> MaxThreshold:
+def max_threshold_length(db: PrefixDatabase, coverage=Fraction(99, 100)) -> int:
     """Smallest M such that at least `coverage` of the entries have length <= M."""
     if isinstance(coverage, float):
         coverage = Fraction(str(coverage))
@@ -393,5 +383,5 @@ def max_threshold_length(db: PrefixDatabase, coverage=Fraction(99, 100)) -> MaxT
     for length, prefixes in reversed(db.by_length):
         cumulative += len(prefixes)
         if Fraction(cumulative, len(db)) >= coverage:
-            return MaxThreshold(length, coverage)
+            return length
     raise AssertionError("unreachable: full cumulative count covers every fraction")

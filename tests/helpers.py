@@ -21,11 +21,14 @@ import numpy as np
 from tcamtree import Prefix, PrefixDatabase, StrideList, blocks_for_table, parse_database
 from tcamtree.errors import DuplicatePrefix, PlannerError
 from tcamtree.packing import sram_rows_for_table
-from tcamtree.pipeline import PipelineState
+from tcamtree.pipeline import PipelineProfile, PipelineState
 from tcamtree.prefixdb import DEFAULT_NEXT_HOP
 from tcamtree.tiler import SRAM, TCAM, TcamTree, key_text, tree_insert
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Room for any plan a test makes, so `build_plan`'s stage map refuses none.
+ROOMY_PROFILE = PipelineProfile(64, 4096, 4096)
 
 
 class TargetTooShort(PlannerError):

@@ -35,6 +35,7 @@ from tcamtree.pipeline import PipelineProfile, PipelineState
 from tcamtree.trie import LeanLevelRow, LeanLevelTable
 
 from tests.helpers import (
+    ROOMY_PROFILE,
     all_addresses,
     oracle_vector,
     random_database,
@@ -352,9 +353,10 @@ IPV4_SNAPSHOT = os.environ.get("TCAMTREE_IPV4_DB")
 def test_criterion_8_ipv6_snapshot_improvement():
     db = parse_file(IPV6_SNAPSHOT, 64)
     cfg = PlanConfig(
-        db_path=IPV6_SNAPSHOT, address_width=64, strides=StrideList.parse("19-29-16")
+        db_path=IPV6_SNAPSHOT, address_width=64, strides=StrideList.parse("19-29-16"),
+        profile=ROOMY_PROFILE,
     )
-    _, rep = build_plan(db, cfg, map_stages=False)
+    _, rep = build_plan(db, cfg)
     improvement = Fraction(rep["resources"]["improvement_exact"])
     assert Fraction("1.7") <= improvement <= Fraction("2.0")
     report("8 (IPv6 snapshot)", f"improvement {float(improvement):.3f}X in [1.7, 2.0]")
@@ -372,8 +374,9 @@ def test_criterion_8_ipv4_snapshot_improvement():
         tag_bits=14,
         hybridize=True,
         factor=Fraction(3),
+        profile=ROOMY_PROFILE,
     )
-    _, rep = build_plan(db, cfg, map_stages=False)
+    _, rep = build_plan(db, cfg)
     improvement = Fraction(rep["resources"]["improvement_exact"])
     assert improvement > 4
     report("8 (IPv4 snapshot)", f"improvement {float(improvement):.3f}X > 4X")

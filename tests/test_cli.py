@@ -24,6 +24,7 @@ from tcamtree.cli import PlanConfig, build_plan, main
 from tcamtree.tiler import SRAM, TCAM, TreeTable
 
 from tests.helpers import (
+    ROOMY_PROFILE,
     check_expansion_counts,
     random_database,
     random_strides,
@@ -258,8 +259,9 @@ class TestTagWidth:
         cfg = PlanConfig(
             db_path="db.txt", address_width=width, strides=strides, grain=grain,
             tag_bits=tag_bits, hybridize=True, factor=factor, sram_page=page,
+            profile=ROOMY_PROFILE,
         )
-        cli_state, report = build_plan(db, cfg, map_stages=False)
+        cli_state, report = build_plan(db, cfg)
         kinds = [[t.kind for t in tables] for tables in state.tree.levels]
         assert kinds == [[t.kind for t in tables] for tables in cli_state.tree.levels]
         assert state.sram_rows == cli_state.sram_rows == report["resources"]["sram_entries"]
@@ -969,7 +971,7 @@ class TestVerify:
 
     def test_the_seed_picks_the_samples(self):
         db = parse_file(SYNTHETIC_IPV4, 32)
-        one, two = (list(cli.verification_addresses(db, "sampled", 40, seed)) for seed in (1, 2))
+        one, two = (list(cli.verification_addresses(db, False, 40, seed)) for seed in (1, 2))
         assert len(one) == len(two) and one != two
 
     @pytest.mark.parametrize("args, error", [
@@ -995,6 +997,26 @@ class TestVerify:
             assert err.count("\n") == 1
         else:
             assert got == 0 and out == "PASS 64/64\n"
+
+    def test_intractable_exhaustive_check_is_refused_before_the_database(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--db", "/nonexistent/db.txt", "--width", "32",
+            "--strides", "16-16", "--mode", "exhaustive",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: exhaustive verification of a 32-bit space is not tractable;"
+            " use --mode sampled\n"
+        )
+
+    def test_trace_replay_ignores_an_intractable_mode(self, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0" * 32 + "\n10.1.2.3\n" + "1" * 32 + "\n")
+        code, out, _ = run(
+            capsys, "verify", "--db", str(SYNTHETIC_IPV4), "--width", "32",
+            "--strides", "16-4-4-8", "--mode", "exhaustive", "--trace", str(trace),
+        )
+        assert (code, out) == (0, "PASS 3/3\n")
 
     def test_seed_is_a_verify_flag_only(self, capsys):
         with pytest.raises(SystemExit) as exc:

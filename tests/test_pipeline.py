@@ -154,7 +154,7 @@ class TestMapToPipeline:
         assert plan.place(0, 2, sram=False) == [Span(3, 0, 2)]
         assert plan.place(0, 2, sram=False) is None
         assert plan._tcam_next[1:] == [1, 2, 2]
-        assert (plan.level_min_stage, plan.level_max_stage) == ({0: 3}, {0: 3})
+        assert plan.level_stages == {0: (3, 3)}
 
     def test_entries_all_beyond_coverage_place_no_block(self, monkeypatch):
         # every entry goes to the overflow buffer, so the root super-table
@@ -324,12 +324,12 @@ class TestInsert:
             db, StrideList.parse("6"), grain=grain, profile=profile
         )
         plan = state.plan
-        before = dict(plan.level_min_stage), dict(plan.level_max_stage), list(plan._tcam_next)
+        before = dict(plan.level_stages), list(plan._tcam_next)
         state.insert(Prefix("111111", 6, "new"))
         assert state.overflow.contains("111111")
         assert state.search("11111111") == "new"
         # the root's first new block row found no room, so no row was placed
-        assert (plan.level_min_stage, plan.level_max_stage, plan._tcam_next) == before
+        assert (plan.level_stages, plan._tcam_next) == before
 
     def test_a_host_without_stage_room_spills_without_a_second_try(self, monkeypatch):
         # Level 1 is one packed super-table, full, with room for two more
@@ -357,8 +357,7 @@ class TestInsert:
                 dict(state._st_of),
                 {st_: list(spans) for st_, spans in plan.extra_spans.items()},
                 list(plan._tcam_next),
-                dict(plan.level_min_stage),
-                dict(plan.level_max_stage),
+                dict(plan.level_stages),
             )
 
         before = snapshot()
@@ -388,14 +387,14 @@ class TestInsert:
         assert state.overflow.contains("11110000")
         assert state.tree.structure() == before
         assert state.plan._tcam_next == [0, 1, 0]
-        assert state.plan.level_max_stage == {0: 1}
+        assert state.plan.level_stages == {0: (1, 1)}
         assert state.plan.stages_used() == 1
         assert state.plan.window(1) == (2, 2)
         assert [st.allocated_rows for st in state.supertables] == [1]
         # stage 2 is still free for a level-1 table that needs no new root row
         state.insert(Prefix("00001111", 8, "d"))
         assert not state.overflow.contains("00001111")
-        assert state.plan.level_min_stage[1] == state.plan.stages_used() == 2
+        assert state.plan.level_stages[1][0] == state.plan.stages_used() == 2
         assert state.search("11110000") == "c" and state.search("00001111") == "d"
 
     def test_join_takes_the_room_a_collected_table_left(self):
@@ -683,7 +682,7 @@ def audit(state, planned_supertables):
         for s in spans:
             low[level] = min(low.get(level, s.stage), s.stage)
             high[level] = max(high.get(level, s.stage), s.stage)
-    assert plan.level_min_stage == low and plan.level_max_stage == high
+    assert plan.level_stages == {level: (low[level], high[level]) for level in low}
     # stage order: each level ends before the next placed level begins
     placed = sorted(low)
     assert all(high[a] < low[b] for a, b in zip(placed, placed[1:])), (low, high)

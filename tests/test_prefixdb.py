@@ -12,6 +12,7 @@ from tcamtree import (
     max_threshold_length,
     oracle_lookup,
     parse_database,
+    parse_file,
     serialize,
 )
 from tcamtree.errors import (
@@ -204,9 +205,12 @@ class TestParse:
         db = parse_database("010.000.0.1/032 X\n", 32)
         assert db.entries[0] == Prefix(format((10 << 24) + 1, "032b"), 32, "X")
 
-    def test_byte_stream_input(self):
-        db = parse_database(TABLE1_TEXT.encode("utf-8"), 6)
-        assert len(db) == 6
+    def test_byte_stream_input(self, tmp_path):
+        # `parse_database` takes text; bytes are decoded once, by `parse_file`
+        path = tmp_path / "db.txt"
+        path.write_bytes((TABLE1_TEXT + "0/1 vía\n").encode("utf-8"))
+        db = parse_file(path, 6)
+        assert len(db) == 7 and db.entries[-1] == Prefix("0", 1, "vía")
 
     @given(mixed_texts(), st.integers(0, 60))
     @settings(max_examples=150)
@@ -311,15 +315,15 @@ class TestOracle:
 
 class TestMaxThreshold:
     def test_table1_full_coverage(self):
-        assert max_threshold_length(table1_db(), 1).length == 6
+        assert max_threshold_length(table1_db(), 1) == 6
 
     def test_table1_half_coverage(self):
         # 4 of 6 entries have length <= 5; 2 of 6 at length <= 4
-        assert max_threshold_length(table1_db(), Fraction(1, 2)).length == 5
+        assert max_threshold_length(table1_db(), Fraction(1, 2)) == 5
 
     def test_single_zero_length_entry(self):
         db = PrefixDatabase(8, [Prefix("", 0, "X")])
-        assert max_threshold_length(db, Fraction(99, 100)).length == 0
+        assert max_threshold_length(db, Fraction(99, 100)) == 0
 
     def test_empty_database_rejected(self):
         with pytest.raises(EmptyDatabase):
@@ -331,12 +335,10 @@ class TestMaxThreshold:
         if len(db) == 0:
             return
         lo, hi = sorted((Fraction(a, 100), Fraction(b, 100)))
-        assert (
-            max_threshold_length(db, lo).length <= max_threshold_length(db, hi).length
-        )
+        assert max_threshold_length(db, lo) <= max_threshold_length(db, hi)
 
     def test_float_coverage_accepted(self):
-        assert max_threshold_length(table1_db(), 0.99).length == 6
+        assert max_threshold_length(table1_db(), 0.99) == 6
 
 
 class TestRestricted:
