@@ -97,6 +97,11 @@ def untag(tagged: int) -> tuple[int, int]:
     return length, tagged ^ (1 << length)
 
 
+def buffered(state: PipelineState) -> list[tuple[int, int, str]]:
+    """The overflow buffer's entries as sorted (length, value, next hop)."""
+    return sorted((length, value, hop) for (length, value), hop in state.overflow.entries.items())
+
+
 def row_at(table, length: int, key: int):
     """The row of `table` filed at the `length`-bit `key`, or None."""
     return table.by_key.get((1 << length) | key)
@@ -565,7 +570,7 @@ def state_vector(state: PipelineState, hops: HopIds) -> np.ndarray:
         size = 1 << width
         oval = np.zeros(size, dtype=np.int32)
         olen = np.full(size, -1, dtype=np.int32)
-        for (length, value), hop in sorted(state.overflow.entries.items()):
+        for length, value, hop in buffered(state):
             lo = value << (width - length)
             hi = lo + (1 << (width - length))
             oval[lo:hi] = hops.get(hop)
