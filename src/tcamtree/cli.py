@@ -367,12 +367,12 @@ def sweep_rows(db, strides: StrideList, widths, depth_rule: str, reference: Grai
                 "grain_width": width,
                 "grain_depth": depth,
                 "single_tcam_bits": single_bits,
-                "single_tcam_improvement": fixed_decimal_str(
-                    Fraction(ref_bits, single_bits), 3
-                ),
+                "single_tcam_improvement": fixed_decimal_str(Fraction(ref_bits, single_bits), 3),
                 "plan_bits": plan_bits,
                 "tree_bits": tree_bits,
-                "tree_improvement": fixed_decimal_str(Fraction(ref_bits, tree_bits), 3),
+                "tree_improvement": (   # no tree when every entry is beyond the strides
+                    fixed_decimal_str(Fraction(ref_bits, tree_bits), 3) if tree_bits else "infinite"
+                ),
             }
         )
     return rows

@@ -8,9 +8,10 @@ dependency), and `PipelinePlan.place` is the one way to take stage space.
 match/action per level, in the one loop of `TreeTable.lookup`, which an SRAM
 root's `ExpandedRoot.lookup` enters below its own level.
 Entries that the planned structure cannot hold (too long for the stride
-coverage, or no block space left) sit in a small overflow buffer; its
-matches are compared against the tree's by explicit prefix length, overflow
-winning ties, and an empty buffer is not consulted.
+coverage, or no block space left) sit in the overflow buffer, one tree table
+as wide as the address, which the same lookup searches; its matches are
+compared against the tree's by explicit prefix length, overflow winning
+ties, and an empty buffer is not consulted.
 """
 
 from __future__ import annotations
@@ -201,50 +202,43 @@ def map_to_pipeline(
 
 
 class OverflowBuffer:
-    """Side table for entries the planned structure cannot hold: one dict
-    `entries`, `{(length, value): next hop}`, over `address_width`-bit
-    addresses."""
+    """Side table for entries the planned structure cannot hold: one
+    `TreeTable`, `table`, whose stride is the address width.  Each entry is a
+    row, its next hop, under the tree's tagged key `(1 << length) | value`;
+    `entries` is the table's row dict.  A search is the table's own lookup,
+    one probe per length present, longest first."""
 
     def __init__(self, address_width: int, capacity: int = 512):
-        self.address_width = address_width
+        self.table = TreeTable(address_width)
+        self.entries = self.table.by_key
+        self.length_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.capacity = capacity
-        self.entries: dict[tuple[int, int], str] = {}
 
     def __len__(self):
         return len(self.entries)
 
     def contains(self, bits: str) -> bool:
-        return (len(bits), int(bits or "0", 2)) in self.entries
+        return (int(bits or "0", 2) | (1 << len(bits))) in self.entries
 
     def add(self, length: int, value: int, hop: str):
+        """Hold a new entry, absent from the buffer."""
         if len(self.entries) >= self.capacity:
             raise OverflowFull(
                 f"overflow buffer at capacity {self.capacity}; reconfigure to proceed"
             )
-        self.entries[length, value] = hop
+        self.table.add_row(length, value | (1 << length), hop, self.length_sets)
 
     def remove(self, length: int, value: int) -> bool:
-        return self.entries.pop((length, value), None) is not None
+        tagged = value | (1 << length)
+        if tagged not in self.entries:
+            return False
+        self.table.remove_row(length, tagged, self.length_sets)
+        return True
 
     def lpm(self, key: int) -> tuple[Optional[str], int]:
         """The longest entry matching the address whose int value is `key`:
         (next hop, length) or (None, -1)."""
-        best, best_len = None, -1
-        width = self.address_width
-        for (length, value), hop in self.entries.items():
-            if length > best_len and key >> (width - length) == value:
-                best, best_len = hop, length
-        return best, best_len
-
-
-def _long_entries(db: PrefixDatabase, coverage: int, capacity: int) -> OverflowBuffer:
-    """An overflow buffer holding the entries longer than the stride coverage."""
-    overflow = OverflowBuffer(db.address_width, capacity)
-    if db.max_length() > coverage:
-        for length, value, hop in db.in_order():
-            if length > coverage:
-                overflow.add(length, value, hop)
-    return overflow
+        return self.table.lookup(key, self.table.stride_width)
 
 
 class PipelineState:
@@ -292,9 +286,10 @@ class PipelineState:
         hybrid: Optional[HybridizationConfig] = None,
         overflow_capacity: int = 512,
     ) -> "PipelineState":
-        """The one constructor: tree, optional hybridization, packing, and
-        placement when a profile is given.  Without one, updates count block
-        rows but never refuse one.  `tag_bits` (default: the grain's) is the
+        """The one constructor: tree, optional hybridization, packing,
+        placement when a profile is given, and an overflow buffer holding the
+        entries beyond the stride coverage.  Without a profile, updates count
+        block rows but never refuse one.  `tag_bits` (default: the grain's) is the
         plan's one tag width, for super-tables and pooled SRAM rows alike."""
         with paused_gc:
             tag = grain.tag_width(tag_bits)
@@ -310,9 +305,14 @@ class PipelineState:
                     if rows:
                         pools[level_index] = ceil_div(rows, hybrid.sram_spec.page_depth)
                 plan = map_to_pipeline(supertables, pools, profile)
+            overflow = OverflowBuffer(db.address_width, overflow_capacity)
+            for length, prefixes in db.by_length:
+                if length > strides.coverage:
+                    for value, hop in prefixes.items():
+                        overflow.add(length, value, hop)
             return cls(
                 tree,
-                _long_entries(db, strides.coverage, overflow_capacity),
+                overflow,
                 grain=grain,
                 tag_bits=tag,
                 supertables=supertables,
@@ -328,7 +328,7 @@ class PipelineState:
 
     def search_value(self, key: int) -> str:
         """`search` of an address given as its int value, unchecked.  The
-        overflow buffer is scanned only when it holds entries."""
+        overflow buffer is searched only when it holds entries."""
         tree = self.tree
         value, length = tree.root.lookup(key, tree.address_width)
         if self.overflow.entries:
@@ -349,7 +349,7 @@ class PipelineState:
                 f"prefix {prefix} longer than address width {tree.address_width}"
             )
         key = int(prefix.bits or "0", 2)
-        if self.overflow.entries and (prefix.length, key) in self.overflow.entries:
+        if self.overflow.entries and (key | (1 << prefix.length)) in self.overflow.entries:
             raise DuplicatePrefix(f"prefix {prefix} already present")
         if prefix.length <= tree.coverage:
             if self._place(tree_insert(tree, key, prefix.length, prefix.next_hop)):

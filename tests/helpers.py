@@ -98,8 +98,9 @@ def untag(tagged: int) -> tuple[int, int]:
 
 
 def buffered(state: PipelineState) -> list[tuple[int, int, str]]:
-    """The overflow buffer's entries as sorted (length, value, next hop)."""
-    return sorted((length, value, hop) for (length, value), hop in state.overflow.entries.items())
+    """The overflow buffer's entries as sorted (length, value, next hop),
+    decoded from their tagged keys."""
+    return sorted((*untag(tagged), hop) for tagged, hop in state.overflow.entries.items())
 
 
 def row_at(table, length: int, key: int):

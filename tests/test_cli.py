@@ -25,6 +25,7 @@ from tcamtree.tiler import SRAM, TCAM, TreeTable
 
 from tests.helpers import (
     ROOMY_PROFILE,
+    buffered,
     check_expansion_counts,
     random_database,
     random_strides,
@@ -914,6 +915,34 @@ class TestVerify:
         assert code == 0
         assert out == "PASS 64/64\n"
 
+    @pytest.mark.parametrize("strides", ["19-29-16", "19-29-16-64"])
+    def test_width_128_entries_beyond_the_strides_wait_in_the_buffer(self, strides, tmp_path,
+                                                                     capsys):
+        # the second way to fill the buffer: /20 to /100 prefixes over 128
+        # bits, half of them nested under an earlier one; with 19-29-16 every
+        # entry longer than /64 waits in the buffer, with 19-29-16-64 none does
+        rng = random.Random(128)
+        entries = {}
+        while len(entries) < 400:
+            bits = rng.choice(list(entries)) if entries and rng.random() < 0.5 else ""
+            length = rng.randint(max(20, len(bits) + 1), 100) if len(bits) < 100 else 100
+            bits += format(rng.getrandbits(length - len(bits)), f"0{length - len(bits)}b")
+            entries.setdefault(bits, f"h{rng.randrange(16)}")
+        table = tmp_path / "wide.txt"
+        table.write_text("".join(f"{b.ljust(128, '0')}/{len(b)} {h}\n" for b, h in entries.items()))
+        code, out, err = run(
+            capsys, "verify", "--db", str(table), "--width", "128", "--strides", strides
+        )
+        assert code == 0 and out.startswith("PASS "), (out, err)
+        db = parse_file(table, 128)
+        coverage = StrideList.parse(strides).coverage
+        state = PipelineState.planned(db, StrideList.parse(strides))
+        beyond = sorted(
+            (p.length, int(p.bits, 2), p.next_hop) for p in db.entries if p.length > coverage
+        )
+        assert buffered(state) == beyond
+        assert len(beyond) > 100 if coverage == 64 else beyond == []
+
     def test_fault_injection_with_an_overflow_buffer(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--db", str(OVERFLOW), "--width", "6", "--strides", "2-2",
@@ -1059,6 +1088,17 @@ class TestSweep:
         # tree bits never exceed the single-table bits at the same grain
         for r in rows:
             assert int(r[5]) <= int(r[2])
+
+    def test_no_tree_when_every_entry_is_beyond_the_strides(self, capsys):
+        # the tree holds nothing, so it costs no bits and its improvement is
+        # infinite, as `plan` reports it, rather than a division by zero
+        code, out, err = run(
+            capsys, "sweep-grain", "--db", str(OVERFLOW), "--width", "6",
+            "--strides", "1", "--widths", "4",
+        )
+        assert (code, err) == (0, "")
+        cols = out.splitlines()[1].split(",")
+        assert cols[4:] == ["0", "0", "infinite"]
 
     def test_width_at_threshold_collapses_to_single(self, capsys):
         # when the grain is as wide as the threshold length, a tree cannot win,

@@ -23,6 +23,7 @@ from tcamtree.errors import (
     StageDepthExceeded,
 )
 from tcamtree.pipeline import OverflowBuffer, PipelinePlan, PipelineProfile, PipelineState, Span
+from tcamtree.prefixdb import oracle_lookup_value
 from tcamtree.tiler import TCAM, TcamTree, TreeTable
 
 from tests.helpers import (
@@ -245,7 +246,7 @@ class TestInsert:
         held = dict(state.overflow.entries)
         with pytest.raises(DuplicatePrefix):
             state.insert(Prefix("110011", 6, "Y"))
-        assert state.overflow.entries == held and held[6, 0b110011] == "Z"
+        assert state.overflow.entries == held and held[1 << 6 | 0b110011] == "Z"
 
     def test_prefix_longer_than_the_width_is_refused(self):
         # refused before it reaches the overflow buffer, so searches still answer
@@ -510,7 +511,7 @@ class TestDelete:
 
         state = PipelineState.planned(table1_db(), StrideList.parse("3-3"))
         assert state.overflow.entries == {}
-        state.overflow.entries = Unprobed()
+        state.overflow.table.by_key = state.overflow.entries = Unprobed()
         for name in ("contains", "add", "remove"):
             monkeypatch.setattr(OverflowBuffer, name, None)   # a call would raise
         state.insert(Prefix("101", 3, "G"))
@@ -536,6 +537,53 @@ class TestOverflowBuffer:
         assert buf.lpm(0b10101111) == ("b", 4)
         assert buf.lpm(0b10111111) == ("a", 2)
         assert buf.lpm(0b00000000) == (None, -1)
+
+    def test_a_full_buffer_is_read_once_per_length_present(self):
+        # 500 entries over 16 lengths, all beyond the 16-bit coverage: each
+        # search reads at most one buffered row per length, longest first,
+        # and never walks the buffer's entries
+        class Probes(dict):
+            reads = 0
+
+            def __contains__(self, key):
+                self.reads += 1
+                return super().__contains__(key)
+
+            def get(self, key, default=None):
+                self.reads += 1
+                return super().get(key, default)
+
+            def __iter__(self):
+                raise AssertionError("the buffer's entries were walked")
+
+            items = keys = values = __iter__
+
+        rng = random.Random(7)
+        long = {}
+        while len(long) < 500:
+            length = rng.randint(17, 32)
+            long.setdefault(format(rng.getrandbits(length), f"0{length}b"), length)
+        short = {format(rng.getrandbits(l), f"0{l}b") if l else "": l for l in range(17)}
+        entries = enumerate({**short, **long}.items())
+        db = PrefixDatabase(32, [Prefix(bits, l, f"h{i % 9}") for i, (bits, l) in entries])
+        state = PipelineState.planned(db, StrideList.parse("8-8"))
+        buf = state.overflow
+        lengths = len(set(long.values()))
+        assert len(buf) == 500 and lengths == 16
+        buf.table.by_key = buf.entries = probes = Probes(buf.entries)
+        addresses = [rng.getrandbits(32) for _ in range(200)]
+        for bits in rng.sample(sorted(long), 200):
+            free = 32 - len(bits)
+            addresses.append(int(bits, 2) << free | rng.getrandbits(free))
+        for address in addresses:
+            probes.reads = 0
+            assert state.search_value(address) == oracle_lookup_value(db, address)
+            assert probes.reads <= lengths
+        probes.reads = 0
+        bits = next(iter(long))
+        with pytest.raises(DuplicatePrefix):
+            state.insert(Prefix(bits, len(bits), "again"))
+        assert probes.reads == 1
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
