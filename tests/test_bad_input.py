@@ -148,10 +148,10 @@ def trace(width: int):
     )
 
 
-BAD_TRACE = st.one_of(
-    st.lists(st.one_of(st.text("01.", max_size=14), st.sampled_from(["10.0.0.1", "# note", ""]),
-                       JUNK), max_size=6).map("\n".join),
-)
+BAD_TRACE = st.lists(
+    st.one_of(st.text("01.", max_size=14), st.sampled_from(["10.0.0.1", "# note", ""]), JUNK),
+    max_size=6,
+).map("\n".join)
 
 
 @st.composite

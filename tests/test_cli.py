@@ -919,14 +919,16 @@ class TestVerify:
     def test_width_128_entries_beyond_the_strides_wait_in_the_buffer(self, strides, tmp_path,
                                                                      capsys):
         # the second way to fill the buffer: /20 to /100 prefixes over 128
-        # bits, half of them nested under an earlier one; with 19-29-16 every
+        # bits, about half drawn under an earlier one; with 19-29-16 every
         # entry longer than /64 waits in the buffer, with 19-29-16-64 none does
         rng = random.Random(128)
         entries = {}
         while len(entries) < 400:
-            bits = rng.choice(list(entries)) if entries and rng.random() < 0.5 else ""
-            length = rng.randint(max(20, len(bits) + 1), 100) if len(bits) < 100 else 100
-            bits += format(rng.getrandbits(length - len(bits)), f"0{length - len(bits)}b")
+            head = rng.choice(list(entries)) if entries and rng.random() < 0.5 else ""
+            if len(head) == 100:
+                continue
+            free = rng.randint(max(20, len(head) + 1), 100) - len(head)
+            bits = head + format(rng.getrandbits(free), f"0{free}b")
             entries.setdefault(bits, f"h{rng.randrange(16)}")
         table = tmp_path / "wide.txt"
         table.write_text("".join(f"{b.ljust(128, '0')}/{len(b)} {h}\n" for b, h in entries.items()))

@@ -246,7 +246,7 @@ class TestInsert:
         held = dict(state.overflow.entries)
         with pytest.raises(DuplicatePrefix):
             state.insert(Prefix("110011", 6, "Y"))
-        assert state.overflow.entries == held and held[1 << 6 | 0b110011] == "Z"
+        assert state.overflow.entries == held and held[(1 << 6) | 0b110011] == "Z"
 
     def test_prefix_longer_than_the_width_is_refused(self):
         # refused before it reaches the overflow buffer, so searches still answer
@@ -540,7 +540,7 @@ class TestOverflowBuffer:
 
     def test_a_full_buffer_is_read_once_per_length_present(self):
         # 500 entries over 16 lengths, all beyond the 16-bit coverage: each
-        # search reads at most one buffered row per length, longest first,
+        # search reads at most one buffered row per length present,
         # and never walks the buffer's entries
         class Probes(dict):
             reads = 0
