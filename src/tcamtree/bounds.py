@@ -14,7 +14,13 @@ from .trie import LeanLevelRow
 
 
 def lower_bound_bits(entry_count: int, grain: GrainSpec) -> int:
-    """No layout can use fewer ternary bits than full-width rows for every entry."""
+    """No layout can use fewer ternary bits than full-width rows for every entry.
+
+    A block holds at most `depth` entries, so super-tables of e_1, ..., e_k
+    entries take at least sum(ceil(e_i / depth)) >= ceil(sum(e_i) / depth)
+    blocks of `depth` x `width` bits.  The bound therefore also holds for the
+    TCAM part of a hybridized plan, counted over the entries left in TCAM.
+    """
     if entry_count < 0:
         raise ValueError("entry_count must be >= 0")
     return ceil_div(entry_count, grain.depth) * grain.depth * grain.width

@@ -6,8 +6,9 @@ don't-cares; a prefix that crosses the level boundary is represented by a
 fully-specified stub entry, filed as the child table it points to, that
 inherits the value of the stub key's best match among the table's own
 terminal entries.  One descent (`descend`) follows a prefix down the
-strides for every edit: for the bulk build and an insert it makes the stub
-entries and child tables the prefix needs; for a delete it makes nothing.
+strides for every insert and delete, and once per table for the bulk
+build: for the build and an insert it makes the stub entries and child
+tables the prefix needs; for a delete it makes nothing.
 
 Keys are unique within a table and prefix-shaped, so at most one entry of
 each specified length matches a segment, and the longest such entry is the
@@ -218,8 +219,8 @@ class TreeTable:
     def add_row(self, length: int, tagged: int, row: Row, shared: dict):
         """File a new row of specified length `length` at `tagged`.  A new
         length takes its place in `lengths`, interned through `shared`, and
-        `counts` is rebuilt to its exact size; otherwise its count goes up in
-        place."""
+        its count of 1 is inserted into `counts`; otherwise its count goes up
+        in place."""
         self.by_key[tagged] = row
         lengths, counts = self.lengths, self.counts
         if counts is not None:
@@ -232,13 +233,13 @@ class TreeTable:
         elif lengths[0] == length:
             return
         else:
-            counts = [len(self.by_key) - 1]
+            counts = self.counts = [len(self.by_key) - 1]
         i = 0
         while i < len(lengths) and lengths[i] > length:
             i += 1
         grown = (*lengths[:i], length, *lengths[i:])
         self.lengths = shared.setdefault(grown, grown)
-        self.counts = counts[:i] + [1] + counts[i:]
+        counts.insert(i, 1)
 
     def remove_row(self, length: int, tagged: int, shared: dict):
         """Drop the row of specified length `length` at `tagged`; its length
@@ -649,18 +650,21 @@ def tree_delete(tree: TcamTree, key: int, length: int) -> list[TreeTable]:
 
 def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
     """Build the fixed-stride tree for a whole database: each prefix in
-    (length, file) order goes down by `descend` and becomes a terminal row,
-    its next hop, where it ends.
+    (length, file) order becomes a terminal row, its next hop, in the table
+    where it ends.
 
     The database's length index, read shortest first, gives that order, and
     the tree equals the one `tree_insert` grows from it: each level's tables
     come out in (length, file) order of their first prefix, which packing
-    follows.  All of a table's terminals are shorter than any prefix that
-    passes through it, so they come before any of its children: each new
-    child takes its inherited value from one `local_lpm` call, no terminal
-    lands on an existing row, and no row is ever refreshed.  Stub keys are
-    appended as the children are made and each table's are sorted once at
-    the end.
+    follows.  Only each table's first prefix goes down by `descend`, which
+    makes the table; a dict per level, keyed by the prefix bits above the
+    level, files the rest with one probe each (per-length hashing, as in
+    Waldvogel et al.), since a build drops no table.  All of a table's
+    terminals are shorter than any prefix that passes through it, so they
+    come before any of its children: each new child takes its inherited
+    value from one `local_lpm` call, no terminal lands on an existing row,
+    and no row is ever refreshed.  Stub keys are appended as the children
+    are made and each table's are sorted once at the end.
     """
     with paused_gc:
         coverage = strides.coverage
@@ -678,12 +682,22 @@ def build_tree(db: PrefixDatabase, strides: StrideList) -> TcamTree:
                     )
         tree = TcamTree(strides, db.address_width)
         shared = tree.length_sets
+        above = (0, *strides.boundaries)
+        level, tables = 0, {}
         for length, prefixes in reversed(db.by_length):
+            while length > above[level + 1]:
+                level, tables = level + 1, {}
+            local_len = length - above[level]
+            marker = 1 << local_len
+            mask = marker - 1
             for prefix, hop in prefixes.items():
-                _, table, key, local_len = descend(tree, prefix, length, None)
-                table.add_row(local_len, key | (1 << local_len), hop, shared)
-        for level in tree.levels[:-1]:
-            for table in level:
+                table = tables.get(prefix >> local_len)
+                if table is None:
+                    _, table, _, _ = descend(tree, prefix, length, None)
+                    tables[prefix >> local_len] = table
+                table.add_row(local_len, (prefix & mask) | marker, hop, shared)
+        for level_tables in tree.levels[:-1]:
+            for table in level_tables:
                 if table.stub_keys:
                     table.stub_keys.sort()
         return tree

@@ -23,6 +23,7 @@ from tcamtree import (
     build_tree,
     build_unibit_trie,
     compute_lean_levels,
+    lower_bound_bits,
     max_savings_factor,
     oracle_lookup,
     parse_file,
@@ -89,6 +90,8 @@ class SweepResults:
         self.mismatch_samples = []
         self.bound_checks = 0
         self.bound_violations = []
+        self.lower_bound_checks = 0
+        self.lower_bound_violations = []
         self.waste_checks = 0
         self.waste_violations = []
         self.elapsed = 0.0
@@ -137,8 +140,12 @@ def randomized_sweep():
                         results.mismatch_samples.append((width, str(strides), factor))
                 supers = state.supertables
                 _check_packing(supers, grain, results)
+                post_bits = sum(s.block_count for s in supers) * grain.bits
+                tcam_entries = sum(s.total_entries for s in supers)
+                results.lower_bound_checks += 1
+                if not post_bits >= lower_bound_bits(tcam_entries, grain):
+                    results.lower_bound_violations.append((width, str(strides), grain, factor))
                 if factor is None:
-                    post_bits = sum(s.block_count for s in supers) * grain.bits
                     baseline_bits = single_tcam_baseline(len(db), strides.coverage, grain)[1]
                     cap = max_savings_factor(strides.coverage, grain.width)
                     results.bound_checks += 1
@@ -168,6 +175,19 @@ def test_criterion_4_savings_bound_compliance(randomized_sweep):
     report(
         "4 (savings cap)",
         f"{r.bound_checks} non-hybrid plans within ceil(width/grain_width) exactly",
+    )
+
+
+def test_criterion_4_tcam_bits_hold_the_lower_bound_with_hybridization(randomized_sweep):
+    # a block holds at most `depth` entries, so the bound holds on the
+    # entries left in TCAM, whether or not tables went to SRAM
+    r = randomized_sweep
+    assert r.lower_bound_checks >= 500 * 3 * 4
+    assert r.lower_bound_violations == []
+    report(
+        "4 (lower bound)",
+        f"{r.lower_bound_checks} plans, hybridized or not, at or above the"
+        f" lower bound of their TCAM entries",
     )
 
 

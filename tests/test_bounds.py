@@ -5,9 +5,11 @@ import pytest
 
 from tcamtree import (
     GrainSpec,
+    HybridizationConfig,
     build_tree,
     build_unibit_trie,
     compute_lean_levels,
+    hybridize,
     lower_bound_bits,
     max_savings_factor,
     resource_totals,
@@ -18,6 +20,7 @@ from tcamtree import (
 from tcamtree.bounds import build_report
 from tcamtree.errors import LevelOutOfRange
 from tcamtree.packing import SramPageSpec
+from tcamtree.tiler import SRAM
 from tcamtree.trie import LeanLevelRow, LeanLevelTable
 
 from tests.helpers import random_database, random_strides, table1_db
@@ -129,3 +132,24 @@ class TestReport:
                 assert report.improvement_factor <= max_savings_factor(
                     strides.coverage, grain.width
                 )
+
+    def test_hybridized_tcam_bits_never_beat_lower_bound_of_tcam_entries(self):
+        rng = random.Random(12)
+        converted = 0
+        for _ in range(25):
+            width = rng.randint(4, 10)
+            db = random_database(rng, width, max_entries=200)
+            strides = random_strides(rng, width)
+            grain = GrainSpec(rng.choice([4, 8, 16]), rng.choice([4, 8, 16]))
+            tree = build_tree(db, strides)
+            config = HybridizationConfig(factor=rng.choice([1.5, 3, 8]))
+            level_rows = hybridize(tree, config, grain.default_tag_bits)
+            converted += sum(t.kind == SRAM for t in tree.all_tables())
+            supers = tag_and_pack(tree, grain, grain.default_tag_bits)
+            report = resource_totals(
+                supers, sum(level_rows), grain, config.sram_spec,
+                single_tcam_baseline(len(db), width, grain)[0],
+            )
+            tcam_entries = sum(st.total_entries for st in supers)
+            assert report.tcam_bits >= lower_bound_bits(tcam_entries, grain)
+        assert converted > 0
