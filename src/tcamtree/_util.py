@@ -28,10 +28,10 @@ def fixed_decimal_str(value, places: int = 3) -> str:
 
 
 def parse_decimal(text: str) -> int:
-    """The value of `text`, a run of ASCII digits: the one reader of a number
-    in a database, a trace or a flag.  A bare `int` would also take a sign,
-    `_` between digits, surrounding whitespace and non-ASCII digits, and read
-    `1_0` as 10."""
+    """The value of `text`, a run of ASCII digits: the one reader of a number in a
+    database, a trace or a flag, once the flag's reader takes off its `-`, `/` or `.`.
+    A bare `int` would also take a sign, `_` between digits, surrounding whitespace
+    and non-ASCII digits, and read `1_0` as 10."""
     if text.isascii() and text.isdigit():
         return int(text)
     raise ValueError(f"invalid literal for int() with base 10: {text!r}")

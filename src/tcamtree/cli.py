@@ -27,10 +27,12 @@ from .packing import (
 )
 from .pipeline import (
     SYNTHETIC_PROFILE_NOTE,
+    OverflowBuffer,
     PipelineProfile,
     PipelineState,
 )
 from .prefixdb import (
+    DEFAULT_COVERAGE,
     PrefixDatabase,
     address_value,
     dotted_to_bits,
@@ -42,8 +44,10 @@ from .prefixdb import (
 from .tiler import SRAM, GrainSpec, StrideList, build_tree
 from .trie import build_unibit_trie, compute_lean_levels, lean_row
 
-MAX_WIDTH = 128      # the IPv6 address width
-MAX_TAG_BITS = 128   # tells apart more tables than any level of such a tree holds
+# The range of each integer flag but `--max-level`, in the order they are checked: 128 is
+# the IPv6 address width, and 128 tag bits tell apart more tables than a level holds.
+INT_FLAGS = {"width": (1, 128), "samples": (0, None), "max_mismatches": (0, None),
+             "tag_bits": (0, 128), "overflow_capacity": (0, None), "seed": (0, None)}
 
 
 @dataclass
@@ -54,11 +58,11 @@ class PlanConfig:
     grain: GrainSpec = GrainSpec()
     tag_bits: Optional[int] = None
     hybridize: bool = False
-    factor: Fraction = Fraction(3)
+    factor: Fraction = HybridizationConfig.factor
     sram_page: SramPageSpec = SramPageSpec()
     profile: PipelineProfile = field(default_factory=PipelineProfile)
-    coverage: Fraction = Fraction(99, 100)
-    overflow_capacity: int = 512
+    coverage: Fraction = DEFAULT_COVERAGE
+    overflow_capacity: int = OverflowBuffer.capacity
 
     def hybrid_config(self) -> Optional[HybridizationConfig]:
         if not self.hybridize:
@@ -332,7 +336,7 @@ def run_verify(db, cfg: PlanConfig, addresses, fault: bool, max_mismatches: int)
 
 
 def sweep_rows(db, strides: StrideList, widths, depth_rule: str, reference: GrainSpec,
-               threshold_coverage: Fraction = Fraction(99, 100)):
+               threshold_coverage: Fraction):
     """One row per grain width: single-table bits, tree bits, improvements.
 
     The single-table side is sized to the threshold length.  A single stride is
@@ -342,7 +346,7 @@ def sweep_rows(db, strides: StrideList, widths, depth_rule: str, reference: Grai
     """
     if len(db) == 0:
         raise EmptyDatabase("cannot sweep an empty database")
-    if min(widths, default=1) < 1:
+    if min(widths) < 1:
         raise ValueError(f"grain widths must be >= 1, got {min(widths)}")
     threshold = max_threshold_length(db, threshold_coverage)
     ref_bits = bounds_model.single_tcam_baseline(
@@ -379,19 +383,9 @@ def sweep_rows(db, strides: StrideList, widths, depth_rule: str, reference: Grai
 
 
 def render_sweep_csv(rows) -> str:
-    header = [
-        "grain_width",
-        "grain_depth",
-        "single_tcam_bits",
-        "single_tcam_improvement",
-        "plan_bits",
-        "tree_bits",
-        "tree_improvement",
-    ]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[k]) for k in header))
-    return "".join(line + "\n" for line in lines)
+    """`sweep_rows`' rows as CSV, one column per key, in the rows' order."""
+    lines = [rows[0].keys(), *(map(str, row.values()) for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 # -- argument plumbing -----------------------------------------------------------------
@@ -427,27 +421,39 @@ def _load_profile(path: Optional[str]) -> PipelineProfile:
         raise ValueError(f"profile {path}: {exc}") from None
 
 
-def _require_nonnegative(args, *names):
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+def _int_flag(args, name: str, low: int, high: Optional[int], high_name: str = ""):
+    """The value of integer flag `name`, or None when it is absent or not the command's:
+    ASCII digits after at most one `-` (so that the range check can name a negative
+    value), in `low`..`high`.  `high_name`, when given, names the upper bound."""
+    raw = getattr(args, name, None)
+    if raw is None:
+        return None
+    flag = "--" + name.replace("_", "-")
+    try:
+        value = -parse_decimal(raw[1:]) if raw.startswith("-") else parse_decimal(raw)
+    except ValueError:
+        raise ValueError(f"{flag} must be an integer, got {raw!r}") from None
+    if value < low or high is not None and value > high:
+        bound = (f"between {low} and {high_name} {high}" if high_name
+                 else f">= {low}" if value < low else f"<= {high}")
+        raise ValueError(f"{flag} must be {bound}, got {value}")
+    return value
 
 
 def _fraction_flag(args, name: str) -> Fraction:
+    """The value of fraction flag `name`: `n`, `n/d` or a decimal in ASCII digits, after at
+    most one `-`.  `Fraction` alone would also take whitespace, `+`, `_`, non-ASCII digits
+    and an exponent, which it expands in full."""
     raw = getattr(args, name)
-    try:
-        if "e" in raw.lower():   # Fraction("1e999999999") builds 10 ** 999999999
-            raise ValueError
+    digits = raw.removeprefix("-")
+    try:   # ASCII digits around at most one `/` or `.`; `Fraction` then refuses `/3` and `3/`
+        parse_decimal(digits.replace("/" if "/" in digits else ".", "", 1))
         return Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--{name} must be a fraction or decimal, got {raw!r}") from None
 
 
 def _plan_config(args) -> PlanConfig:
-    _require_nonnegative(args, "tag_bits", "overflow_capacity")
-    if args.tag_bits is not None and args.tag_bits > MAX_TAG_BITS:
-        raise ValueError(f"--tag-bits must be <= {MAX_TAG_BITS}, got {args.tag_bits}")
     return PlanConfig(
         db_path=args.db,
         address_width=args.width,
@@ -465,17 +471,19 @@ def _plan_config(args) -> PlanConfig:
 
 def _add_plan_arguments(sub):
     sub.add_argument("--db", required=True, help="prefix database in canonical text form")
-    sub.add_argument("--width", required=True, type=int, help="address width in bits")
+    sub.add_argument("--width", required=True, help="address width in bits")
     sub.add_argument("--strides", required=True, help="hyphen-joined strides, e.g. 19-29-16")
-    sub.add_argument("--grain", default="44x512", help="TCAM block geometry WxD")
-    sub.add_argument("--tag-bits", type=int, default=None,
+    sub.add_argument("--grain", default=str(GrainSpec()), help="TCAM block geometry WxD")
+    sub.add_argument("--tag-bits", default=None,
                      help="tag width of super-tables and SRAM rows; default ceil(log2 grain depth)")
     sub.add_argument("--hybridize", action="store_true", help="convert eligible tables to SRAM")
-    sub.add_argument("--factor", default="3", help="conversion factor for hybridization")
-    sub.add_argument("--sram-page", default="128x1024", help="SRAM page geometry WxD")
+    sub.add_argument("--factor", default=str(HybridizationConfig.factor),
+                     help="conversion factor for hybridization")
+    sub.add_argument("--sram-page", default=str(SramPageSpec()), help="SRAM page geometry WxD")
     sub.add_argument("--profile", default=None, help="JSON pipeline profile file")
-    sub.add_argument("--coverage", default="0.99", help="fraction defining the threshold length")
-    sub.add_argument("--overflow-capacity", type=int, default=512)
+    sub.add_argument("--coverage", default=str(DEFAULT_COVERAGE),
+                     help="fraction defining the threshold length")
+    sub.add_argument("--overflow-capacity", default=str(OverflowBuffer.capacity))
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
@@ -488,8 +496,8 @@ def main(argv=None) -> int:
 
     p_analyze = commands.add_parser("analyze", help="per-level pointer overhead as CSV")
     p_analyze.add_argument("--db", required=True)
-    p_analyze.add_argument("--width", required=True, type=int)
-    p_analyze.add_argument("--max-level", type=int, default=None)
+    p_analyze.add_argument("--width", required=True)
+    p_analyze.add_argument("--max-level", default=None)
     p_analyze.add_argument("--out", default=None)
 
     p_plan = commands.add_parser("plan", help="build a full plan and report resources")
@@ -499,43 +507,36 @@ def main(argv=None) -> int:
     p_verify = commands.add_parser("verify", help="check the plan against the reference lookup")
     _add_plan_arguments(p_verify)
     p_verify.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
-    p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=None,
+    p_verify.add_argument("--samples", default="1000")
+    p_verify.add_argument("--seed", default=None,
                           help="seeds the sampled addresses (default 0); refused with"
                                " --trace, --samples 0 or when every address is checked")
     p_verify.add_argument("--trace", default=None,
                           help="replay addresses from this file instead of generating them")
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="corrupt the plan first; the verifier must then fail")
-    p_verify.add_argument("--max-mismatches", type=int, default=20)
+    p_verify.add_argument("--max-mismatches", default="20")
 
     p_sweep = commands.add_parser("sweep-grain", help="bit totals across grain widths")
     p_sweep.add_argument("--db", required=True)
-    p_sweep.add_argument("--width", required=True, type=int)
+    p_sweep.add_argument("--width", required=True)
     p_sweep.add_argument("--strides", required=True)
     p_sweep.add_argument("--widths", required=True, help="comma-separated grain widths")
     p_sweep.add_argument("--depth-rule", choices=("bits", "fixed"), default="bits",
                          help="bits: hold width*depth at the reference; fixed: keep reference depth")
-    p_sweep.add_argument("--grain", default="44x512", help="reference grain for improvements")
-    p_sweep.add_argument("--coverage", default="0.99")
+    p_sweep.add_argument("--grain", default=str(GrainSpec()), help="reference grain for improvements")
+    p_sweep.add_argument("--coverage", default=str(DEFAULT_COVERAGE))
     p_sweep.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
     try:
-        if args.width < 1:
-            raise ValueError(f"--width must be >= 1, got {args.width}")
-        if args.width > MAX_WIDTH:
-            raise ValueError(f"--width must be <= {MAX_WIDTH}, got {args.width}")
+        for name, (low, high) in INT_FLAGS.items():
+            setattr(args, name, _int_flag(args, name, low, high))
         if args.command == "analyze":
             db = parse_file(args.db, args.width)
             if len(db) == 0:
                 raise EmptyDatabase("analyze needs a non-empty database")
-            max_level = args.max_level if args.max_level is not None else db.address_width
-            if not 1 <= max_level <= db.address_width:
-                raise ValueError(
-                    f"--max-level must be between 1 and the address width {db.address_width},"
-                    f" got {max_level}"
-                )
+            max_level = _int_flag(args, "max_level", 1, args.width, "the address width") or args.width
             lean = compute_lean_levels(build_unibit_trie(db), len(db), max_depth=max_level)
             _write_output(lean.to_csv(1, max_level), args.out)
             return 0
@@ -547,7 +548,6 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return 0
         if args.command == "verify":
-            _require_nonnegative(args, "samples", "max_mismatches")
             if args.seed is not None and args.trace is not None:
                 raise ValueError("--seed has no effect: --trace replays the file's addresses")
             cfg = _plan_config(args)

@@ -208,7 +208,9 @@ class OverflowBuffer:
     `entries` is the table's row dict.  A search is the table's own lookup,
     one probe per length present, longest first."""
 
-    def __init__(self, address_width: int, capacity: int = 512):
+    capacity = 512   # the default: entries held before an insert is refused
+
+    def __init__(self, address_width: int, capacity: int = capacity):
         self.table = TreeTable(address_width)
         self.entries = self.table.by_key
         self.length_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -284,7 +286,7 @@ class PipelineState:
         tag_bits: Optional[int] = None,
         profile: Optional[PipelineProfile] = None,
         hybrid: Optional[HybridizationConfig] = None,
-        overflow_capacity: int = 512,
+        overflow_capacity: int = OverflowBuffer.capacity,
     ) -> "PipelineState":
         """The one constructor: tree, optional hybridization, packing,
         placement when a profile is given, and an overflow buffer holding the

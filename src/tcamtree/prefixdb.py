@@ -30,6 +30,7 @@ from ._util import parse_decimal, paused_gc
 from .errors import DuplicatePrefix, EmptyDatabase, LengthOutOfRange, MalformedLine
 
 DEFAULT_NEXT_HOP = "default"
+DEFAULT_COVERAGE = Fraction(99, 100)   # share of the entries within the threshold length
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,12 +370,9 @@ def oracle_lookup_value(db: PrefixDatabase, value: int) -> str:
     return DEFAULT_NEXT_HOP
 
 
-def max_threshold_length(db: PrefixDatabase, coverage=Fraction(99, 100)) -> int:
+def max_threshold_length(db: PrefixDatabase, coverage=DEFAULT_COVERAGE) -> int:
     """Smallest M such that at least `coverage` of the entries have length <= M."""
-    if isinstance(coverage, float):
-        coverage = Fraction(str(coverage))
-    else:
-        coverage = Fraction(coverage)
+    coverage = Fraction(str(coverage)) if isinstance(coverage, float) else Fraction(coverage)
     if not 0 < coverage <= 1:
         raise ValueError("coverage must lie in (0, 1]")
     if len(db) == 0:

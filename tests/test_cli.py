@@ -465,7 +465,10 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err == "error: --widths must be comma-separated integers, got '4_4,+18'\n"
 
-    @pytest.mark.parametrize("value", ["1/0", "abc", "1e5", "2E-3"])
+    # `Fraction` alone reads `1_0` as 10, and ` 3`, `+3` and `\u0663` as 3
+    @pytest.mark.parametrize(
+        "value", ["1/0", "abc", "1e5", "2E-3", "1_0", " 3", "+3", "\u0663", "1E3"]
+    )
     @pytest.mark.parametrize(
         "command, flag, extra",
         [
@@ -484,6 +487,63 @@ class TestBadInput:
         )
         assert code == 2 and out == ""
         assert err == f"error: {flag} must be a fraction or decimal, got '{value}'\n"
+
+    # `int` reads each of these as 10 or 5
+    @pytest.mark.parametrize("value", ["1_0", " 5", "+5", "\u0665"])
+    @pytest.mark.parametrize(
+        "command, flag, extra",
+        [
+            ("analyze", "--width", ()),
+            ("plan", "--width", ("--strides", "3-3")),
+            ("verify", "--width", ("--strides", "3-3")),
+            ("sweep-grain", "--width", ("--strides", "3-3", "--widths", "44")),
+            ("plan", "--tag-bits", ("--strides", "3-3")),
+            ("plan", "--overflow-capacity", ("--strides", "3-3")),
+            ("verify", "--samples", ("--strides", "3-3", "--mode", "sampled")),
+            ("verify", "--seed", ("--strides", "3-3", "--mode", "sampled")),
+            ("verify", "--max-mismatches", ("--strides", "3-3", "--inject-fault")),
+            ("analyze", "--max-level", ()),
+        ],
+    )
+    def test_integer_flags_are_ascii_decimal(self, command, flag, extra, value, capsys):
+        # each is read before the database, so the missing file is not
+        # blamed; --max-level is checked, as before, once the database is read
+        db = str(DATA) if flag == "--max-level" else "/nonexistent/db.txt"
+        width = () if flag == "--width" else ("--width", "6")
+        code, out, err = run(capsys, command, "--db", db, *width, *extra, flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be an integer, got {value!r}\n"
+
+    def test_negative_seed_is_refused(self, capsys):
+        # no sample set is lost: Random(-3) draws what Random(3) draws
+        db = parse_file(SYNTHETIC_IPV4, 32)
+        assert list(cli.verification_addresses(db, False, 40, -3)) == list(
+            cli.verification_addresses(db, False, 40, 3)
+        )
+        code, out, err = run(
+            capsys, "verify", "--db", str(DATA), "--width", "6", "--strides", "3-3",
+            "--mode", "sampled", "--seed", "-3",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--factor", "3", "conversion_factor"),
+            ("--factor", "3/2", "conversion_factor"),
+            ("--factor", "1.5", "conversion_factor"),
+            ("--coverage", "0.99", "threshold_coverage"),
+            ("--coverage", "1/3", "threshold_coverage"),
+        ],
+    )
+    def test_fraction_flags_take_integers_ratios_and_decimals(self, flag, value, key, capsys):
+        code, out, _ = run(
+            capsys, "plan", "--db", str(DATA), "--width", "6", "--strides", "2-2-2",
+            "--hybridize", flag, value,
+        )
+        assert code == 0
+        assert json.loads(out)["config"][key] == str(Fraction(value))
 
     def test_malformed_sweep_widths_are_named(self, capsys):
         code, out, err = run(
@@ -730,38 +790,45 @@ def benchmark_table(monkeypatch, shape: str):
     return db
 
 
+# (golden report, database, width and flags of `plan`)
+PLAN_GOLDENS = [
+    ("table1-3-3.json", "tests/data/table1.txt 6 --strides 3-3"),
+    ("table1-2-2-2-hybridize.json", "tests/data/table1.txt 6 --strides 2-2-2 --hybridize"),
+    (
+        "table1-3-3-2-stages.json",
+        "tests/data/table1.txt 6 --strides 3-3 --profile tests/data/profile-2-stages.json",
+    ),
+    (
+        "synthetic-ipv4-500-16-4-4-8-hybridize.json",
+        "tests/data/synthetic-ipv4-500.txt 32 --strides 16-4-4-8"
+        " --hybridize --factor 3 --tag-bits 14",
+    ),
+    (
+        "synthetic-ipv4-500-16-4-4-8-32x16.json",
+        "tests/data/synthetic-ipv4-500.txt 32 --strides 16-4-4-8"
+        " --grain 32x16 --tag-bits 4",
+    ),
+    (
+        "synthetic-ipv6-500-19-29-16.json",
+        "tests/data/synthetic-ipv6-500.txt 64 --strides 19-29-16",
+    ),
+    # 111111/6 overflows the 2-2 coverage and still counts in the
+    # tiling check's b_percent: 200/3, where the tree alone gives 100/3
+    ("overflow-2-2.json", "tests/data/overflow.txt 6 --strides 2-2"),
+]
+# (golden report, `gen` shape of the seed-1 50k benchmark table, flags of `plan`)
+BENCHMARK_GOLDENS = [
+    ("ipv4-hybrid-50k.json", "IPV4",
+     "--strides 16-4-4-8 --hybridize --factor 3 --tag-bits 14"),
+    ("ipv6-tcam-50k.json", "IPV6", "--strides 19-29-16"),
+]
+
+
 class TestGolden:
     """`plan` output, byte for byte, against reports committed from an earlier
     version; paths are relative to the repository root, as in the reports."""
 
-    @pytest.mark.parametrize(
-        "golden, argv",
-        [
-            ("table1-3-3.json", "tests/data/table1.txt 6 --strides 3-3"),
-            ("table1-2-2-2-hybridize.json", "tests/data/table1.txt 6 --strides 2-2-2 --hybridize"),
-            (
-                "table1-3-3-2-stages.json",
-                "tests/data/table1.txt 6 --strides 3-3 --profile tests/data/profile-2-stages.json",
-            ),
-            (
-                "synthetic-ipv4-500-16-4-4-8-hybridize.json",
-                "tests/data/synthetic-ipv4-500.txt 32 --strides 16-4-4-8"
-                " --hybridize --factor 3 --tag-bits 14",
-            ),
-            (
-                "synthetic-ipv4-500-16-4-4-8-32x16.json",
-                "tests/data/synthetic-ipv4-500.txt 32 --strides 16-4-4-8"
-                " --grain 32x16 --tag-bits 4",
-            ),
-            (
-                "synthetic-ipv6-500-19-29-16.json",
-                "tests/data/synthetic-ipv6-500.txt 64 --strides 19-29-16",
-            ),
-            # 111111/6 overflows the 2-2 coverage and still counts in the
-            # tiling check's b_percent: 200/3, where the tree alone gives 100/3
-            ("overflow-2-2.json", "tests/data/overflow.txt 6 --strides 2-2"),
-        ],
-    )
+    @pytest.mark.parametrize("golden, argv", PLAN_GOLDENS)
     def test_plan_matches_golden(self, golden, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(ROOT)
         db, width, *flags = argv.split()
@@ -770,14 +837,7 @@ class TestGolden:
         assert code == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
-    @pytest.mark.parametrize(
-        "golden, shape, flags",
-        [
-            ("ipv4-hybrid-50k.json", "IPV4",
-             "--strides 16-4-4-8 --hybridize --factor 3 --tag-bits 14"),
-            ("ipv6-tcam-50k.json", "IPV6", "--strides 19-29-16"),
-        ],
-    )
+    @pytest.mark.parametrize("golden, shape, flags", BENCHMARK_GOLDENS)
     def test_benchmark_plan_matches_golden(self, golden, shape, flags, tmp_path, monkeypatch,
                                            capsys):
         # the seed-1 50k tables of the benchmark's two workloads, written under
@@ -793,6 +853,38 @@ class TestGolden:
         )
         assert code == 0
         assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for _, argv in PLAN_GOLDENS]
+        + [f"{shape} {flags}" for _, shape, flags in BENCHMARK_GOLDENS],
+    )
+    def test_plan_tcam_bits_meet_the_lower_bound(self, argv, tmp_path, monkeypatch, capsys):
+        # a block holds at most `depth` entries, so even a hybridized plan's
+        # TCAM bits are at least the lower bound of the entries left in TCAM
+        from tcamtree import lower_bound_bits
+        from tcamtree.prefixdb import serialize
+
+        db, *flags = argv.split()
+        if db in ("IPV4", "IPV6"):
+            table = benchmark_table(monkeypatch, db)
+            db = str(tmp_path / "table.txt")
+            Path(db).write_bytes(serialize(table).encode())
+            flags = [str(table.address_width), *flags]
+        width, *flags = flags
+        monkeypatch.chdir(ROOT)
+        plans = []
+
+        def recorded(db, cfg):
+            plans.append((cfg, *build_plan(db, cfg)))
+            return plans[-1][1:]
+
+        monkeypatch.setattr(cli, "build_plan", recorded)
+        code, _, _ = run(capsys, "plan", "--db", db, "--width", width, *flags)
+        assert code == 0
+        [(cfg, state, report)] = plans
+        entries = sum(st.total_entries for st in state.supertables)
+        assert report["resources"]["tcam_bits"] >= lower_bound_bits(entries, cfg.grain)
 
     @pytest.mark.parametrize(
         "table, width, strides, tag_bits",
